@@ -11,7 +11,7 @@ expanded back into a concrete edge path (and hence a generator sequence).
 from collections import deque
 from dataclasses import dataclass
 
-from .algebra import GeneratorSet, SignedWord, evaluate, inv, mul, reduce
+from .algebra import GeneratorSet, SignedWord, evaluate, inv, reduce
 
 
 class AutomatonError(ValueError):
@@ -102,6 +102,16 @@ class CancellationAutomaton:
                 f"{len(self.edges)} edges)")
 
 
+def _generator_loops(kind: str, gens: GeneratorSet) -> CancellationAutomaton:
+    """Initial hub state 0 with one LOOP chain per generator."""
+    auto = CancellationAutomaton(kind)
+    hub = auto._new_state()
+    auto.initial = hub
+    for i, g in enumerate(gens, start=1):
+        auto._add_chain(hub, hub, g.word, LOOP, i)
+    return auto
+
+
 def build_loop_automaton(gens: GeneratorSet) -> CancellationAutomaton:
     """Hub state with one cycle per generator spelling its reduced word.
 
@@ -109,11 +119,8 @@ def build_loop_automaton(gens: GeneratorSet) -> CancellationAutomaton:
     sequences, so (hub, hub, sigma) in the saturation relation says exactly
     that sigma * I is a nonempty product of generators.
     """
-    auto = CancellationAutomaton("loop")
-    hub = auto._new_state()
-    auto.initial = auto.final = hub
-    for i, g in enumerate(gens, start=1):
-        auto._add_chain(hub, hub, g.word, LOOP, i)
+    auto = _generator_loops("loop", gens)
+    auto.final = auto.initial
     return auto
 
 
@@ -160,14 +167,9 @@ def build_membership_automaton(gens: GeneratorSet, target_word: SignedWord) -> C
     if not w.word:
         raise AutomatonError("membership chain for +-I is degenerate; "
                              "query the loop automaton instead")
-    auto = CancellationAutomaton("membership")
-    hub = auto._new_state()
-    auto.initial = hub
-    for i, g in enumerate(gens, start=1):
-        auto._add_chain(hub, hub, g.word, LOOP, i)
-    final = auto._new_state()
-    auto.final = final
-    auto._add_chain(hub, final, w, TARGET_INV, 0)
+    auto = _generator_loops("membership", gens)
+    auto.final = auto._new_state()
+    auto._add_chain(auto.initial, auto.final, w, TARGET_INV, 0)
     return auto
 
 
@@ -179,14 +181,12 @@ class SaturationRelation:
       ("ss", e1, gap, e2)                     s (gap) s cancellation
       ("rrr", e1, gap1, e2, gap2, e3)         r (gap1) r (gap2) r
       ("compose", t1, t2)                     transitive composition
-    where gaps are triples or None.
+    where a gap is a triple, or None for the empty path.
     """
 
-    def __init__(self, n_states: int):
+    def __init__(self):
         self.triples = set()
         self.parents = {}
-        self.rel_from = [[] for _ in range(n_states)]
-        self.rel_to = [[] for _ in range(n_states)]
 
     def has(self, q: int, p: int, sigma: int) -> bool:
         return (q, p, sigma) in self.triples
@@ -207,6 +207,12 @@ def saturate(auto: CancellationAutomaton) -> SaturationRelation:
     a word nest, so the first letter of a trivial word cancels against later
     matching letters with trivial gaps in between, which is exactly the rule
     shape below.
+
+    Every gap is optional: each state's gap lists start with the empty path
+    (x, +1, None), and the empty gaps are taken through rules (i) and (ii)
+    before any derived triple, which yields the adjacent ss / rrr
+    cancellations.  An empty gap needs no turn as the second gap of rule
+    (ii): each first gap already meets it in the gap list it scans.
     """
     n = auto.n_states
     edges = auto.edges
@@ -225,12 +231,14 @@ def saturate(auto: CancellationAutomaton) -> SaturationRelation:
         else:
             eps_edges.append(e)
 
-    rel = SaturationRelation(n)
+    rel = SaturationRelation()
     triples = rel.triples
     parents = rel.parents
-    rel_from = rel.rel_from
-    rel_to = rel.rel_to
-    work = deque()
+    # (end state, sign, triple) of the gaps leaving / entering each state
+    gaps_from = [[(x, 1, None)] for x in range(n)]
+    gaps_to = [[(x, 1, None)] for x in range(n)]
+    # agenda of gaps (x, y, sign, triple), the empty ones first
+    work = deque((x, x, 1, None) for x in range(n))
 
     def add(q, p, sigma, parent):
         t = (q, p, sigma)
@@ -238,35 +246,18 @@ def saturate(auto: CancellationAutomaton) -> SaturationRelation:
             return
         triples.add(t)
         parents[t] = parent
-        rel_from[q].append((p, sigma))
-        rel_to[p].append((q, sigma))
-        work.append(t)
+        gaps_from[q].append((p, sigma, t))
+        gaps_to[p].append((q, sigma, t))
+        work.append((q, p, sigma, t))
 
-    # seeds: base epsilon edges, adjacent ss, adjacent rrr
     for e in eps_edges:
         src, dst, _, weight = edges[e]
         add(src, dst, weight, ("eps", e))
-    for x in range(n):
-        for e1 in s_in[x]:
-            q, _, _, w1 = edges[e1]
-            for e2 in s_out[x]:
-                _, p, _, w2 = edges[e2]
-                add(q, p, -w1 * w2, ("ss", e1, None, e2))
-    for e2 in range(len(edges)):
-        src2, dst2, label2, w2 = edges[e2]
-        if label2 != "r":
-            continue
-        for e1 in r_in[src2]:
-            q, _, _, w1 = edges[e1]
-            for e3 in r_out[dst2]:
-                _, p, _, w3 = edges[e3]
-                add(q, p, -w1 * w2 * w3, ("rrr", e1, None, e2, None, e3))
 
     while work:
-        t = work.popleft()
-        x, y, sg = t
+        x, y, sg, t = work.popleft()
 
-        # rule (i): t fills the gap between two s edges
+        # rule (i): the gap between two s edges
         for e1 in s_in[x]:
             q, _, _, w1 = edges[e1]
             base = -sg * w1
@@ -274,136 +265,116 @@ def saturate(auto: CancellationAutomaton) -> SaturationRelation:
                 _, p, _, w2 = edges[e2]
                 add(q, p, base * w2, ("ss", e1, t, e2))
 
-        # rule (ii): t as the first gap of r (gap) r (gap) r
+        # rule (ii): the first gap of r (gap) r (gap) r
         for e1 in r_in[x]:
             q, _, _, w1 = edges[e1]
             for e2 in r_out[y]:
                 _, z, _, w2 = edges[e2]
                 base = -sg * w1 * w2
-                for e3 in r_out[z]:
-                    _, p, _, w3 = edges[e3]
-                    add(q, p, base * w3, ("rrr", e1, t, e2, None, e3))
-                for (u, sg2) in list(rel_from[z]):
-                    t2 = (z, u, sg2)
+                for (u, sg2, t2) in list(gaps_from[z]):
                     for e3 in r_out[u]:
                         _, p, _, w3 = edges[e3]
                         add(q, p, base * sg2 * w3, ("rrr", e1, t, e2, t2, e3))
 
-        # rule (ii): t as the second gap
+        if t is None:
+            continue
+        # rule (ii): the second gap
         for e3 in r_out[y]:
             _, p, _, w3 = edges[e3]
             for e2 in r_in[x]:
                 y1, _, _, w2 = edges[e2]
                 base = -sg * w2 * w3
-                for e1 in r_in[y1]:
-                    q, _, _, w1 = edges[e1]
-                    add(q, p, base * w1, ("rrr", e1, None, e2, t, e3))
-                for (q1, sg1) in list(rel_to[y1]):
-                    t1 = (q1, y1, sg1)
+                for (q1, sg1, t1) in list(gaps_to[y1]):
                     for e1 in r_in[q1]:
                         q, _, _, w1 = edges[e1]
                         add(q, p, base * sg1 * w1, ("rrr", e1, t1, e2, t, e3))
 
-        # rule (iv): transitive composition with everything already present
-        for (u, sg2) in list(rel_from[y]):
-            add(x, u, sg * sg2, ("compose", t, (y, u, sg2)))
-        for (q0, sg0) in list(rel_to[x]):
-            add(q0, y, sg0 * sg, ("compose", (q0, x, sg0), t))
+        # rule (iii): transitive composition with the triples already present
+        for (u, sg2, t2) in gaps_from[y][1:]:
+            add(x, u, sg * sg2, ("compose", t, t2))
+        for (q0, sg0, t0) in gaps_to[x][1:]:
+            add(q0, y, sg0 * sg, ("compose", t0, t))
 
     return rel
 
 
-def trivial_path_exists(auto: CancellationAutomaton, sat: SaturationRelation,
-                        frm: int, to: int, sigma: int) -> bool:
-    """Is there a nonempty path frm -> to whose word reduces to (sigma, e)?
-
-    The relation is already transitively closed, so this is a lookup.
-    """
-    return sat.has(frm, to, sigma)
-
-
 def extract_path(auto: CancellationAutomaton, sat: SaturationRelation,
                  frm: int, to: int, sigma: int) -> list:
-    """Edge path realizing the triple, rebuilt from the stored derivations."""
+    """Edge path realizing the triple, rebuilt from the stored derivations.
+
+    The derivation tree is walked with an explicit stack of edges and
+    triples, so its depth is bounded by memory, not by the call stack.
+    """
     root = (frm, to, sigma)
     if root not in sat.triples:
         raise WitnessError(f"no trivial path for {root}")
-
-    def expand(t):
-        parent = sat.parents[t]
-        kind = parent[0]
-        if kind == "eps":
-            return [parent[1]]
-        if kind == "ss":
-            _, e1, gap, e2 = parent
-            mid = expand(gap) if gap is not None else []
-            return [e1] + mid + [e2]
-        if kind == "rrr":
-            _, e1, g1, e2, g2, e3 = parent
-            m1 = expand(g1) if g1 is not None else []
-            m2 = expand(g2) if g2 is not None else []
-            return [e1] + m1 + [e2] + m2 + [e3]
-        _, t1, t2 = parent
-        return expand(t1) + expand(t2)
-
-    path = expand(root)
+    parents = sat.parents
+    path = []
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        if item is None:
+            continue
+        if isinstance(item, int):
+            path.append(item)
+            continue
+        parent = parents[item]
+        # push the parts right to left so they pop in path order
+        stack.extend(reversed(parent[1:]))
     value = auto.path_value(path)
     if value != SignedWord(sigma, ""):
         raise WitnessError(f"extracted path value {value} disagrees with sign {sigma}")
     return path
 
 
-def decode_closed_path(auto: CancellationAutomaton, path: list) -> list:
-    """Generator index sequence of a hub -> hub path in a loop automaton."""
-    seq = []
-    idx = 0
+def _chain_runs(auto: CancellationAutomaton, path: list) -> list:
+    """Cut an edge path into complete chains; the tag of each chain's first edge."""
     tags = auto.tags
+    runs = []
+    idx = 0
     while idx < len(path):
         tag = tags[path[idx]]
-        if tag.kind != LOOP or tag.pos != 0:
-            raise WitnessError(f"path enters chain mid-way at edge {path[idx]}")
-        if tag.length == 0:
-            seq.append(tag.gen)
-            idx += 1
-            continue
-        for pos in range(tag.length):
-            got = tags[path[idx]]
-            if got.gen != tag.gen or got.pos != pos:
-                raise WitnessError("path does not follow a full generator chain")
-            idx += 1
-        seq.append(tag.gen)
-    return seq
+        if tag.pos != 0:
+            raise WitnessError(f"path enters a chain mid-way at edge {path[idx]}")
+        end = idx + max(tag.length, 1)
+        if end > len(path):
+            raise WitnessError("path ends inside a chain")
+        for pos in range(1, end - idx):
+            got = tags[path[idx + pos]]
+            if got.kind != tag.kind or got.gen != tag.gen or got.pos != pos:
+                raise WitnessError("path does not follow a full chain")
+        runs.append(tag)
+        idx = end
+    return runs
 
 
 def extract_witness(auto: CancellationAutomaton, sat: SaturationRelation,
                     frm: int, to: int, sigma: int, gens: GeneratorSet) -> list:
     """Generator index sequence for a loop/membership-automaton triple.
 
-    The decoded sequence is re-multiplied with exact matrix arithmetic and
-    must equal sigma * I (loop) or the membership target; anything else
-    raises instead of returning a bogus certificate.
+    A loop-automaton sequence is re-multiplied with exact matrix arithmetic
+    and must equal sigma * I; a membership path must end with the whole
+    target chain.  Anything else raises instead of returning a bogus
+    certificate.
     """
-    path = extract_path(auto, sat, frm, to, sigma)
+    if auto.kind not in ("loop", "membership"):
+        raise WitnessError(f"no index-sequence decoding for {auto.kind} automata")
+    runs = _chain_runs(auto, extract_path(auto, sat, frm, to, sigma))
+    if auto.kind == "membership":
+        if not runs or runs[-1].kind != TARGET_INV:
+            raise WitnessError("membership path does not end with the full target chain")
+        runs.pop()
+    if any(tag.kind != LOOP for tag in runs):
+        raise WitnessError("path leaves the generator loops")
+    seq = [tag.gen for tag in runs]
+    if not seq:
+        raise WitnessError("witness must use at least one generator")
     if auto.kind == "loop":
-        seq = decode_closed_path(auto, path)
         value = gens.product(seq)
         expected = evaluate(SignedWord(sigma, ""))
         if value != expected:
             raise WitnessError(f"witness {seq} multiplies to {value}, not {expected}")
-        return seq
-    if auto.kind == "membership":
-        split = next((i for i, e in enumerate(path)
-                      if auto.tags[e].kind == TARGET_INV), None)
-        if split is None:
-            raise WitnessError("membership path never enters the target chain")
-        seq = decode_closed_path(auto, path[:split])
-        tail = [auto.tags[e] for e in path[split:]]
-        if [t.pos for t in tail] != list(range(len(tail))):
-            raise WitnessError("membership path does not end with the full target chain")
-        if not seq:
-            raise WitnessError("membership witness must use at least one generator")
-        return seq
-    raise WitnessError(f"no index-sequence decoding for {auto.kind} automata")
+    return seq
 
 
 def decode_pattern_witness(auto: CancellationAutomaton, path: list,
@@ -414,21 +385,7 @@ def decode_pattern_witness(auto: CancellationAutomaton, path: list,
     alpha = [i] + forward loop gens and beta = [j] + reversed inverse-chain
     gens, with product(alpha) == product(beta).
     """
-    runs = []
-    idx = 0
-    tags = auto.tags
-    while idx < len(path):
-        tag = tags[path[idx]]
-        if tag.pos != 0:
-            raise WitnessError("pattern path enters a chain mid-way")
-        for pos in range(tag.length):
-            got = tags[path[idx]]
-            if got.kind != tag.kind or got.gen != tag.gen or got.pos != pos:
-                raise WitnessError("pattern path does not follow a full chain")
-            idx += 1
-        if tag.length == 0:
-            idx += 1
-        runs.append(tag)
+    runs = _chain_runs(auto, path)
     if not runs or runs[0].kind != ENTRY or runs[-1].kind != EXIT_INV:
         raise WitnessError("pattern path must run entry chain to exit chain")
     alpha = [runs[0].gen]
@@ -446,18 +403,3 @@ def decode_pattern_witness(auto: CancellationAutomaton, path: list,
     if gens.product(alpha) != gens.product(beta):
         raise WitnessError("pattern witness products disagree")
     return alpha, beta
-
-
-def epsilon_cycle(auto: CancellationAutomaton, sat: SaturationRelation):
-    """A cycle through relation triples, if any: (state, sign, [state, state]).
-
-    The relation is transitively closed, so a cycle exists iff some (q, q,
-    sigma) triple does.  On a loop automaton this is equivalent to +-I lying
-    in the semigroup: a trivial cycle at a mid-chain state q of chain c
-    forces M_c * X = +-I for the block X of full chains it traverses.
-    """
-    for q in range(auto.n_states):
-        for sigma in (-1, 1):
-            if sat.has(q, q, sigma):
-                return (q, sigma, [q, q])
-    return None

@@ -1,13 +1,14 @@
 """Batch front-end: problem files in, verdict reports out.
 
 Exit codes: 0 the property holds / YES, 1 NO, 2 bounded-unknown, 3 input
-error.  Matrix entries travel as decimal strings because JSON numbers are
-lossy past 2^53.
+error, 4 internal error (so a crash never reads as a verdict).  Matrix
+entries travel as decimal strings because JSON numbers are lossy past 2^53.
 """
 
 import argparse
 import json
 import sys
+import traceback
 
 from .algebra import AlgebraError, GeneratorSet, Mat2, SignedWord, evaluate, reduce
 from . import decisions
@@ -23,6 +24,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_int(value, path: str) -> int:
@@ -302,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decision procedures for matrix semigroups in SL(2,Z)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_problem_command(name, help_text, target_hint=False):
+    def add_problem_command(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("problem", help="problem JSON file")
         p.add_argument("--format", choices=("json", "text"), default="json")
@@ -350,6 +352,10 @@ def main(argv=None) -> int:
     except (ProblemError, AlgebraError, oracle_mod.OracleBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception:
+        traceback.print_exc()
+        print("internal error: no verdict", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

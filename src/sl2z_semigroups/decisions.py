@@ -66,19 +66,31 @@ def _check_product(gens: GeneratorSet, seq, expected: Mat2, what: str):
                             f"expected {expected}")
 
 
+def _trivial_path_witness(gens: GeneratorSet, auto, targets, what: str):
+    """Saturate auto once; for the first (sigma, m) in targets with a
+    sigma-signed trivial path initial -> final, return (sigma, sequence)
+    with the sequence re-multiplied to m.  None when there is no such path.
+    """
+    sat = am.saturate(auto)
+    for sigma, m in targets:
+        if sat.has(auto.initial, auto.final, sigma):
+            seq = am.extract_witness(auto, sat, auto.initial, auto.final, sigma, gens)
+            _check_product(gens, seq, m, what)
+            return sigma, seq
+    return None
+
+
 def identity_in_semigroup(gens: GeneratorSet) -> Verdict:
     """Does some nonempty product of generators equal the identity matrix?
 
     Exact: the saturation relation of the loop automaton contains
     (hub, hub, +) iff such a product exists.
     """
-    auto = am.build_loop_automaton(gens)
-    sat = am.saturate(auto)
-    if am.trivial_path_exists(auto, sat, auto.initial, auto.final, 1):
-        seq = am.extract_witness(auto, sat, auto.initial, auto.final, 1, gens)
-        _check_product(gens, seq, _ID, "identity")
-        return Verdict("identity", YES, _sequences_witness(seq))
-    return Verdict("identity", NO)
+    found = _trivial_path_witness(gens, am.build_loop_automaton(gens),
+                                  [(1, _ID)], "identity")
+    if found is None:
+        return Verdict("identity", NO)
+    return Verdict("identity", YES, _sequences_witness(found[1]))
 
 
 def membership(gens: GeneratorSet, m: Mat2) -> Verdict:
@@ -89,22 +101,14 @@ def membership(gens: GeneratorSet, m: Mat2) -> Verdict:
     (hub, hub, sign) queries on the loop automaton itself.
     """
     target = decompose(m)
-    if not target.word:
-        auto = am.build_loop_automaton(gens)
-        sat = am.saturate(auto)
-        if am.trivial_path_exists(auto, sat, auto.initial, auto.final, target.sign):
-            seq = am.extract_witness(auto, sat, auto.initial, auto.final,
-                                     target.sign, gens)
-            _check_product(gens, seq, m, "membership")
-            return Verdict("membership", YES, _sequences_witness(seq))
+    if target.word:
+        auto, sigma = am.build_membership_automaton(gens, target), 1
+    else:
+        auto, sigma = am.build_loop_automaton(gens), target.sign
+    found = _trivial_path_witness(gens, auto, [(sigma, m)], "membership")
+    if found is None:
         return Verdict("membership", NO)
-    auto = am.build_membership_automaton(gens, target)
-    sat = am.saturate(auto)
-    if am.trivial_path_exists(auto, sat, auto.initial, auto.final, 1):
-        seq = am.extract_witness(auto, sat, auto.initial, auto.final, 1, gens)
-        _check_product(gens, seq, m, "membership")
-        return Verdict("membership", YES, _sequences_witness(seq))
-    return Verdict("membership", NO)
+    return Verdict("membership", YES, _sequences_witness(found[1]))
 
 
 def is_free(gens: GeneratorSet) -> Verdict:
@@ -116,10 +120,10 @@ def is_free(gens: GeneratorSet) -> Verdict:
     trivial path through the pattern automaton M_i G* (G^-1)* M_j^-1.  Pairs
     are scanned in lexicographic order; the first witness found is reported.
     """
-    ident = identity_in_semigroup(gens)
-    if ident.answer == YES:
-        seq = ident.witness["sequences"][0]
-        alpha, beta = [1], [1] + seq
+    found = _trivial_path_witness(gens, am.build_loop_automaton(gens),
+                                  [(1, _ID)], "identity")
+    if found is not None:
+        alpha, beta = [1], [1] + found[1]
         _check_product(gens, alpha, gens.matrix(1), "freeness")
         _check_product(gens, beta, gens.matrix(1), "freeness")
         return Verdict("freeness", NO, _sequences_witness(alpha, beta))
@@ -128,7 +132,7 @@ def is_free(gens: GeneratorSet) -> Verdict:
         for j in range(i + 1, n + 1):
             auto = am.build_pattern_automaton(i, j, gens)
             sat = am.saturate(auto)
-            if not am.trivial_path_exists(auto, sat, auto.initial, auto.final, 1):
+            if not sat.has(auto.initial, auto.final, 1):
                 continue
             path = am.extract_path(auto, sat, auto.initial, auto.final, 1)
             alpha, beta = am.decode_pattern_witness(auto, path, gens)
@@ -166,7 +170,7 @@ class FactorizationCounter:
         core_prods = [(h, b) for h, b in lifted_core.productions
                       if h != lifted_core.start]
         self._core = gr.IntersectionEngine(self.dfa)
-        self._core.add_rules(gr._binarize(core_prods))
+        self._core.add_rules(core_prods)
 
     def components(self, m: Mat2) -> list:
         """Two trimmed intersection grammars whose languages partition the
@@ -182,7 +186,7 @@ class FactorizationCounter:
             st = ("counting_start", phi_sign)
             starts[phi_sign] = st
             wired.append((st, (gr.LIFT_PAD, gr._chain_symbol(1, phi_sign))))
-        eng.add_rules(gr._binarize(wired))
+        eng.add_rules(wired)
         comps = []
         for phi_sign in (1, -1):
             parity = target.sign * phi_sign
@@ -252,31 +256,25 @@ def is_recurrent(gens: GeneratorSet, m: Mat2) -> Verdict:
 def finite_freeness(gens: GeneratorSet, depth: int = 4) -> Verdict:
     """Does some semigroup element have infinitely many factorizations?
 
-    Branch (a), exact: a cycle of saturation triples on the loop automaton,
-    equivalent to +-I in the semigroup, which pumps every element.  Branch
-    (b), exact per candidate: a recurrent product of <= depth generators (a
-    recurrent matrix can exist without +-I, so branch (a) alone is not a
-    complete criterion).  With neither, the honest answer is
-    UNKNOWN_UP_TO(depth).
+    Branch (a), exact: +-I in the semigroup, i.e. a (hub, hub, +-1) triple
+    of the loop automaton, which pumps every element.  A trivial cycle at
+    any other state would say no more: a cycle at a mid-chain state q of
+    chain c forces M_c * X = +-I for the block X of full chains it
+    traverses.  Branch (b), exact per candidate: a recurrent product of
+    <= depth generators (a recurrent matrix can exist without +-I, so
+    branch (a) alone is not a complete criterion).  With neither, the
+    honest answer is UNKNOWN_UP_TO(depth).
     """
     if depth < 1:
         raise DecisionError("depth must be >= 1")
-    auto = am.build_loop_automaton(gens)
-    sat = am.saturate(auto)
-    cycle = am.epsilon_cycle(auto, sat)
-    if cycle is not None:
-        # a triple cycle anywhere forces +-I at the hub; pick whichever sign
-        for sign in (1, -1):
-            if not am.trivial_path_exists(auto, sat, auto.initial, auto.final, sign):
-                continue
-            seq = am.extract_witness(auto, sat, auto.initial, auto.final, sign, gens)
-            if sign == -1:
-                seq = seq + seq
+    found = _trivial_path_witness(gens, am.build_loop_automaton(gens),
+                                  [(1, _ID), (-1, -_ID)], "finite freeness")
+    if found is not None:
+        sign, seq = found
+        if sign == -1:
+            seq = seq + seq
             _check_product(gens, seq, _ID, "finite freeness")
-            witness = {"kind": "sequences", "sequences": [list(seq)],
-                       "cycle_state": cycle[0], "cycle_sign": cycle[1]}
-            return Verdict("finite_freeness", NO, witness)
-        raise DecisionError("saturation cycle without +-I at the hub")
+        return Verdict("finite_freeness", NO, _sequences_witness(seq))
 
     counter = FactorizationCounter(gens)
     table = oracle_mod.enumerate_products(gens, depth)

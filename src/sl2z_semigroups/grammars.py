@@ -35,9 +35,6 @@ class Grammar:
     start: object
     trimmed: bool = False
 
-    def productions_of(self, head):
-        return [body for h, body in self.productions if h == head]
-
     def __repr__(self):
         return (f"Grammar({len(self.nonterminals)} nonterminals, "
                 f"{len(self.productions)} productions)")
@@ -226,22 +223,6 @@ def build_marked_semigroup_dfa(gens: GeneratorSet, sign_parity=None) -> MarkedDf
 # ---------------------------------------------------------------------------
 
 
-_BIN_NONCE = count()
-
-
-def _binarize(g_productions):
-    """Bodies of length <= 2; continuation symbols are globally fresh
-    ("cat", k) tuples so staged rule additions never collide."""
-    prods = []
-    for head, body in g_productions:
-        while len(body) > 2:
-            sym = ("cat", next(_BIN_NONCE))
-            prods.append((head, (body[0], sym)))
-            head, body = sym, body[1:]
-        prods.append((head, body))
-    return prods
-
-
 def _nullable_symbols(prods):
     nullable = set()
     changed = True
@@ -275,6 +256,7 @@ class IntersectionEngine:
         self.rules = []
         self._seeded_terminals = set()
         self._agenda = deque()
+        self._n_cat = 0
 
     def clone(self) -> "IntersectionEngine":
         eng = IntersectionEngine.__new__(IntersectionEngine)
@@ -290,6 +272,7 @@ class IntersectionEngine:
         eng.rules = list(self.rules)
         eng._seeded_terminals = set(self._seeded_terminals)
         eng._agenda = deque()
+        eng._n_cat = self._n_cat
         return eng
 
     # -- item bookkeeping ------------------------------------------------------
@@ -316,9 +299,24 @@ class IntersectionEngine:
 
     # -- staged rule addition ----------------------------------------------------
 
+    def _binarize(self, productions) -> list:
+        """Bodies of length <= 2.  Continuation symbols ("cat", k) are
+        numbered per engine, and a clone continues its parent's numbering,
+        so staged additions never collide and equal inputs get equal names.
+        """
+        prods = []
+        for head, body in productions:
+            while len(body) > 2:
+                sym = ("cat", self._n_cat)
+                self._n_cat += 1
+                prods.append((head, (body[0], sym)))
+                head, body = sym, body[1:]
+            prods.append((head, body))
+        return prods
+
     def add_rules(self, productions):
-        """Add binarized productions, replay the database, run to fixpoint."""
-        productions = list(productions)
+        """Add productions, replay the database, run to fixpoint."""
+        productions = self._binarize(productions)
         new_nullable = _nullable_symbols(self.rules + productions)
         grew = new_nullable - self.nullable
         self.nullable = new_nullable
@@ -436,7 +434,7 @@ def intersect(g: Grammar, d: MarkedDfa) -> Grammar:
     rather than |productions| * |states|^3.
     """
     eng = IntersectionEngine(d)
-    eng.add_rules(_binarize(g.productions))
+    eng.add_rules(g.productions)
     return eng.extract_grammar(g.start, g.terminals)
 
 

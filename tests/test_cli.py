@@ -5,8 +5,8 @@ import json
 import pytest
 
 from sl2z_semigroups.cli import (
-    EXIT_INPUT, EXIT_NO, EXIT_UNKNOWN, EXIT_YES, ProblemError, emit_problem,
-    emit_report, main, parse_problem, problem_json,
+    EXIT_INPUT, EXIT_INTERNAL, EXIT_NO, EXIT_UNKNOWN, EXIT_YES, ProblemError,
+    emit_problem, emit_report, main, parse_problem, problem_json,
 )
 from sl2z_semigroups.decisions import Count, Verdict
 
@@ -161,6 +161,18 @@ class TestCommands:
         assert doc["collision"] == [[1], [1, 1, 1, 1, 1]]
         assert doc["distinct_products"] == 4
 
+    def test_internal_error_is_not_a_verdict(self, tmp_path, capsys, monkeypatch):
+        from sl2z_semigroups import decisions
+
+        def crash(gens):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(decisions, "identity_in_semigroup", crash)
+        path = write(tmp_path, "p.json", {"generators": [{"matrix": S_MATRIX}]})
+        assert main(["identity", path]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "RuntimeError: boom" in captured.err
+
     def test_malformed_input_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -192,6 +204,18 @@ class TestEncodeCommands:
         path.write_text(out)
         assert main(["identity", str(path)]) == EXIT_YES
         capsys.readouterr()
+
+    def test_deep_subset_sum_witness(self, tmp_path, capsys):
+        # solvable, with a witness derivation deeper than the default
+        # recursion limit
+        assert main(["encode-ssp", "--set", "150,250", "--x", "400"]) == EXIT_YES
+        path = tmp_path / "ssp.json"
+        path.write_text(capsys.readouterr().out)
+        assert main(["identity", str(path)]) == EXIT_YES
+        doc = json.loads(capsys.readouterr().out)
+        (seq,) = doc["witness"]["sequences"]
+        gens = parse_problem(str(path)).generators
+        assert gens.product(seq).entries() == (1, 0, 0, 1)
 
     def test_encode_dfa(self, tmp_path, capsys):
         dfa_docs = [{"states": 1, "alphabet": ["a"],

@@ -165,6 +165,13 @@ class TestRecurrence:
         assert identity_in_semigroup(fx.generators).answer == NO
         assert is_recurrent(fx.generators, target).answer == YES
 
+    def test_witness_repeats_within_a_process(self):
+        fx = recurrent_without_identity_fixture()
+        target = fx.expected["recurrent_target"]
+        first = is_recurrent(fx.generators, target)
+        second = is_recurrent(fx.generators, target)
+        assert first.witness == second.witness
+
     def test_free_generator_not_recurrent(self):
         gens = GeneratorSet.from_matrices([F_A])
         assert is_recurrent(gens, F_A * F_A * F_A).answer == NO
