@@ -5,13 +5,15 @@ the value of a path is the product of weight * phi(label) over its edges.
 Saturation computes every triple (q, p, sigma) such that some nonempty path
 q -> p has value sigma * I, i.e. its letter word reduces to the empty word
 with accumulated sign sigma.  Derivations are recorded so any triple can be
-expanded back into a concrete edge path (and hence a generator sequence).
+expanded back into a concrete edge path (and hence a generator sequence);
+re-joining every derivation of a triple gives the grammar of all its paths.
 """
 
 from collections import deque
 from dataclasses import dataclass
 
 from .algebra import GeneratorSet, SignedWord, evaluate, inv, reduce
+from .grammars import Grammar
 
 
 class AutomatonError(ValueError):
@@ -198,6 +200,26 @@ class SaturationRelation:
         return iter(self.triples)
 
 
+def _edge_lists(auto: CancellationAutomaton) -> tuple:
+    """Per-state s/r edge ids (s_in, s_out, r_in, r_out) and the epsilon edges."""
+    n = auto.n_states
+    s_in = [[] for _ in range(n)]
+    s_out = [[] for _ in range(n)]
+    r_in = [[] for _ in range(n)]
+    r_out = [[] for _ in range(n)]
+    eps_edges = []
+    for e, (src, dst, label, weight) in enumerate(auto.edges):
+        if label == "s":
+            s_in[dst].append(e)
+            s_out[src].append(e)
+        elif label == "r":
+            r_in[dst].append(e)
+            r_out[src].append(e)
+        else:
+            eps_edges.append(e)
+    return s_in, s_out, r_in, r_out, eps_edges
+
+
 def saturate(auto: CancellationAutomaton) -> SaturationRelation:
     """Least fixpoint of the cancellation rules.
 
@@ -216,20 +238,7 @@ def saturate(auto: CancellationAutomaton) -> SaturationRelation:
     """
     n = auto.n_states
     edges = auto.edges
-    s_in = [[] for _ in range(n)]
-    s_out = [[] for _ in range(n)]
-    r_in = [[] for _ in range(n)]
-    r_out = [[] for _ in range(n)]
-    eps_edges = []
-    for e, (src, dst, label, weight) in enumerate(edges):
-        if label == "s":
-            s_in[dst].append(e)
-            s_out[src].append(e)
-        elif label == "r":
-            r_in[dst].append(e)
-            r_out[src].append(e)
-        else:
-            eps_edges.append(e)
+    s_in, s_out, r_in, r_out, eps_edges = _edge_lists(auto)
 
     rel = SaturationRelation()
     triples = rel.triples
@@ -298,6 +307,75 @@ def saturate(auto: CancellationAutomaton) -> SaturationRelation:
     return rel
 
 
+def derivation_grammar(auto: CancellationAutomaton, sat: SaturationRelation,
+                       root: tuple) -> Grammar:
+    """Grammar of every edge path that realizes the root triple.
+
+    Nonterminals are the triples reachable from the root and terminals are
+    edge ids.  A triple's productions re-join every instance of a
+    `saturate` rule that yields it, so each triple (q, p, sigma) derives
+    exactly the nonempty paths q -> p of value sigma * I.  Every body holds
+    an edge or two triples, so there are no epsilon or unit productions, and
+    every triple of the relation derives a path, so the grammar is trimmed.
+    A root outside the relation gives the empty grammar.
+    """
+    edges = auto.edges
+    triples = sat.triples
+    terminals = set(range(len(edges)))
+    if root not in triples:
+        return Grammar({root}, terminals, [], root, trimmed=True)
+    s_in, s_out, r_in, r_out, eps_edges = _edge_lists(auto)
+    eps_of = {}
+    for e in eps_edges:
+        src, dst, _, weight = edges[e]
+        eps_of.setdefault((src, dst, weight), []).append(e)
+    gaps_from = [[(x, 1, None)] for x in range(auto.n_states)]
+    for t in triples:
+        gaps_from[t[0]].append((t[1], t[2], t))
+
+    def gaps(x, y, sg):
+        """Body pieces of the gaps x -> y of sign sg: the empty path, the triple."""
+        pieces = [()] if x == y and sg == 1 else []
+        if (x, y, sg) in triples:
+            pieces.append(((x, y, sg),))
+        return pieces
+
+    prods = []
+    seen = {root}
+    stack = [root]
+    while stack:
+        t = stack.pop()
+        q, p, sigma = t
+        bodies = [(e,) for e in eps_of.get(t, ())]
+        for e1 in s_out[q]:
+            _, x, _, w1 = edges[e1]
+            for e2 in s_in[p]:
+                y, _, _, w2 = edges[e2]
+                for g in gaps(x, y, -sigma * w1 * w2):
+                    bodies.append((e1, *g, e2))
+        for e1 in r_out[q]:
+            _, x, _, w1 = edges[e1]
+            for (y, sg1, t1) in gaps_from[x]:
+                g1 = () if t1 is None else (t1,)
+                for e2 in r_out[y]:
+                    _, z, _, w2 = edges[e2]
+                    for e3 in r_in[p]:
+                        u, _, _, w3 = edges[e3]
+                        for g2 in gaps(z, u, -sigma * sg1 * w1 * w2 * w3):
+                            bodies.append((e1, *g1, e2, *g2, e3))
+        for (y, sg1, t1) in gaps_from[q][1:]:
+            t2 = (y, p, sigma * sg1)
+            if t2 in triples:
+                bodies.append((t1, t2))
+        for body in bodies:
+            prods.append((t, body))
+            for x in body:
+                if isinstance(x, tuple) and x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+    return Grammar(seen, terminals, prods, root, trimmed=True)
+
+
 def extract_path(auto: CancellationAutomaton, sat: SaturationRelation,
                  frm: int, to: int, sigma: int) -> list:
     """Edge path realizing the triple, rebuilt from the stored derivations.
@@ -348,18 +426,15 @@ def _chain_runs(auto: CancellationAutomaton, path: list) -> list:
     return runs
 
 
-def extract_witness(auto: CancellationAutomaton, sat: SaturationRelation,
-                    frm: int, to: int, sigma: int, gens: GeneratorSet) -> list:
-    """Generator index sequence for a loop/membership-automaton triple.
+def path_sequence(auto: CancellationAutomaton, path: list) -> list:
+    """Generator index sequence of a loop/membership-automaton path.
 
-    A loop-automaton sequence is re-multiplied with exact matrix arithmetic
-    and must equal sigma * I; a membership path must end with the whole
-    target chain.  Anything else raises instead of returning a bogus
-    certificate.
+    The path must be a run of whole generator loops, closed on a membership
+    automaton by the whole target chain; anything else raises.
     """
     if auto.kind not in ("loop", "membership"):
         raise WitnessError(f"no index-sequence decoding for {auto.kind} automata")
-    runs = _chain_runs(auto, extract_path(auto, sat, frm, to, sigma))
+    runs = _chain_runs(auto, path)
     if auto.kind == "membership":
         if not runs or runs[-1].kind != TARGET_INV:
             raise WitnessError("membership path does not end with the full target chain")
@@ -369,6 +444,18 @@ def extract_witness(auto: CancellationAutomaton, sat: SaturationRelation,
     seq = [tag.gen for tag in runs]
     if not seq:
         raise WitnessError("witness must use at least one generator")
+    return seq
+
+
+def extract_witness(auto: CancellationAutomaton, sat: SaturationRelation,
+                    frm: int, to: int, sigma: int, gens: GeneratorSet) -> list:
+    """Generator index sequence for a loop/membership-automaton triple.
+
+    A loop-automaton sequence is re-multiplied with exact matrix arithmetic
+    and must equal sigma * I.  Anything else raises instead of returning a
+    bogus certificate.
+    """
+    seq = path_sequence(auto, extract_path(auto, sat, frm, to, sigma))
     if auto.kind == "loop":
         value = gens.product(seq)
         expected = evaluate(SignedWord(sigma, ""))

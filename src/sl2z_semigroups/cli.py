@@ -194,13 +194,17 @@ def _require_target(problem: Problem, cmd: str) -> Mat2:
 
 
 def _setting(args, problem: Problem, name: str, fallback):
-    """Command-line flag, else the problem file's parameters, else default."""
+    """Command-line flag, else the problem file's parameters, else default;
+    a positive integer."""
     value = getattr(args, name, None)
-    if value is not None:
-        return value
-    value = problem.parameters.get(name, fallback)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ProblemError(f"parameters.{name}: expected an integer")
+    field = f"--{name}"
+    if value is None:
+        value = problem.parameters.get(name, fallback)
+        field = f"parameters.{name}"
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ProblemError(f"{field}: expected an integer")
+    if value < 1:
+        raise ProblemError(f"{field}: must be at least 1, got {value}")
     return value
 
 
@@ -338,7 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which would read as UNKNOWN_UP_TO
+        if exc.code == 0:
+            raise
+        return EXIT_INPUT
     try:
         if args.command == "oracle":
             return _run_oracle(args)

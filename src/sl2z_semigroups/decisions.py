@@ -1,9 +1,10 @@
 """Decision procedures over generator sets, with machine-checkable verdicts.
 
-Identity, membership and freeness are decided exactly through saturation of
-cancellation automata; factorization counting and recurrence go through the
-target-grammar / marked-DFA intersection.  Every YES carries a witness that
-is re-multiplied with exact arithmetic before being returned.
+Every procedure saturates cancellation automata.  Identity, membership and
+freeness are lookups in the saturation relation; factorization counting and
+recurrence read the relation's derivation grammar, whose words are the
+automaton paths of the factorizations.  Every YES carries a witness that is
+re-multiplied with exact arithmetic before being returned.
 """
 
 from dataclasses import dataclass
@@ -93,18 +94,24 @@ def identity_in_semigroup(gens: GeneratorSet) -> Verdict:
     return Verdict("identity", YES, _sequences_witness(found[1]))
 
 
-def membership(gens: GeneratorSet, m: Mat2) -> Verdict:
-    """Is m a nonempty product of generators?  Exact.
+def _target_automaton(gens: GeneratorSet, m: Mat2) -> tuple:
+    """(automaton, sigma): the sigma-signed trivial paths initial -> final
+    spell the factorizations of m.
 
     For m != +-I a chain spelling inv(m) is appended to the loop automaton
-    and a positive trivial path hub -> final is queried; the +-I cases are
-    (hub, hub, sign) queries on the loop automaton itself.
+    and sigma is +1; the +-I cases are (hub, hub, sign) on the loop
+    automaton itself.
     """
     target = decompose(m)
     if target.word:
-        auto, sigma = am.build_membership_automaton(gens, target), 1
-    else:
-        auto, sigma = am.build_loop_automaton(gens), target.sign
+        return am.build_membership_automaton(gens, target), 1
+    return am.build_loop_automaton(gens), target.sign
+
+
+def membership(gens: GeneratorSet, m: Mat2) -> Verdict:
+    """Is m a nonempty product of generators?  Exact: one lookup of the
+    root triple of the target automaton."""
+    auto, sigma = _target_automaton(gens, m)
     found = _trivial_path_witness(gens, auto, [(sigma, m)], "membership")
     if found is None:
         return Verdict("membership", NO)
@@ -141,111 +148,79 @@ def is_free(gens: GeneratorSet) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# factorization counting through the grammar pipeline
+# factorization counting on the derivation grammar of the saturation
 # ---------------------------------------------------------------------------
 
 
 class FactorizationCounter:
     """Counts factorizations of targets over one generator set.
 
-    The marked DFA carries the running generator-sign parity, so the two
-    intersection components below together derive exactly the marked words
-    of true factorizations of m:
-
-      value(seq) = (sign product) * phi(concatenated words), hence
-      seq multiplies to m  iff  phi-part == phi(w_m)  and parity == sign(m),
-                            or  phi-part == -phi(w_m) and parity == -sign(m).
-
-    The N+/N- core of the target grammar never mentions the target word, so
-    its item fixpoint over the DFA is computed once and cloned per target.
+    The paths of the target automaton (`_target_automaton`) that realize
+    its root triple are runs of whole generator loops, closed by the target
+    chain when m != +-I, so they biject with the factorizations of m.  The
+    saturation's derivation grammar derives exactly those paths: a growth
+    cycle in it certifies infinitely many factorizations, and its finite
+    language decodes path by path into the factorizations.
     """
 
     def __init__(self, gens: GeneratorSet):
         self.gens = gens
-        self.dfa = gr.build_marked_semigroup_dfa(gens, sign_parity=1)
-        lifted_core = gr.lift_over_markers(
-            gr.Grammar({gr.N_POS, gr.N_NEG}, {"s", "r"},
-                       gr._n_core_productions(), gr.N_POS),
-            self.dfa.markers)
-        core_prods = [(h, b) for h, b in lifted_core.productions
-                      if h != lifted_core.start]
-        self._core = gr.IntersectionEngine(self.dfa)
-        self._core.add_rules(core_prods)
 
-    def components(self, m: Mat2) -> list:
-        """Two trimmed intersection grammars whose languages partition the
-        marked words of the true factorizations of m."""
-        target = decompose(m)
-        eng = self._core.clone()
-        wired = []
-        for head, body in gr.target_chain_productions(target.word):
-            wired.append((head, tuple(
-                gr._lift_symbol(x) if x in ("s", "r") else x for x in body)))
-        starts = {}
-        for phi_sign in (1, -1):
-            st = ("counting_start", phi_sign)
-            starts[phi_sign] = st
-            wired.append((st, (gr.LIFT_PAD, gr._chain_symbol(1, phi_sign))))
-        eng.add_rules(wired)
-        comps = []
-        for phi_sign in (1, -1):
-            parity = target.sign * phi_sign
-            finals = [self.dfa.hub_states[parity]]
-            comps.append(eng.extract_grammar(starts[phi_sign],
-                                             set(self.dfa.alphabet), finals))
-        return comps
+    def _paths(self, m: Mat2):
+        """(automaton, saturation, root triple, derivation grammar) of m."""
+        auto, sigma = _target_automaton(self.gens, m)
+        sat = am.saturate(auto)
+        root = (auto.initial, auto.final, sigma)
+        return auto, sat, root, am.derivation_grammar(auto, sat, root)
 
     def count(self, m: Mat2, cap: int):
-        """(Count, ordered sequences or None)."""
-        comps = self.components(m)
-        if any(gr.find_growth_cycle(c) is not None for c in comps):
-            return Count("infinite"), None
-        sequences = set()
-        for comp in comps:
-            enum = gr.enumerate_words(comp, cap=cap)
-            if not enum.exact:
-                return Count("more_than", cap), None
-            for wtuple in enum.words:
-                seq = tuple(self.dfa.decode(wtuple))
-                _check_product(self.gens, seq, m, "factorization")
-                sequences.add(seq)
-            if len(sequences) > cap:
-                return Count("more_than", cap), None
-        ordered = sorted(sequences, key=lambda s: (len(s), s))
-        return Count("exact", len(ordered)), [list(s) for s in ordered]
+        """(Count, sequences).
+
+        The sequences are every factorization, shortest first, when the
+        count is exact; one re-multiplied factorization when it is not; and
+        empty when m is not a product.
+        """
+        auto, sat, root, grammar = self._paths(m)
+        if gr.find_growth_cycle(grammar) is not None:
+            cnt = Count("infinite")
+        else:
+            enum = gr.enumerate_words(grammar, cap=cap)
+            if enum.exact:
+                sequences = set()
+                for path in enum.words:
+                    seq = tuple(am.path_sequence(auto, list(path)))
+                    _check_product(self.gens, seq, m, "factorization")
+                    sequences.add(seq)
+                ordered = sorted(sequences, key=lambda s: (len(s), s))
+                return Count("exact", len(ordered)), [list(s) for s in ordered]
+            cnt = Count("more_than", cap)
+        seq = am.extract_witness(auto, sat, *root, self.gens)
+        _check_product(self.gens, seq, m, "membership")
+        return cnt, [seq]
 
     def recurrence_certificate(self, m: Mat2):
-        """Growth cycle of a component grammar, or None."""
-        for comp in self.components(m):
-            cycle = gr.find_growth_cycle(comp)
-            if cycle is not None:
-                return cycle
-        return None
+        """Growth cycle of the derivation grammar, or None."""
+        return gr.find_growth_cycle(self._paths(m)[3])
 
 
 def count_factorizations(gens: GeneratorSet, m: Mat2, cap: int = 8) -> Verdict:
     """Number of distinct index sequences multiplying to m.
 
     Exact when finite and <= cap; MORE_THAN(cap) past the cap; INFINITE when
-    the intersection grammar pumps.  Every enumerated sequence is re-verified
+    the derivation grammar pumps.  Every enumerated sequence is re-verified
     by multiplication.
     """
     if cap < 1:
         raise DecisionError("cap must be >= 1")
-    member = membership(gens, m)
-    if member.answer == NO:
-        return Verdict("count", NO, count=Count("exact", 0))
-    counter = FactorizationCounter(gens)
-    cnt, seqs = counter.count(m, cap)
-    if cnt.kind == "exact" and cnt.value == 0:
-        raise DecisionError(f"membership says YES but counting found nothing for {m}")
-    witness = _sequences_witness(*seqs) if seqs else member.witness
-    return Verdict("count", YES, witness, count=cnt)
+    cnt, seqs = FactorizationCounter(gens).count(m, cap)
+    if not seqs:
+        return Verdict("count", NO, count=cnt)
+    return Verdict("count", YES, _sequences_witness(*seqs), count=cnt)
 
 
 def is_recurrent(gens: GeneratorSet, m: Mat2) -> Verdict:
     """Does m have infinitely many factorizations?  Exact via finiteness of
-    the intersection grammar."""
+    the derivation grammar of m's target automaton."""
     cycle = FactorizationCounter(gens).recurrence_certificate(m)
     if cycle is not None:
         return Verdict("recurrent", YES,

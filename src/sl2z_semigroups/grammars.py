@@ -1,11 +1,15 @@
-"""Context-free machinery: target grammars, marker lifting, DFA intersection.
+"""Context-free machinery: grammar analysis and the Bar-Hillel route.
+
+Trimming, emptiness, finiteness (growth cycles) and enumeration work on any
+grammar; the decision procedures apply them to the derivation grammars of
+`automata.derivation_grammar`.
 
 The target grammar of a signed reduced word t derives exactly the unreduced
 words over {s,r} with the same value.  Lifting over markers closes the
 language under inserting marker symbols anywhere, and intersecting with the
 marked semigroup DFA (blocks "#i w_i") leaves one word per factorization.
-Emptiness, finiteness and enumeration of the result answer the membership /
-recurrence / counting questions.
+This Bar-Hillel route answers the counting and recurrence questions without
+the saturation, so the tests use it as the exact referee for them.
 
 Words are tuples of terminal symbols.  Nonterminals and terminals may be any
 hashable values; the Bar-Hillel construction uses (state, symbol, state)
@@ -145,7 +149,6 @@ class MarkedDfa:
     transitions: dict  # (state, symbol) -> state
     markers: tuple
     sign_parity: object = None   # None, +1 or -1
-    hub_states: dict = None      # parity (or None) -> accepting hub state
 
     def run(self, word) -> bool:
         q = self.initial
@@ -212,10 +215,8 @@ def build_marked_semigroup_dfa(gens: GeneratorSet, sign_parity=None) -> MarkedDf
         if sign_parity is None or p == sign_parity
     )
     alphabet = tuple(markers) + ("s", "r")
-    hubs = ({None: intern(("hub", 1))} if sign_parity is None
-            else {p: intern(("hub", p)) for p in parities})
     return MarkedDfa(len(states), intern(("start", parities[0])), finals,
-                     alphabet, trans, markers, sign_parity, hubs)
+                     alphabet, trans, markers, sign_parity)
 
 
 # ---------------------------------------------------------------------------
@@ -368,20 +369,19 @@ class IntersectionEngine:
 
     # -- output --------------------------------------------------------------------
 
-    def start_items(self, start_symbol, finals=None) -> list:
+    def start_items(self, start_symbol) -> list:
         dfa = self.dfa
-        finals = dfa.finals if finals is None else finals
-        return [(dfa.initial, start_symbol, f) for f in sorted(finals)
+        return [(dfa.initial, start_symbol, f) for f in sorted(dfa.finals)
                 if self.has_item(dfa.initial, start_symbol, f)]
 
-    def extract_grammar(self, start_symbol, terminals, finals=None) -> Grammar:
+    def extract_grammar(self, start_symbol, terminals) -> Grammar:
         """Trimmed Bar-Hillel grammar over the items reachable from the start.
 
         Bodies are materialized by re-joining the item indexes, so the
         unreachable bulk of the database is never touched.
         """
         start = ("bh_start",)
-        roots = self.start_items(start_symbol, finals)
+        roots = self.start_items(start_symbol)
         if not roots:
             return Grammar({start}, set(terminals), [], start, trimmed=True)
         prods = [(start, (item,)) for item in roots]

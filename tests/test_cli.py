@@ -179,6 +179,35 @@ class TestCommands:
         assert main(["identity", str(path)]) == EXIT_INPUT
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["identity"],
+                                      ["check-finite-free", "p.json", "--depth", "x"]])
+    def test_usage_error_exits_3(self, argv, capsys):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: sl2z" in captured.err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: sl2z" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, parameters, field", [
+        (["check-finite-free", "--depth", "0"], {}, "--depth"),
+        (["count", "--cap", "0"], {}, "--cap"),
+        (["count"], {"cap": -1}, "parameters.cap"),
+    ])
+    def test_setting_below_one_exits_3(self, tmp_path, capsys, argv, parameters, field):
+        path = write(tmp_path, "p.json", {
+            "generators": [{"matrix": S_MATRIX}],
+            "target": {"matrix": S_MATRIX}, "parameters": parameters})
+        assert main(argv[:1] + [path] + argv[1:]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {field}: must be at least 1" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestEncodeCommands:
     def test_encode_ssp_round_trip(self, tmp_path, capsys):

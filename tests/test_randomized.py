@@ -1,28 +1,36 @@
-"""Adversarial randomized cross-checks of the two core fixpoints.
+"""Adversarial randomized cross-checks of the core fixpoints.
 
-Saturation runs against bounded path enumeration on arbitrary random
-automata (not just the fixture shapes), and grammar finiteness runs against
-an independent implementation of the classic elimination route.
+Saturation and its derivation grammar run against bounded path enumeration
+on arbitrary random automata (not just the fixture shapes), grammar
+finiteness runs against an independent implementation of the classic
+elimination route, and factorization counting runs against the Bar-Hillel
+intersection of the target grammar with the marked semigroup DFA.
 """
 
 import random
 
-from sl2z_semigroups.algebra import SignedWord, reduce
+from sl2z_semigroups.algebra import (
+    IDENTITY, S, GeneratorSet, Mat2, SignedWord, decompose, evaluate, reduce,
+)
 from sl2z_semigroups.automata import (
-    CancellationAutomaton, ChainTag, extract_path, saturate,
+    CancellationAutomaton, ChainTag, derivation_grammar, extract_path, saturate,
 )
+from sl2z_semigroups.decisions import FactorizationCounter
+from sl2z_semigroups.encodings import recurrent_without_identity_fixture
 from sl2z_semigroups.grammars import (
-    Grammar, enumerate_words, is_finite, trim, words_up_to,
+    Grammar, build_marked_semigroup_dfa, build_target_grammar, enumerate_words,
+    find_growth_cycle, intersect, is_finite, lift_over_markers, trim, words_up_to,
 )
+from sl2z_semigroups.oracle import enumerate_products
 
 
-def random_automaton(rng):
+def random_automaton(rng, max_edges=10):
     auto = CancellationAutomaton("random")
     n = rng.randint(1, 6)
     for _ in range(n):
         auto._new_state()
     auto.initial, auto.final = 0, n - 1
-    for _ in range(rng.randint(1, 10)):
+    for _ in range(rng.randint(1, max_edges)):
         auto._add_edge(rng.randrange(n), rng.randrange(n),
                        rng.choice(["s", "r", "s", "r", None]),
                        rng.choice([1, 1, 1, -1]),
@@ -61,6 +69,40 @@ def test_saturation_on_random_automata():
         for (q, p, sigma) in sat.triples:
             path = extract_path(auto, sat, q, p, sigma)
             assert auto.path_value(path) == SignedWord(sigma, "")
+
+
+def brute_trivial_paths(auto, max_edges):
+    """(q, p, sigma) -> every path of <= max_edges edges q -> p of value sigma * I."""
+    out_edges = {}
+    for e, (src, _, _, _) in enumerate(auto.edges):
+        out_edges.setdefault(src, []).append(e)
+    found = {}
+    frontier = [(e,) for e in range(len(auto.edges))]
+    while frontier:
+        nxt = []
+        for path in frontier:
+            value = auto.path_value(path)
+            if value.word == "":
+                t = (auto.edges[path[0]][0], auto.edges[path[-1]][1], value.sign)
+                found.setdefault(t, set()).add(path)
+            if len(path) < max_edges:
+                nxt.extend(path + (e,) for e in out_edges.get(auto.edges[path[-1]][1], ()))
+        frontier = nxt
+    return found
+
+
+def test_derivation_grammar_on_random_automata():
+    rng = random.Random(4242)
+    for _ in range(60):
+        auto = random_automaton(rng, max_edges=6)
+        sat = saturate(auto)
+        paths = brute_trivial_paths(auto, 5)
+        assert set(paths) <= sat.triples
+        for q in range(auto.n_states):
+            for p in range(auto.n_states):
+                for sigma in (1, -1):
+                    grammar = derivation_grammar(auto, sat, (q, p, sigma))
+                    assert words_up_to(grammar, 5) == paths.get((q, p, sigma), set())
 
 
 def classic_is_finite(g):
@@ -164,3 +206,61 @@ def test_enumeration_matches_bounded_fixpoint():
         assert short == words_up_to(g, 9)
         checked += 1
     assert checked >= 500
+
+
+def referee_count(gens, m, cap):
+    """(count kind, value, sequences, recurrent) by the Bar-Hillel route.
+
+    For each phi in +-1 the target grammar of (phi, w), lifted over the
+    markers, meets the marked DFA whose generator-sign parity is sign * phi,
+    where m = sign * phi(w); the two languages split the factorizations.
+    """
+    target = decompose(m)
+    comps = []
+    for phi in (1, -1):
+        dfa = build_marked_semigroup_dfa(gens, sign_parity=target.sign * phi)
+        lifted = lift_over_markers(build_target_grammar(SignedWord(phi, target.word)),
+                                   dfa.markers)
+        comps.append((intersect(lifted, dfa), dfa))
+    if any(find_growth_cycle(g) is not None for g, _ in comps):
+        return "infinite", None, None, True
+    sequences = set()
+    for g, dfa in comps:
+        enum = enumerate_words(g, cap=cap)
+        if not enum.exact:
+            return "more_than", cap, None, False
+        sequences |= {tuple(dfa.decode(w)) for w in enum.words}
+    if len(sequences) > cap:
+        return "more_than", cap, None, False
+    ordered = sorted(sequences, key=lambda s: (len(s), s))
+    return "exact", len(ordered), [list(s) for s in ordered], False
+
+
+def referee_cases():
+    rng = random.Random(2718)
+    for _ in range(12):
+        gens = GeneratorSet.from_matrices([
+            evaluate(reduce("".join(rng.choice("sr") for _ in range(rng.randint(1, 6))),
+                            rng.choice((1, -1))))
+            for _ in range(rng.randint(1, 3))])
+        products = enumerate_products(gens, 3).matrices()
+        yield gens, rng.sample(products, min(5, len(products)))
+    rw = recurrent_without_identity_fixture()
+    yield rw.generators, [rw.expected["recurrent_target"]]
+    # words over a free pair: finite counts above 1 and past the cap
+    a, b = Mat2(1, 2, 0, 1), Mat2(1, 0, 2, 1)
+    yield GeneratorSet.from_matrices([a, b, a * b]), [a * b * a * b, a * b * a, a * b * a * b * a * b]
+    yield GeneratorSet.from_matrices([S]), [S, -IDENTITY, IDENTITY]
+    yield GeneratorSet.from_matrices([S, -IDENTITY]), [S, -S, IDENTITY]
+
+
+def test_counter_matches_bar_hillel_referee():
+    for gens, targets in referee_cases():
+        counter = FactorizationCounter(gens)
+        for m in targets:
+            kind, value, sequences, recurrent = referee_count(gens, m, cap=4)
+            cnt, seqs = counter.count(m, 4)
+            assert (cnt.kind, cnt.value) == (kind, value)
+            if kind == "exact":
+                assert seqs == sequences
+            assert (counter.recurrence_certificate(m) is not None) == recurrent
