@@ -11,6 +11,7 @@ re-joining every derivation of a triple gives the grammar of all its paths.
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from .algebra import GeneratorSet, SignedWord, evaluate, inv, reduce
 from .grammars import Grammar
@@ -178,26 +179,32 @@ def build_membership_automaton(gens: GeneratorSet, target_word: SignedWord) -> C
 class SaturationRelation:
     """All triples (q, p, sigma) with a nonempty trivial path q -> p.
 
-    `parents` records one derivation per triple for witness extraction:
+    `parents` is the relation itself: it maps each triple, in the order the
+    triples were derived, to the one derivation recorded for it, which
+    witness extraction expands:
       ("eps", edge)                           base epsilon edge
       ("ss", e1, gap, e2)                     s (gap) s cancellation
       ("rrr", e1, gap1, e2, gap2, e3)         r (gap1) r (gap2) r
       ("compose", t1, t2)                     transitive composition
-    where a gap is a triple, or None for the empty path.
+    where a gap is a triple, or None for the empty path.  `triples` is its
+    key view.
     """
 
     def __init__(self):
-        self.triples = set()
         self.parents = {}
 
+    @property
+    def triples(self):
+        return self.parents.keys()
+
     def has(self, q: int, p: int, sigma: int) -> bool:
-        return (q, p, sigma) in self.triples
+        return (q, p, sigma) in self.parents
 
     def __len__(self):
-        return len(self.triples)
+        return len(self.parents)
 
     def __iter__(self):
-        return iter(self.triples)
+        return iter(self.parents)
 
 
 def _edge_lists(auto: CancellationAutomaton) -> tuple:
@@ -230,79 +237,147 @@ def saturate(auto: CancellationAutomaton) -> SaturationRelation:
     matching letters with trivial gaps in between, which is exactly the rule
     shape below.
 
-    Every gap is optional: each state's gap lists start with the empty path
-    (x, +1, None), and the empty gaps are taken through rules (i) and (ii)
-    before any derived triple, which yields the adjacent ss / rrr
-    cancellations.  An empty gap needs no turn as the second gap of rule
-    (ii): each first gap already meets it in the gap list it scans.
+    Every gap is optional.  The agenda takes each state's empty gap (x, x, +)
+    through rules (i) and (ii) before any derived triple, which yields the
+    adjacent ss / rrr cancellations; the epsilon-edge triples are already in
+    the relation then.  An empty gap needs no turn as the second gap of rule
+    (ii): each first gap already meets it ahead of the triples it scans.
+
+    Each state's gap lists hold the triples leaving / entering it in
+    derivation order, and every gap list a rule scans is cut to its length
+    when the scan starts.  A rule instance tests its conclusion before
+    building the derivation, so rederiving a triple costs one lookup.
+    Composition (iii) first asks, per sign, whether the far ends of the
+    triples it would join all have their conclusion already; those ends are
+    kept in sets per state and sign, each made with its first element.  Only
+    when some end is new does it scan the gap list, in order, so triples and
+    derivations are the same as with a scan of every instance.
     """
     n = auto.n_states
     edges = auto.edges
     s_in, s_out, r_in, r_out, eps_edges = _edge_lists(auto)
 
     rel = SaturationRelation()
-    triples = rel.triples
     parents = rel.parents
-    # (end state, sign, triple) of the gaps leaving / entering each state
-    gaps_from = [[(x, 1, None)] for x in range(n)]
-    gaps_to = [[(x, 1, None)] for x in range(n)]
-    # agenda of gaps (x, y, sign, triple), the empty ones first
-    work = deque((x, x, 1, None) for x in range(n))
+    # the triples leaving / entering each state, in derivation order
+    gaps_from = [[] for _ in range(n)]
+    gaps_to = [[] for _ in range(n)]
+    # succ[sign][x] / pred[sign][x]: far ends of the triples of that sign
+    # leaving / entering x, or None before the first one
+    succ = {1: [None] * n, -1: [None] * n}
+    pred = {1: [None] * n, -1: [None] * n}
+    work = deque()
 
-    def add(q, p, sigma, parent):
-        t = (q, p, sigma)
-        if t in triples:
-            return
-        triples.add(t)
+    def add(t, parent):
+        """Record a triple not yet in the relation."""
+        q, p, sigma = t
         parents[t] = parent
-        gaps_from[q].append((p, sigma, t))
-        gaps_to[p].append((q, sigma, t))
-        work.append((q, p, sigma, t))
+        gaps_from[q].append(t)
+        gaps_to[p].append(t)
+        work.append(t)
+        ends = succ[sigma]
+        if ends[q] is None:
+            ends[q] = {p}
+        else:
+            ends[q].add(p)
+        ends = pred[sigma]
+        if ends[p] is None:
+            ends[p] = {q}
+        else:
+            ends[p].add(q)
 
-    for e in eps_edges:
-        src, dst, _, weight = edges[e]
-        add(src, dst, weight, ("eps", e))
+    def covered(index, far, near, sg):
+        """Whether every end index[s][far] is in index[sg * s][near]."""
+        for s in (1, -1):
+            have = index[s][far]
+            if have is None:
+                continue
+            need = index[sg * s][near]
+            if need is None or not have <= need:
+                return False
+        return True
 
-    while work:
-        x, y, sg, t = work.popleft()
-
+    def first_gap(x, y, sg, t):
+        """Rules (i) and (ii) with the gap x -> y (t, None if empty) first."""
         # rule (i): the gap between two s edges
         for e1 in s_in[x]:
             q, _, _, w1 = edges[e1]
             base = -sg * w1
             for e2 in s_out[y]:
                 _, p, _, w2 = edges[e2]
-                add(q, p, base * w2, ("ss", e1, t, e2))
-
+                t3 = (q, p, base * w2)
+                if t3 not in parents:
+                    add(t3, ("ss", e1, t, e2))
         # rule (ii): the first gap of r (gap) r (gap) r
         for e1 in r_in[x]:
             q, _, _, w1 = edges[e1]
             for e2 in r_out[y]:
                 _, z, _, w2 = edges[e2]
                 base = -sg * w1 * w2
-                for (u, sg2, t2) in list(gaps_from[z]):
+                gaps = gaps_from[z]
+                k = len(gaps)
+                # the empty second gap, then the triples leaving z
+                for e3 in r_out[z]:
+                    _, p, _, w3 = edges[e3]
+                    t3 = (q, p, base * w3)
+                    if t3 not in parents:
+                        add(t3, ("rrr", e1, t, e2, None, e3))
+                for t2 in islice(gaps, k):
+                    _, u, sg2 = t2
                     for e3 in r_out[u]:
                         _, p, _, w3 = edges[e3]
-                        add(q, p, base * sg2 * w3, ("rrr", e1, t, e2, t2, e3))
+                        t3 = (q, p, base * sg2 * w3)
+                        if t3 not in parents:
+                            add(t3, ("rrr", e1, t, e2, t2, e3))
 
-        if t is None:
-            continue
+    for e in eps_edges:
+        src, dst, _, weight = edges[e]
+        t = (src, dst, weight)
+        if t not in parents:
+            add(t, ("eps", e))
+    for x in range(n):
+        first_gap(x, x, 1, None)
+
+    while work:
+        t = work.popleft()
+        x, y, sg = t
+        first_gap(x, y, sg, t)
+
         # rule (ii): the second gap
         for e3 in r_out[y]:
             _, p, _, w3 = edges[e3]
             for e2 in r_in[x]:
                 y1, _, _, w2 = edges[e2]
                 base = -sg * w2 * w3
-                for (q1, sg1, t1) in list(gaps_to[y1]):
+                gaps = gaps_to[y1]
+                k = len(gaps)
+                # the empty first gap, then the triples entering y1
+                for e1 in r_in[y1]:
+                    q, _, _, w1 = edges[e1]
+                    t3 = (q, p, base * w1)
+                    if t3 not in parents:
+                        add(t3, ("rrr", e1, None, e2, t, e3))
+                for t1 in islice(gaps, k):
+                    q1, _, sg1 = t1
                     for e1 in r_in[q1]:
                         q, _, _, w1 = edges[e1]
-                        add(q, p, base * sg1 * w1, ("rrr", e1, t1, e2, t, e3))
+                        t3 = (q, p, base * sg1 * w1)
+                        if t3 not in parents:
+                            add(t3, ("rrr", e1, t1, e2, t, e3))
 
         # rule (iii): transitive composition with the triples already present
-        for (u, sg2, t2) in gaps_from[y][1:]:
-            add(x, u, sg * sg2, ("compose", t, t2))
-        for (q0, sg0, t0) in gaps_to[x][1:]:
-            add(q0, y, sg0 * sg, ("compose", t0, t))
+        gaps = gaps_from[y]
+        if gaps and not covered(succ, y, x, sg):
+            for t2 in islice(gaps, len(gaps)):
+                t3 = (x, t2[1], sg * t2[2])
+                if t3 not in parents:
+                    add(t3, ("compose", t, t2))
+        gaps = gaps_to[x]
+        if gaps and not covered(pred, x, y, sg):
+            for t0 in islice(gaps, len(gaps)):
+                t3 = (t0[0], y, t0[2] * sg)
+                if t3 not in parents:
+                    add(t3, ("compose", t0, t))
 
     return rel
 

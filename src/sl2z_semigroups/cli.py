@@ -228,6 +228,8 @@ def _cmd_verdict(args, problem: Problem) -> decisions.Verdict:
 
 
 def _run_oracle(args) -> int:
+    if args.depth < 1:
+        raise ProblemError(f"--depth: must be at least 1, got {args.depth}")
     problem = parse_problem(args.problem)
     gens = problem.generators
     collision = oracle_mod.find_collision(gens, args.depth, args.budget)
@@ -288,16 +290,20 @@ def _load_dfas(path: str) -> list:
 
 
 def _run_encode(args) -> int:
-    if args.command == "encode-essp":
-        fixture = encodings.encode_equal_subset_sum(_parse_values(args.values))
-        doc = problem_json(fixture.generators)
-    elif args.command == "encode-ssp":
-        fixture = encodings.encode_subset_sum(_parse_values(args.values), args.x)
-        doc = problem_json(fixture.generators,
-                           target=fixture.expected["count_target"])
-    else:
-        fixture = encodings.encode_dfa_intersection(_load_dfas(args.dfas))
-        doc = problem_json(fixture.generators)
+    try:
+        if args.command == "encode-essp":
+            fixture = encodings.encode_equal_subset_sum(_parse_values(args.values))
+            doc = problem_json(fixture.generators)
+        elif args.command == "encode-ssp":
+            fixture = encodings.encode_subset_sum(_parse_values(args.values), args.x)
+            doc = problem_json(fixture.generators,
+                               target=fixture.expected["count_target"])
+        else:
+            fixture = encodings.encode_dfa_intersection(_load_dfas(args.dfas))
+            doc = problem_json(fixture.generators)
+    except encodings.EncodingError as exc:
+        # the builders reject values outside their instance family
+        raise ProblemError(str(exc))
     sys.stdout.write(emit_problem(doc))
     return EXIT_YES
 

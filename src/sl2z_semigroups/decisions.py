@@ -181,19 +181,16 @@ class FactorizationCounter:
         empty when m is not a product.
         """
         auto, sat, root, grammar = self._paths(m)
-        if gr.find_growth_cycle(grammar) is not None:
-            cnt = Count("infinite")
-        else:
-            enum = gr.enumerate_words(grammar, cap=cap)
-            if enum.exact:
-                sequences = set()
-                for path in enum.words:
-                    seq = tuple(am.path_sequence(auto, list(path)))
-                    _check_product(self.gens, seq, m, "factorization")
-                    sequences.add(seq)
-                ordered = sorted(sequences, key=lambda s: (len(s), s))
-                return Count("exact", len(ordered)), [list(s) for s in ordered]
-            cnt = Count("more_than", cap)
+        enum = gr.enumerate_words(grammar, cap=cap)
+        if enum.exact:
+            sequences = set()
+            for path in enum.words:
+                seq = tuple(am.path_sequence(auto, list(path)))
+                _check_product(self.gens, seq, m, "factorization")
+                sequences.add(seq)
+            ordered = sorted(sequences, key=lambda s: (len(s), s))
+            return Count("exact", len(ordered)), [list(s) for s in ordered]
+        cnt = Count("more_than", cap) if enum.cycle is None else Count("infinite")
         seq = am.extract_witness(auto, sat, *root, self.gens)
         _check_product(self.gens, seq, m, "membership")
         return cnt, [seq]

@@ -602,6 +602,7 @@ class WordEnumeration:
     words: frozenset = None   # set of word tuples when exact
     count: int = 0
     cap: int = None           # the exceeded cap when not exact
+    cycle: list = None        # find_growth_cycle's certificate when infinite
 
     def __repr__(self):
         if self.exact:
@@ -613,18 +614,19 @@ def enumerate_words(g: Grammar, cap: int = None) -> WordEnumeration:
     """Distinct words of L(g): the exact set, or "more than cap".
 
     Requires a finite language or a cap; an infinite language with a cap
-    short-circuits to more-than.  Distinct derivations of one word count
-    once.  Since the grammar is trimmed first, any nonterminal whose word
-    set exceeds the cap forces the start's set past the cap too, which
-    bounds the work.
+    short-circuits to more-than and carries its growth cycle.  Distinct
+    derivations of one word count once.  Since the grammar is trimmed first,
+    any nonterminal whose word set exceeds the cap forces the start's set
+    past the cap too, which bounds the work.
     """
     gt = g if g.trimmed else trim(g)
     if is_empty(gt):
         return WordEnumeration(True, frozenset(), 0)
-    if find_growth_cycle(gt) is not None:
+    cycle = find_growth_cycle(gt)
+    if cycle is not None:
         if cap is None:
             raise GrammarError("enumerate_words on an infinite grammar needs a cap")
-        return WordEnumeration(False, cap=cap)
+        return WordEnumeration(False, cap=cap, cycle=cycle)
 
     sets = {a: set() for a in gt.nonterminals}
     changed = True

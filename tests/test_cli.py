@@ -161,6 +161,14 @@ class TestCommands:
         assert doc["collision"] == [[1], [1, 1, 1, 1, 1]]
         assert doc["distinct_products"] == 4
 
+    def test_oracle_depth_zero_exits_3(self, tmp_path, capsys):
+        path = write(tmp_path, "p.json", {"generators": [{"matrix": S_MATRIX}]})
+        assert main(["oracle", path, "--depth", "0"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --depth: must be at least 1" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_internal_error_is_not_a_verdict(self, tmp_path, capsys, monkeypatch):
         from sl2z_semigroups import decisions
 
@@ -256,6 +264,16 @@ class TestEncodeCommands:
         path = tmp_path / "enc.json"
         path.write_text(out)
         assert len(parse_problem(str(path)).generators) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["encode-ssp", "--set", "1,2", "--x", "-3"],
+        ["encode-essp", "--set", "0,0"],
+    ])
+    def test_encode_out_of_family_exits_3(self, argv, capsys):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
 
     def test_encode_bad_set(self, capsys):
         assert main(["encode-essp", "--set", "1,x"]) == EXIT_INPUT

@@ -148,6 +148,22 @@ class TestCounting:
         assert v.count.kind == "exact" and v.count.value == 1
         assert membership(gens, Mat2(1, 2, 0, 1)).answer == NO
 
+    @pytest.mark.parametrize("gens, m, kind", [
+        (GeneratorSet.from_matrices([S]), -IDENTITY, "infinite"),
+        (GeneratorSet.from_matrices([F_A]), F_A * F_A * F_A, "exact"),
+    ])
+    def test_one_growth_cycle_search_per_count(self, monkeypatch, gens, m, kind):
+        from sl2z_semigroups import grammars
+        calls = []
+        search = grammars.find_growth_cycle
+
+        def counted(g):
+            calls.append(g)
+            return search(g)
+        monkeypatch.setattr(grammars, "find_growth_cycle", counted)
+        assert count_factorizations(gens, m, cap=5).count.kind == kind
+        assert len(calls) == 1
+
     def test_count_monotone_in_generators(self):
         small = GeneratorSet.from_matrices([S])
         big = GeneratorSet.from_matrices([S, -IDENTITY])
@@ -204,6 +220,36 @@ class TestFiniteFreeness:
         v = finite_freeness(GeneratorSet.from_matrices([F_A, F_B]), 3)
         assert v.answer == UNKNOWN
         assert v.depth_bound == 3
+
+
+class TestPinnedWitnesses:
+    """Witnesses fixed by the order in which `saturate` derives triples.
+
+    A witness is read off the first derivation recorded for its triple, so
+    these fail when `saturate` derives triples in another order.
+    """
+
+    def test_subset_sum_identity(self):
+        fx = encode_subset_sum([1, 2, 4], 5)
+        v = identity_in_semigroup(fx.generators)
+        assert v.witness["sequences"] == [[7, 10, 11, 14, 1, 4, 5, 13]]
+
+    @pytest.mark.parametrize("words, pair", [
+        ([(1, "r"), (1, "rr")], [[1], [1, 2, 1, 1, 1, 1]]),
+        ([(1, "r"), (-1, "srsr"), (1, "r")], [[1], [1, 1, 3, 1, 1, 1, 1]]),
+    ])
+    def test_freeness_collision(self, words, pair):
+        gens = GeneratorSet.from_words([SignedWord(*w) for w in words])
+        assert is_free(gens).witness["sequences"] == pair
+
+    @pytest.mark.parametrize("words, seq", [
+        ([(1, "r"), (-1, ""), (1, "rr")], [1, 1, 2, 1]),
+        ([(1, "sr"), (-1, ""), (1, "rs")], [2, 2]),
+    ])
+    def test_minus_identity_generator(self, words, seq):
+        # -I is a generator, so the loop automaton has an epsilon edge
+        gens = GeneratorSet.from_words([SignedWord(*w) for w in words])
+        assert identity_in_semigroup(gens).witness["sequences"] == [seq]
 
 
 class TestOracleAgreement:

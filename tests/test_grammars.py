@@ -266,7 +266,7 @@ class TestEnumerate:
         g = Grammar({"X"}, {"s", "r"},
                     [("X", ("s",)), ("X", ("r",)), ("X", ("s", "r"))], "X")
         res = enumerate_words(g, cap=2)
-        assert not res.exact and res.cap == 2
+        assert not res.exact and res.cap == 2 and res.cycle is None
 
     def test_infinite_needs_cap(self):
         g = Grammar({"X"}, {"s"}, [("X", ("s",)), ("X", ("s", "X"))], "X")
@@ -274,3 +274,4 @@ class TestEnumerate:
             enumerate_words(g)
         res = enumerate_words(g, cap=5)
         assert not res.exact and res.cap == 5
+        assert res.cycle == find_growth_cycle(g)

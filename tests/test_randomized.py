@@ -1,22 +1,27 @@
 """Adversarial randomized cross-checks of the core fixpoints.
 
 Saturation and its derivation grammar run against bounded path enumeration
-on arbitrary random automata (not just the fixture shapes), grammar
-finiteness runs against an independent implementation of the classic
-elimination route, and factorization counting runs against the Bar-Hillel
-intersection of the target grammar with the marked semigroup DFA.
+on arbitrary random automata (not just the fixture shapes), and the
+derivations saturation records, in order, against its plain rule loop.
+Grammar finiteness runs against an independent implementation of the
+classic elimination route, and factorization counting runs against the
+Bar-Hillel intersection of the target grammar with the marked semigroup DFA.
 """
 
 import random
+from collections import deque
 
 from sl2z_semigroups.algebra import (
     IDENTITY, S, GeneratorSet, Mat2, SignedWord, decompose, evaluate, reduce,
 )
 from sl2z_semigroups.automata import (
-    CancellationAutomaton, ChainTag, derivation_grammar, extract_path, saturate,
+    CancellationAutomaton, ChainTag, _edge_lists, build_loop_automaton,
+    build_pattern_automaton, derivation_grammar, extract_path, saturate,
 )
 from sl2z_semigroups.decisions import FactorizationCounter
-from sl2z_semigroups.encodings import recurrent_without_identity_fixture
+from sl2z_semigroups.encodings import (
+    encode_subset_sum, recurrent_without_identity_fixture,
+)
 from sl2z_semigroups.grammars import (
     Grammar, build_marked_semigroup_dfa, build_target_grammar, enumerate_words,
     find_growth_cycle, intersect, is_finite, lift_over_markers, trim, words_up_to,
@@ -69,6 +74,81 @@ def test_saturation_on_random_automata():
         for (q, p, sigma) in sat.triples:
             path = extract_path(auto, sat, q, p, sigma)
             assert auto.path_value(path) == SignedWord(sigma, "")
+
+
+def reference_saturate(auto):
+    """Derivations of `saturate` by its plain rule loop: {triple: parent},
+    in derivation order.
+
+    Every rule instance builds its derivation and is deduplicated on
+    insertion, and composition joins every gap pair, so this shows the
+    order `saturate` has to keep without its shortcuts.
+    """
+    edges = auto.edges
+    s_in, s_out, r_in, r_out, eps_edges = _edge_lists(auto)
+    parents = {}
+    gaps_from = [[(x, 1, None)] for x in range(auto.n_states)]
+    gaps_to = [[(x, 1, None)] for x in range(auto.n_states)]
+    work = deque((x, x, 1, None) for x in range(auto.n_states))
+
+    def add(q, p, sigma, parent):
+        t = (q, p, sigma)
+        if t not in parents:
+            parents[t] = parent
+            gaps_from[q].append((p, sigma, t))
+            gaps_to[p].append((q, sigma, t))
+            work.append((q, p, sigma, t))
+
+    for e in eps_edges:
+        src, dst, _, weight = edges[e]
+        add(src, dst, weight, ("eps", e))
+    while work:
+        x, y, sg, t = work.popleft()
+        for e1 in s_in[x]:
+            for e2 in s_out[y]:
+                add(edges[e1][0], edges[e2][1], -sg * edges[e1][3] * edges[e2][3],
+                    ("ss", e1, t, e2))
+        for e1 in r_in[x]:
+            for e2 in r_out[y]:
+                for (u, sg2, t2) in list(gaps_from[edges[e2][1]]):
+                    for e3 in r_out[u]:
+                        add(edges[e1][0], edges[e3][1],
+                            -sg * sg2 * edges[e1][3] * edges[e2][3] * edges[e3][3],
+                            ("rrr", e1, t, e2, t2, e3))
+        if t is None:
+            continue
+        for e3 in r_out[y]:
+            for e2 in r_in[x]:
+                for (q1, sg1, t1) in list(gaps_to[edges[e2][0]]):
+                    for e1 in r_in[q1]:
+                        add(edges[e1][0], edges[e3][1],
+                            -sg * sg1 * edges[e1][3] * edges[e2][3] * edges[e3][3],
+                            ("rrr", e1, t1, e2, t, e3))
+        for (u, sg2, t2) in gaps_from[y][1:]:
+            add(x, u, sg * sg2, ("compose", t, t2))
+        for (q0, sg0, t0) in gaps_to[x][1:]:
+            add(q0, y, sg0 * sg, ("compose", t0, t))
+    return parents
+
+
+def assert_same_derivations(auto):
+    sat = saturate(auto)
+    assert list(sat.parents.items()) == list(reference_saturate(auto).items())
+
+
+def test_saturation_derivations_match_reference_on_random_automata():
+    rng = random.Random(12345)
+    for _ in range(400):
+        assert_same_derivations(random_automaton(rng, max_edges=rng.choice((10, 20))))
+
+
+def test_saturation_derivations_match_reference_on_subset_sum_ladder():
+    for values, x in [([1, 2], 3), ([1, 2], 4), ([1, 2, 4], 5), ([1, 2, 4], 8),
+                      ([2, 3, 5], 7), ([1, 2, 3, 4], 11)]:
+        gens = encode_subset_sum(values, x).generators
+        assert_same_derivations(build_loop_automaton(gens))
+        if len(values) == 2:
+            assert_same_derivations(build_pattern_automaton(1, 2, gens))
 
 
 def brute_trivial_paths(auto, max_edges):
