@@ -177,7 +177,7 @@ def build_membership_automaton(gens: GeneratorSet, target_word: SignedWord) -> C
 
 
 class SaturationRelation:
-    """All triples (q, p, sigma) with a nonempty trivial path q -> p.
+    """Triples (q, p, sigma) with a nonempty trivial path q -> p.
 
     `parents` is the relation itself: it maps each triple, in the order the
     triples were derived, to the one derivation recorded for it, which
@@ -188,10 +188,16 @@ class SaturationRelation:
       ("compose", t1, t2)                     transitive composition
     where a gap is a triple, or None for the empty path.  `triples` is its
     key view.
+
+    `complete` is False when `saturate` stopped at its goal with work left:
+    `parents` is then a prefix of the full relation's, holding the goal and
+    every triple its derivation expands into, which is all a lookup or a
+    witness needs.  Counting and recurrence read the complete relation.
     """
 
     def __init__(self):
         self.parents = {}
+        self.complete = True
 
     @property
     def triples(self):
@@ -227,8 +233,8 @@ def _edge_lists(auto: CancellationAutomaton) -> tuple:
     return s_in, s_out, r_in, r_out, eps_edges
 
 
-def saturate(auto: CancellationAutomaton) -> SaturationRelation:
-    """Least fixpoint of the cancellation rules.
+def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelation:
+    """Least fixpoint of the cancellation rules, or its prefix up to a goal.
 
     (q,p,sigma) enters the relation iff some nonempty edge path q -> p spells
     a word reducing to the empty word with total sign sigma (edge weights
@@ -252,6 +258,13 @@ def saturate(auto: CancellationAutomaton) -> SaturationRelation:
     kept in sets per state and sign, each made with its first element.  Only
     when some end is new does it scan the gap list, in order, so triples and
     derivations are the same as with a scan of every instance.
+
+    With a goal triple the agenda stops as soon as the goal is derived.  The
+    agenda is FIFO and the relation only grows, so the stopped relation is a
+    prefix of the full one, in order, with the same derivations; identity,
+    membership and freeness stop at the triple they look up.  A goal
+    outside the relation gives the full fixpoint.  The relation records
+    whether work was left (`complete`).
     """
     n = auto.n_states
     edges = auto.edges
@@ -338,7 +351,7 @@ def saturate(auto: CancellationAutomaton) -> SaturationRelation:
     for x in range(n):
         first_gap(x, x, 1, None)
 
-    while work:
+    while work and goal not in parents:
         t = work.popleft()
         x, y, sg = t
         first_gap(x, y, sg, t)
@@ -379,6 +392,7 @@ def saturate(auto: CancellationAutomaton) -> SaturationRelation:
                 if t3 not in parents:
                     add(t3, ("compose", t0, t))
 
+    rel.complete = not work
     return rel
 
 
@@ -392,8 +406,12 @@ def derivation_grammar(auto: CancellationAutomaton, sat: SaturationRelation,
     exactly the nonempty paths q -> p of value sigma * I.  Every body holds
     an edge or two triples, so there are no epsilon or unit productions, and
     every triple of the relation derives a path, so the grammar is trimmed.
-    A root outside the relation gives the empty grammar.
+    A root outside the relation gives the empty grammar.  The relation must
+    be complete: a goal-stopped one lacks rule instances, so it raises.
     """
+    if not sat.complete:
+        raise AutomatonError("derivation grammar needs the complete saturation, "
+                             "not one stopped at a goal")
     edges = auto.edges
     triples = sat.triples
     terminals = set(range(len(edges)))

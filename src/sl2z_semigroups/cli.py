@@ -232,14 +232,13 @@ def _run_oracle(args) -> int:
         raise ProblemError(f"--depth: must be at least 1, got {args.depth}")
     problem = parse_problem(args.problem)
     gens = problem.generators
-    collision = oracle_mod.find_collision(gens, args.depth, args.budget)
     table = oracle_mod.enumerate_products(gens, args.depth, args.budget)
     doc = {
         "problem": "oracle",
         "depth": args.depth,
         "distinct_products": len(table.matrices()),
         "total_sequences": table.total_sequences(),
-        "collision": collision,
+        "collision": table.collision(),
     }
     if problem.target is not None:
         doc["target_count"] = table.count(problem.target)

@@ -1,10 +1,11 @@
 """Decision procedures over generator sets, with machine-checkable verdicts.
 
 Every procedure saturates cancellation automata.  Identity, membership and
-freeness are lookups in the saturation relation; factorization counting and
-recurrence read the relation's derivation grammar, whose words are the
-automaton paths of the factorizations.  Every YES carries a witness that is
-re-multiplied with exact arithmetic before being returned.
+freeness look up one triple, and their saturation stops once it is derived;
+factorization counting and recurrence read the complete relation's
+derivation grammar, whose words are the automaton paths of the
+factorizations.  Every YES carries a witness that is re-multiplied with
+exact arithmetic before being returned.
 """
 
 from dataclasses import dataclass
@@ -67,18 +68,18 @@ def _check_product(gens: GeneratorSet, seq, expected: Mat2, what: str):
                             f"expected {expected}")
 
 
-def _trivial_path_witness(gens: GeneratorSet, auto, targets, what: str):
-    """Saturate auto once; for the first (sigma, m) in targets with a
-    sigma-signed trivial path initial -> final, return (sigma, sequence)
-    with the sequence re-multiplied to m.  None when there is no such path.
+def _trivial_path_witness(gens: GeneratorSet, auto, sigma: int, m: Mat2, what: str):
+    """Sequence of a sigma-signed trivial path initial -> final of auto,
+    re-multiplied to m, or None when there is no such path.  Saturation
+    stops once that triple is derived.
     """
-    sat = am.saturate(auto)
-    for sigma, m in targets:
-        if sat.has(auto.initial, auto.final, sigma):
-            seq = am.extract_witness(auto, sat, auto.initial, auto.final, sigma, gens)
-            _check_product(gens, seq, m, what)
-            return sigma, seq
-    return None
+    goal = (auto.initial, auto.final, sigma)
+    sat = am.saturate(auto, goal)
+    if goal not in sat.triples:
+        return None
+    seq = am.extract_witness(auto, sat, *goal, gens)
+    _check_product(gens, seq, m, what)
+    return seq
 
 
 def identity_in_semigroup(gens: GeneratorSet) -> Verdict:
@@ -87,11 +88,11 @@ def identity_in_semigroup(gens: GeneratorSet) -> Verdict:
     Exact: the saturation relation of the loop automaton contains
     (hub, hub, +) iff such a product exists.
     """
-    found = _trivial_path_witness(gens, am.build_loop_automaton(gens),
-                                  [(1, _ID)], "identity")
-    if found is None:
+    seq = _trivial_path_witness(gens, am.build_loop_automaton(gens), 1, _ID,
+                                "identity")
+    if seq is None:
         return Verdict("identity", NO)
-    return Verdict("identity", YES, _sequences_witness(found[1]))
+    return Verdict("identity", YES, _sequences_witness(seq))
 
 
 def _target_automaton(gens: GeneratorSet, m: Mat2) -> tuple:
@@ -112,10 +113,10 @@ def membership(gens: GeneratorSet, m: Mat2) -> Verdict:
     """Is m a nonempty product of generators?  Exact: one lookup of the
     root triple of the target automaton."""
     auto, sigma = _target_automaton(gens, m)
-    found = _trivial_path_witness(gens, auto, [(sigma, m)], "membership")
-    if found is None:
+    seq = _trivial_path_witness(gens, auto, sigma, m, "membership")
+    if seq is None:
         return Verdict("membership", NO)
-    return Verdict("membership", YES, _sequences_witness(found[1]))
+    return Verdict("membership", YES, _sequences_witness(seq))
 
 
 def is_free(gens: GeneratorSet) -> Verdict:
@@ -127,10 +128,10 @@ def is_free(gens: GeneratorSet) -> Verdict:
     trivial path through the pattern automaton M_i G* (G^-1)* M_j^-1.  Pairs
     are scanned in lexicographic order; the first witness found is reported.
     """
-    found = _trivial_path_witness(gens, am.build_loop_automaton(gens),
-                                  [(1, _ID)], "identity")
-    if found is not None:
-        alpha, beta = [1], [1] + found[1]
+    seq = _trivial_path_witness(gens, am.build_loop_automaton(gens), 1, _ID,
+                                "identity")
+    if seq is not None:
+        alpha, beta = [1], [1] + seq
         _check_product(gens, alpha, gens.matrix(1), "freeness")
         _check_product(gens, beta, gens.matrix(1), "freeness")
         return Verdict("freeness", NO, _sequences_witness(alpha, beta))
@@ -138,10 +139,11 @@ def is_free(gens: GeneratorSet) -> Verdict:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             auto = am.build_pattern_automaton(i, j, gens)
-            sat = am.saturate(auto)
-            if not sat.has(auto.initial, auto.final, 1):
+            goal = (auto.initial, auto.final, 1)
+            sat = am.saturate(auto, goal)
+            if goal not in sat.triples:
                 continue
-            path = am.extract_path(auto, sat, auto.initial, auto.final, 1)
+            path = am.extract_path(auto, sat, *goal)
             alpha, beta = am.decode_pattern_witness(auto, path, gens)
             return Verdict("freeness", NO, _sequences_witness(alpha, beta))
     return Verdict("freeness", YES)
@@ -228,24 +230,21 @@ def is_recurrent(gens: GeneratorSet, m: Mat2) -> Verdict:
 def finite_freeness(gens: GeneratorSet, depth: int = 4) -> Verdict:
     """Does some semigroup element have infinitely many factorizations?
 
-    Branch (a), exact: +-I in the semigroup, i.e. a (hub, hub, +-1) triple
-    of the loop automaton, which pumps every element.  A trivial cycle at
-    any other state would say no more: a cycle at a mid-chain state q of
-    chain c forces M_c * X = +-I for the block X of full chains it
-    traverses.  Branch (b), exact per candidate: a recurrent product of
-    <= depth generators (a recurrent matrix can exist without +-I, so
+    Branch (a), exact: I in the semigroup, i.e. the (hub, hub, +1) triple
+    of the loop automaton, which pumps every element.  -I needs no lookup
+    of its own: if -I is a nonempty product P then P * P = I.  A trivial
+    cycle at any other state would say no more: a cycle at a mid-chain
+    state q of chain c forces M_c * X = +-I for the block X of full chains
+    it traverses.  Branch (b), exact per candidate: a recurrent product of
+    <= depth generators (a recurrent matrix can exist without I, so
     branch (a) alone is not a complete criterion).  With neither, the
     honest answer is UNKNOWN_UP_TO(depth).
     """
     if depth < 1:
         raise DecisionError("depth must be >= 1")
-    found = _trivial_path_witness(gens, am.build_loop_automaton(gens),
-                                  [(1, _ID), (-1, -_ID)], "finite freeness")
-    if found is not None:
-        sign, seq = found
-        if sign == -1:
-            seq = seq + seq
-            _check_product(gens, seq, _ID, "finite freeness")
+    seq = _trivial_path_witness(gens, am.build_loop_automaton(gens), 1, _ID,
+                                "finite freeness")
+    if seq is not None:
         return Verdict("finite_freeness", NO, _sequences_witness(seq))
 
     counter = FactorizationCounter(gens)

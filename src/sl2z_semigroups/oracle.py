@@ -73,6 +73,17 @@ class ProductTable:
     def total_sequences(self) -> int:
         return sum(len(v) for v in self._entries.values())
 
+    def collision(self):
+        """(first, second) sequences of the first repeat of the enumeration,
+        or None: the product whose second sequence is least in (length,
+        lexicographic) order.  Equals `find_collision` at the same depth.
+        """
+        pairs = [seqs[:2] for seqs in self._entries.values() if len(seqs) > 1]
+        if not pairs:
+            return None
+        first, second = min(pairs, key=lambda pair: (len(pair[1]), pair[1]))
+        return list(first), list(second)
+
 
 def enumerate_products(gens: GeneratorSet, depth: int,
                        budget: int = DEFAULT_BUDGET) -> ProductTable:

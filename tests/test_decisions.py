@@ -251,6 +251,19 @@ class TestPinnedWitnesses:
         gens = GeneratorSet.from_words([SignedWord(*w) for w in words])
         assert identity_in_semigroup(gens).witness["sequences"] == [seq]
 
+    @pytest.mark.parametrize("mats, seq", [
+        ([S], [1, 1, 1, 1]), ([-IDENTITY], [1, 1]), ([R], [1, 1, 1, 1, 1, 1]),
+        ([S, R], [2, 2, 1, 1, 2]),
+    ])
+    def test_finite_freeness_identity_branch(self, mats, seq):
+        # -I is a product in each set, so I = (-I)(-I) is one too and the
+        # (hub, hub, +1) lookup alone answers branch (a)
+        gens = GeneratorSet.from_matrices(mats)
+        v = finite_freeness(gens, 1)
+        assert v.answer == NO
+        assert v.witness["sequences"] == [seq]
+        assert gens.product(seq) == IDENTITY
+
 
 class TestOracleAgreement:
     def test_random_sets_agree_with_enumeration(self):

@@ -1,9 +1,11 @@
 """Brute-force oracle sanity: derived expectations computed by hand here."""
 
+import random
+
 import pytest
 
 from sl2z_semigroups.algebra import (
-    IDENTITY, S, GeneratorSet, SignedWord, evaluate,
+    IDENTITY, S, GeneratorSet, SignedWord, evaluate, reduce,
 )
 from sl2z_semigroups.oracle import (
     OracleBudgetError, enumerate_products, find_collision, find_pumping,
@@ -79,6 +81,20 @@ class TestCollision:
         a, b = find_collision(g, 4)
         assert a != b
         assert g.product(a) == g.product(b)
+
+    def test_table_collision_matches_streaming_search(self):
+        rng = random.Random(8080)
+        found = 0
+        for _ in range(300):
+            g = GeneratorSet.from_matrices([
+                evaluate(reduce("".join(rng.choice("sr") for _ in range(rng.randint(0, 5))),
+                                rng.choice((1, -1))))
+                for _ in range(rng.randint(1, 3))])
+            depth = rng.randint(1, 6 if len(g) < 3 else 5)
+            collision = find_collision(g, depth)
+            assert enumerate_products(g, depth).collision() == collision
+            found += collision is not None
+        assert 50 <= found <= 250
 
 
 class TestPumping:

@@ -1,8 +1,9 @@
 """Adversarial randomized cross-checks of the core fixpoints.
 
 Saturation and its derivation grammar run against bounded path enumeration
-on arbitrary random automata (not just the fixture shapes), and the
-derivations saturation records, in order, against its plain rule loop.
+on arbitrary random automata (not just the fixture shapes), the
+derivations saturation records, in order, against its plain rule loop, and
+a run stopped at a goal triple against a prefix of the full run.
 Grammar finiteness runs against an independent implementation of the
 classic elimination route, and factorization counting runs against the
 Bar-Hillel intersection of the target grammar with the marked semigroup DFA.
@@ -14,9 +15,12 @@ from collections import deque
 from sl2z_semigroups.algebra import (
     IDENTITY, S, GeneratorSet, Mat2, SignedWord, decompose, evaluate, reduce,
 )
+import pytest
+
 from sl2z_semigroups.automata import (
-    CancellationAutomaton, ChainTag, _edge_lists, build_loop_automaton,
-    build_pattern_automaton, derivation_grammar, extract_path, saturate,
+    AutomatonError, CancellationAutomaton, ChainTag, _edge_lists,
+    build_loop_automaton, build_pattern_automaton, derivation_grammar,
+    extract_path, saturate,
 )
 from sl2z_semigroups.decisions import FactorizationCounter
 from sl2z_semigroups.encodings import (
@@ -149,6 +153,70 @@ def test_saturation_derivations_match_reference_on_subset_sum_ladder():
         assert_same_derivations(build_loop_automaton(gens))
         if len(values) == 2:
             assert_same_derivations(build_pattern_automaton(1, 2, gens))
+
+
+def goal_stopped_lengths(auto, goals):
+    """Check each goal-stopped run against the full run; the number of
+    triples each one recorded."""
+    full = saturate(auto)
+    assert full.complete
+    items = list(full.parents.items())
+    lengths = []
+    for goal in goals:
+        sat = saturate(auto, goal)
+        got = list(sat.parents.items())
+        assert got == items[:len(got)]
+        if goal in full.triples:
+            assert goal in sat.triples
+        else:
+            # nothing to stop at: the full fixpoint
+            assert got == items and sat.complete
+        lengths.append(len(got))
+    return lengths
+
+
+def test_goal_stop_is_a_prefix_on_random_automata():
+    rng = random.Random(12345)
+    stopped = 0
+    for _ in range(400):
+        auto = random_automaton(rng, max_edges=rng.choice((10, 20)))
+        full = list(saturate(auto).triples)
+        absent = [(q, p, sigma) for q in range(auto.n_states)
+                  for p in range(auto.n_states) for sigma in (1, -1)
+                  if (q, p, sigma) not in full]
+        goals = [(auto.initial, auto.final, 1), (auto.initial, auto.final, -1)]
+        goals += [full[len(full) // 2]] if full else []
+        goals += absent[:1]
+        lengths = goal_stopped_lengths(auto, goals)
+        stopped += any(n < len(full) for n in lengths)
+    assert stopped >= 100
+
+
+def test_goal_stop_is_a_prefix_on_subset_sum_ladder():
+    for values, x in [([1, 2], 3), ([1, 2], 4), ([1, 2, 4], 5), ([1, 2, 4], 8),
+                      ([2, 3, 5], 7), ([1, 2, 3, 4], 11)]:
+        fx = encode_subset_sum(values, x)
+        auto = build_loop_automaton(fx.generators)
+        hub = auto.initial
+        full = len(saturate(auto))
+        plus, _ = goal_stopped_lengths(auto, [(hub, hub, 1), (hub, hub, -1)])
+        if fx.expected["identity"]:
+            assert plus < full
+        if len(values) == 2:
+            auto = build_pattern_automaton(1, 2, fx.generators)
+            goal_stopped_lengths(auto, [(auto.initial, auto.final, 1)])
+
+
+def test_derivation_grammar_refuses_a_goal_stopped_relation():
+    auto = build_loop_automaton(encode_subset_sum([1, 2], 3).generators)
+    goal = (auto.initial, auto.initial, 1)
+    sat = saturate(auto, goal)
+    assert goal in sat.triples and not sat.complete
+    with pytest.raises(AutomatonError):
+        derivation_grammar(auto, sat, goal)
+    full = saturate(auto)
+    assert len(sat) < len(full)
+    assert derivation_grammar(auto, full, goal).productions
 
 
 def brute_trivial_paths(auto, max_edges):
