@@ -6,8 +6,10 @@ set, subset-sum instances (solvable and not), equal-subset-sum instances
 (free and not), and a DFA-intersection encoding.  Each verdict is compared
 with the fixture's `expected` ground truth (recomputed by brute force when
 the fixture is built), with DFA acceptance, or with the known answer for
-the torsion generator S and the free pair.  Exits 1 if any verdict
-disagrees, 0 otherwise.
+the torsion generator S and the free pair.  The recurrence witness of the
+recurrent set is re-multiplied: its three pumped factorizations must be
+distinct and multiply to the target.  Exits 1 if any check fails, 0
+otherwise.
 """
 
 import sys
@@ -82,7 +84,15 @@ def main() -> int:
         check.mismatches += 1
         print("  MISMATCH: the fixture's pumping triple does not certify its target")
     check.show("identity", identity_in_semigroup(gens), answer(expected["identity"]))
-    check.show("recurrent target", is_recurrent(gens, target), YES)
+    recurrent = is_recurrent(gens, target)
+    check.show("recurrent target", recurrent, YES)
+    # the witness pumps three distinct factorizations out of one cycle
+    pumped = (recurrent.witness or {}).get("sequences") or []
+    if (len(pumped) != 3 or len({tuple(seq) for seq in pumped}) != 3
+            or any(gens.product(seq) != target for seq in pumped)):
+        check.mismatches += 1
+        print(f"  MISMATCH: recurrence witness {pumped} is not three distinct "
+              "factorizations of the target")
     check.show("finitely free (depth 2)", finite_freeness(gens, 2), NO)
 
     for values, x in (([1, 2], 3), ([1, 2], 4)):

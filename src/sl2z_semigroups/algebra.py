@@ -50,9 +50,6 @@ class Mat2:
     def is_identity(self) -> bool:
         return self.entries() == (1, 0, 0, 1)
 
-    def is_neg_identity(self) -> bool:
-        return self.entries() == (-1, 0, 0, -1)
-
     def __repr__(self):
         return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
 
@@ -92,7 +89,6 @@ class SignedWord:
         return f"({'+' if self.sign == 1 else '-'}, {self.word or 'e'})"
 
 
-ONE = SignedWord(1, "")
 NEG_ONE = SignedWord(-1, "")
 
 

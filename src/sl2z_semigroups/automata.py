@@ -405,7 +405,8 @@ def derivation_grammar(auto: CancellationAutomaton, sat: SaturationRelation,
     `saturate` rule that yields it, so each triple (q, p, sigma) derives
     exactly the nonempty paths q -> p of value sigma * I.  Every body holds
     an edge or two triples, so there are no epsilon or unit productions, and
-    every triple of the relation derives a path, so the grammar is trimmed.
+    every triple of the relation derives a path, so the grammar is proper
+    in the sense of `grammars.find_growth_cycle`.
     A root outside the relation gives the empty grammar.  The relation must
     be complete: a goal-stopped one lacks rule instances, so it raises.
     """
@@ -416,7 +417,7 @@ def derivation_grammar(auto: CancellationAutomaton, sat: SaturationRelation,
     triples = sat.triples
     terminals = set(range(len(edges)))
     if root not in triples:
-        return Grammar({root}, terminals, [], root, trimmed=True)
+        return Grammar({root}, terminals, [], root)
     s_in, s_out, r_in, r_out, eps_edges = _edge_lists(auto)
     eps_of = {}
     for e in eps_edges:
@@ -466,7 +467,7 @@ def derivation_grammar(auto: CancellationAutomaton, sat: SaturationRelation,
                 if isinstance(x, tuple) and x not in seen:
                     seen.add(x)
                     stack.append(x)
-    return Grammar(seen, terminals, prods, root, trimmed=True)
+    return Grammar(seen, terminals, prods, root)
 
 
 def extract_path(auto: CancellationAutomaton, sat: SaturationRelation,

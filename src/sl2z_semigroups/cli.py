@@ -73,7 +73,8 @@ def _parse_word(value, path: str) -> SignedWord:
     return w
 
 
-def _parse_target(value, path: str) -> Mat2:
+def _parse_element(value, path: str) -> Mat2:
+    """A generator or target: an object with one of matrix / word."""
     if not isinstance(value, dict):
         raise ProblemError(f"{path}: expected an object")
     unknown = set(value) - {"matrix", "word"}
@@ -93,15 +94,19 @@ class Problem:
         self.parameters = parameters
 
 
-def parse_problem(path: str) -> Problem:
-    """Validated problem file; errors carry the offending field path."""
+def _load_json(path: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ProblemError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ProblemError(f"{path}: malformed JSON: {exc}")
+
+
+def parse_problem(path: str) -> Problem:
+    """Validated problem file; errors carry the offending field path."""
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise ProblemError("problem file must be a JSON object")
     unknown = set(data) - {"generators", "target", "parameters"}
@@ -110,24 +115,11 @@ def parse_problem(path: str) -> Problem:
     raw_gens = data.get("generators")
     if not isinstance(raw_gens, list) or not raw_gens:
         raise ProblemError("generators: expected a nonempty array")
-    entries = []
-    for i, item in enumerate(raw_gens):
-        loc = f"generators[{i}]"
-        if not isinstance(item, dict):
-            raise ProblemError(f"{loc}: expected an object")
-        unknown = set(item) - {"matrix", "word"}
-        if unknown:
-            raise ProblemError(f"{loc}: unknown keys {sorted(unknown)}")
-        if ("matrix" in item) == ("word" in item):
-            raise ProblemError(f"{loc}: give exactly one of matrix / word")
-        if "matrix" in item:
-            entries.append(_parse_matrix(item["matrix"], f"{loc}.matrix"))
-        else:
-            entries.append(evaluate(_parse_word(item["word"], f"{loc}.word")))
-    generators = GeneratorSet.from_matrices(entries)
+    generators = GeneratorSet.from_matrices(
+        _parse_element(item, f"generators[{i}]") for i, item in enumerate(raw_gens))
     target = None
     if "target" in data:
-        target = _parse_target(data["target"], "target")
+        target = _parse_element(data["target"], "target")
     parameters = data.get("parameters", {})
     if not isinstance(parameters, dict):
         raise ProblemError("parameters: expected an object")
@@ -259,13 +251,7 @@ def _parse_values(text: str) -> list:
 
 
 def _load_dfas(path: str) -> list:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ProblemError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ProblemError(f"{path}: malformed JSON: {exc}")
+    data = _load_json(path)
     if not isinstance(data, list) or not data:
         raise ProblemError("DFA file must be a nonempty JSON array")
     dfas = []

@@ -198,8 +198,40 @@ class FactorizationCounter:
         return cnt, [seq]
 
     def recurrence_certificate(self, m: Mat2):
-        """Growth cycle of the derivation grammar, or None."""
-        return gr.find_growth_cycle(self._paths(m)[3])
+        """(growth cycle, pumped factorizations) of m, or None.
+
+        The derivation grammar's growth cycle runs through a triple A; the
+        cycle is reported as its triples [A, ..., A].  Filling the other
+        symbols of each step's body (a triple with `extract_path`, an edge
+        with itself) splits the stem into paths u, v around A and the loop
+        into x, y around A, so with w a path of A every u x^n w y^n v
+        realizes the root triple.  The factorizations decoded for n = 1, 2,
+        3 are each re-multiplied to m and must be pairwise distinct.
+        """
+        auto, sat, root, grammar = self._paths(m)
+        growth = gr.find_growth_cycle(grammar)
+        if growth is None:
+            return None
+        stem, loop = growth
+
+        def fill(symbols):
+            return [e for x in symbols for e in
+                    (am.extract_path(auto, sat, *x) if isinstance(x, tuple) else [x])]
+
+        def around(steps):
+            left, right = [], []
+            for _, body, i in steps:
+                left, right = left + fill(body[:i]), fill(body[i + 1:]) + right
+            return left, right
+
+        (u, v), (x, y), w = around(stem), around(loop), fill([loop[0][0]])
+        sequences = [am.path_sequence(auto, u + x * n + w + y * n + v) for n in (1, 2, 3)]
+        for seq in sequences:
+            _check_product(self.gens, seq, m, "recurrence")
+        if len({tuple(seq) for seq in sequences}) != 3:
+            raise DecisionError(f"pumped factorizations {sequences} are not distinct")
+        cycle = [list(head) for head, _, _ in loop] + [list(loop[0][0])]
+        return cycle, sequences
 
 
 def count_factorizations(gens: GeneratorSet, m: Mat2, cap: int = 8) -> Verdict:
@@ -220,11 +252,12 @@ def count_factorizations(gens: GeneratorSet, m: Mat2, cap: int = 8) -> Verdict:
 def is_recurrent(gens: GeneratorSet, m: Mat2) -> Verdict:
     """Does m have infinitely many factorizations?  Exact via finiteness of
     the derivation grammar of m's target automaton."""
-    cycle = FactorizationCounter(gens).recurrence_certificate(m)
-    if cycle is not None:
-        return Verdict("recurrent", YES,
-                       {"kind": "grammar_cycle", "cycle": [repr(x) for x in cycle]})
-    return Verdict("recurrent", NO)
+    certificate = FactorizationCounter(gens).recurrence_certificate(m)
+    if certificate is None:
+        return Verdict("recurrent", NO)
+    cycle, sequences = certificate
+    return Verdict("recurrent", YES, {"kind": "grammar_cycle", "cycle": cycle,
+                                      "sequences": sequences})
 
 
 def finite_freeness(gens: GeneratorSet, depth: int = 4) -> Verdict:
@@ -250,20 +283,19 @@ def finite_freeness(gens: GeneratorSet, depth: int = 4) -> Verdict:
     counter = FactorizationCounter(gens)
     table = oracle_mod.enumerate_products(gens, depth)
     for m in table.matrices():
-        gcycle = counter.recurrence_certificate(m)
-        if gcycle is None:
+        certificate = counter.recurrence_certificate(m)
+        if certificate is None:
             continue
         witness = {
             "kind": "recurrent_matrix",
             "matrix": [[str(m.a), str(m.b)], [str(m.c), str(m.d)]],
             "sequence": table.first_sequence(m),
-            "grammar_cycle": [repr(x) for x in gcycle],
+            "sequences": certificate[1],
         }
-        pumping = oracle_mod.find_pumping(gens, depth, target=m)
+        pumping = table.pumping(m)
         if pumping is not None:
             alpha, sigma, gamma = pumping
-            left = alpha + sigma + gamma
-            _check_product(gens, left, m, "pumping")
+            _check_product(gens, alpha + sigma + gamma, m, "pumping")
             witness["pumping"] = {"alpha": alpha, "sigma": sigma, "gamma": gamma}
         return Verdict("finite_freeness", NO, witness)
     return Verdict("finite_freeness", UNKNOWN, depth_bound=depth)

@@ -112,14 +112,12 @@ class Fixture:
         return encode_group_word(w, self.z_index)
 
 
-def _border_index(symbols) -> dict:
-    """Fixed z-indexing: border letters first (given order), then a, b, then #."""
+def _z_index(symbols) -> dict:
+    """1-based z-indexing in the given order; a repeat keeps its first index.
+    The fixtures list their border letters first, then a, b and #."""
     z = {}
     for sym in symbols:
-        z[sym] = len(z) + 1
-    for sym in ("a", "b", "#"):
-        if sym not in z:
-            z[sym] = len(z) + 1
+        z.setdefault(sym, len(z) + 1)
     return z
 
 
@@ -158,8 +156,7 @@ def encode_equal_subset_sum(values) -> Fixture:
     if not values or any(v < 1 for v in values):
         raise EncodingError("need a nonempty list of positive integers")
     k = len(values)
-    borders = [str(i) for i in range(k + 1)]
-    z = _border_index(borders)
+    z = _z_index([str(i) for i in range(k + 1)] + ["a", "b", "#"])
     words = []
     for i in range(k):
         payload = tuple(letter("a") for _ in range(values[i]))
@@ -176,17 +173,6 @@ def encode_equal_subset_sum(values) -> Fixture:
     return Fixture(gens, words, z, expected, provenance)
 
 
-def _collision_sequences_for_subsets(k, masks):
-    """Generator index sequences realizing the two equal-sum subsets."""
-    seqs = []
-    for mask in masks:
-        seq = []
-        for i in range(k):
-            seq.append(2 * i + 1 if mask >> i & 1 else 2 * i + 2)
-        seqs.append(seq)
-    return seqs
-
-
 def encode_subset_sum(values, x: int) -> Fixture:
     """Subset-sum instance (does some subset of values sum to x?) as 4k+2
     generators: an a-payload chain 0..k, a bridge erasing a^x, a b-payload
@@ -199,8 +185,7 @@ def encode_subset_sum(values, x: int) -> Fixture:
     if x < 0:
         raise EncodingError("target must be nonnegative")
     k = len(values)
-    borders = [str(i) for i in range(2 * k + 2)]
-    z = _border_index(borders)
+    z = _z_index([str(i) for i in range(2 * k + 2)] + ["a", "b", "#"])
     words = []
     for i in range(k):
         payload = tuple(letter("a") for _ in range(values[i]))
@@ -252,7 +237,7 @@ def recurrent_without_identity_fixture() -> Fixture:
     W = {0 a 0^-1, 0 a^-1 1^-1, 1 a^-1 1^-1}: the value of 0 . 1^-1 equals
     w1^n w2 w3^(n-1) for every n >= 1, yet no product is the identity.
     """
-    z = _border_index(["0", "1"])
+    z = _z_index(["0", "1", "a", "b", "#"])
     words = [
         word(letter("0"), letter("a"), letter("0", True)),
         word(letter("0"), letter("a", True), letter("1", True)),
@@ -305,12 +290,7 @@ def encode_dfa_intersection(dfas) -> Fixture:
     borders = []
     for i, d in enumerate(dfas):
         borders.extend(f"d{i}_{q}" for q in range(d.n_states))
-    z = {}
-    for sym in borders:
-        z[sym] = len(z) + 1
-    for sym in alphabet:
-        z[sym] = len(z) + 1
-    z["#"] = len(z) + 1
+    z = _z_index(borders + list(alphabet) + ["#"])
     words = []
     for i, d in enumerate(dfas):
         words.append(word(letter("#"), letter(f"d{i}_0", True)))

@@ -1,15 +1,21 @@
-"""Context-free machinery: grammar analysis and the Bar-Hillel route.
+"""Context-free machinery: growth cycles, enumeration and the Bar-Hillel route.
 
-Trimming, emptiness, finiteness (growth cycles) and enumeration work on any
-grammar; the decision procedures apply them to the derivation grammars of
-`automata.derivation_grammar`.
+`find_growth_cycle` and `enumerate_words` take proper grammars only: no
+body is empty, no body is a single nonterminal, and every nonterminal
+derives a word.  The derivation grammars of `automata.derivation_grammar`
+are proper by construction, so every dependency edge pumps: the language is
+infinite iff a dependency cycle is reachable from the start, and otherwise
+the nonterminals below the start form a DAG.  `words_up_to` takes any
+grammar.
 
 The target grammar of a signed reduced word t derives exactly the unreduced
 words over {s,r} with the same value.  Lifting over markers closes the
 language under inserting marker symbols anywhere, and intersecting with the
 marked semigroup DFA (blocks "#i w_i") leaves one word per factorization.
 This Bar-Hillel route answers the counting and recurrence questions without
-the saturation, so the tests use it as the exact referee for them.
+the saturation; no decision procedure uses it, and the tests use it as the
+exact referee for them.  Its grammars have empty and unit bodies, so the
+tests bring them into proper form first.
 
 Words are tuples of terminal symbols.  Nonterminals and terminals may be any
 hashable values; the Bar-Hillel construction uses (state, symbol, state)
@@ -18,7 +24,6 @@ triples as nonterminals.
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import count
 
 from .algebra import GeneratorSet, SignedWord
 
@@ -37,7 +42,6 @@ class Grammar:
     terminals: set
     productions: list  # (head, tuple body)
     start: object
-    trimmed: bool = False
 
     def __repr__(self):
         return (f"Grammar({len(self.nonterminals)} nonterminals, "
@@ -74,32 +78,26 @@ def _chain_symbol(i: int, sign: int):
     return ("B", i, sign)
 
 
-def target_chain_productions(word: str) -> list:
-    """Suffix chain ("B", i, tau): letters i.. of the target interleaved with
-    trivial gaps whose remaining sign product is tau.  Independent of the
-    target sign; a start symbol ("B", 1, sign) selects the parity."""
-    prods = []
-    n = len(word)
-    for i in range(1, n + 1):
-        t = word[i - 1]
-        for tau in (1, -1):
-            prods.append((_chain_symbol(i, tau), (N_POS, t, _chain_symbol(i + 1, tau))))
-            prods.append((_chain_symbol(i, tau), (N_NEG, t, _chain_symbol(i + 1, -tau))))
-    for tau in (1, -1):
-        prods.append((_chain_symbol(n + 1, tau), (_n_symbol(tau),)))
-    return prods
-
-
 def build_target_grammar(target: SignedWord) -> Grammar:
     """Grammar of every word w over {s,r} with reduce(w, +) == target.
 
     Such a word splits as gap t_1 gap t_2 ... t_n gap around the surviving
     target letters, each gap reducing to +-I with the gap signs multiplying
-    to the target sign.
+    to the target sign.  The suffix chain ("B", i, tau) derives letters i..
+    of the target interleaved with gaps whose sign product is tau, and the
+    start ("B", 1, sign) selects the target's sign.
     """
     if not target.is_reduced():
         raise GrammarError(f"target must be reduced: {target}")
-    prods = _n_core_productions() + target_chain_productions(target.word)
+    word = target.word
+    n = len(word)
+    prods = _n_core_productions()
+    for i in range(1, n + 1):
+        for tau in (1, -1):
+            prods.append((_chain_symbol(i, tau), (N_POS, word[i - 1], _chain_symbol(i + 1, tau))))
+            prods.append((_chain_symbol(i, tau), (N_NEG, word[i - 1], _chain_symbol(i + 1, -tau))))
+    for tau in (1, -1):
+        prods.append((_chain_symbol(n + 1, tau), (_n_symbol(tau),)))
     start = _chain_symbol(1, target.sign)
     nts = {h for h, _ in prods}
     return Grammar(nts, {"s", "r"}, prods, start)
@@ -369,11 +367,6 @@ class IntersectionEngine:
 
     # -- output --------------------------------------------------------------------
 
-    def start_items(self, start_symbol) -> list:
-        dfa = self.dfa
-        return [(dfa.initial, start_symbol, f) for f in sorted(dfa.finals)
-                if self.has_item(dfa.initial, start_symbol, f)]
-
     def extract_grammar(self, start_symbol, terminals) -> Grammar:
         """Trimmed Bar-Hillel grammar over the items reachable from the start.
 
@@ -381,9 +374,11 @@ class IntersectionEngine:
         unreachable bulk of the database is never touched.
         """
         start = ("bh_start",)
-        roots = self.start_items(start_symbol)
+        initial = self.dfa.initial
+        roots = [(initial, start_symbol, f) for f in sorted(self.dfa.finals)
+                 if self.has_item(initial, start_symbol, f)]
         if not roots:
-            return Grammar({start}, set(terminals), [], start, trimmed=True)
+            return Grammar({start}, set(terminals), [], start)
         prods = [(start, (item,)) for item in roots]
         seen = set(roots)
         stack = list(roots)
@@ -423,7 +418,7 @@ class IntersectionEngine:
                             visit(left)
                             visit(right)
         nts = {h for h, _ in prods}
-        return Grammar(nts, set(terminals), prods, start, trimmed=True)
+        return Grammar(nts, set(terminals), prods, start)
 
 
 def intersect(g: Grammar, d: MarkedDfa) -> Grammar:
@@ -439,161 +434,63 @@ def intersect(g: Grammar, d: MarkedDfa) -> Grammar:
 
 
 # ---------------------------------------------------------------------------
-# trimming, emptiness, finiteness, enumeration
+# growth cycles and enumeration of proper grammars
 # ---------------------------------------------------------------------------
 
 
-def _productive(g: Grammar):
-    productive = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, body in g.productions:
-            if head in productive:
-                continue
-            if all(x in productive or x in g.terminals for x in body):
-                productive.add(head)
-                changed = True
-    return productive
-
-
-def trim(g: Grammar) -> Grammar:
-    """Drop unproductive and unreachable nonterminals (and their productions)."""
-    productive = _productive(g)
-    if g.start not in productive:
-        return Grammar({g.start}, set(g.terminals), [], g.start, trimmed=True)
-    kept = [(h, b) for h, b in g.productions
-            if h in productive and all(x in productive or x in g.terminals for x in b)]
-    by_head = {}
-    for h, b in kept:
-        by_head.setdefault(h, []).append(b)
-    reach = {g.start}
-    stack = [g.start]
-    while stack:
-        a = stack.pop()
-        for body in by_head.get(a, ()):
-            for x in body:
-                if x not in g.terminals and x not in reach:
-                    reach.add(x)
-                    stack.append(x)
-    final = [(h, b) for h, b in kept if h in reach]
-    return Grammar(reach, set(g.terminals), final, g.start, trimmed=True)
-
-
-def is_empty(g: Grammar) -> bool:
-    """True iff L(g) is empty, i.e. trimming removes the start symbol."""
-    return g.start not in _productive(g)
-
-
-def _derives_nonempty(g: Grammar):
-    """Nonterminals that can derive at least one nonempty terminal word."""
-    fertile = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, body in g.productions:
-            if head in fertile:
-                continue
-            if any(x in g.terminals or x in fertile for x in body):
-                fertile.add(head)
-                changed = True
-    return fertile
+def _bodies(g: Grammar) -> dict:
+    """head -> its bodies, in production order."""
+    bodies = {}
+    for head, body in g.productions:
+        bodies.setdefault(head, []).append(body)
+    return bodies
 
 
 def find_growth_cycle(g: Grammar):
-    """Certificate that L(g) is infinite, or None.
+    """Certificate (stem, loop) that L(g) is infinite, or None.
 
-    A production A -> x B y pumps B when x y can derive a nonempty word, so
-    L is infinite iff the (trimmed) dependency graph has a cycle through
-    such a pumping edge.  Returns [A_1, ..., A_k, A_1] when found.
+    g must be proper: no body is empty, no body is a single nonterminal, and
+    every nonterminal derives a word (a start without productions stands
+    for the empty language), as in `automata.derivation_grammar`.  Then a
+    body that holds a nonterminal also holds a nonempty word beside it, so
+    every dependency edge pumps, and L(g) is infinite iff a dependency cycle
+    is reachable from the start.  One depth-first search from the start,
+    through the productions in order, stops at the first back edge.
+
+    A step (head, body, i) is a production of head whose body[i] is the
+    head of the next step.  The stem leads from the start to the cycle's
+    first head A, and the loop from A back to A.
     """
-    gt = g if g.trimmed else trim(g)
-    fertile = _derives_nonempty(gt)
-    edges = {}       # A -> set of B (all dependency edges)
-    pumping = set()  # (A, B) edges whose side material can be nonempty
-    for head, body in gt.productions:
-        nts = [x for x in body if x in gt.nonterminals]
-        for i, b in enumerate(nts):
-            edges.setdefault(head, set()).add(b)
-            rest_nonempty = any(x in gt.terminals for x in body) or any(
-                other in fertile for j, other in enumerate(nts) if j != i)
-            if rest_nonempty:
-                pumping.add((head, b))
-    if not pumping:
-        return None
+    nts = g.nonterminals
+    bodies = _bodies(g)
 
-    # iterative Tarjan SCC
-    index = {}
-    low = {}
-    on_stack = set()
-    scc_of = {}
-    scc_id = count()
-    counter = count()
-    stack = []
-    for root in list(edges):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(edges.get(root, ()), key=repr)))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = next(counter)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(sorted(edges.get(nxt, ()), key=repr))))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                sid = next(scc_id)
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc_of[w] = sid
-                    if w == node:
-                        break
+    def steps(head):
+        return ((head, body, i) for body in bodies.get(head, ())
+                for i, x in enumerate(body) if x in nts)
 
-    for (a, b) in sorted(pumping, key=repr):
-        if scc_of.get(a) is None or scc_of.get(a) != scc_of.get(b):
-            continue
-        if a == b:
-            return [a, a]
-        # close the cycle: BFS b ->* a inside the SCC, prepend the a -> b edge
-        sid = scc_of[a]
-        prev = {b: None}
-        queue = deque([b])
-        while queue:
-            node = queue.popleft()
-            if node == a:
+    path = []                  # steps from the start to the open frame
+    depth = {g.start: 0}       # open nonterminal -> number of steps to it
+    done = set()
+    frames = [(g.start, steps(g.start))]
+    while frames:
+        head, todo = frames[-1]
+        for step in todo:
+            child = step[1][step[2]]
+            if child in depth:
+                k = depth[child]
+                return path[:k], path[k:] + [step]
+            if child not in done:
+                depth[child] = len(path) + 1
+                path.append(step)
+                frames.append((child, steps(child)))
                 break
-            for nxt in sorted(edges.get(node, ()), key=repr):
-                if scc_of.get(nxt) == sid and nxt not in prev:
-                    prev[nxt] = node
-                    queue.append(nxt)
-        back_path = [a]
-        while prev.get(back_path[-1]) is not None:
-            back_path.append(prev[back_path[-1]])
-        if back_path[-1] != b:
-            continue  # unreachable for a genuine SCC, but stay safe
-        return [a] + back_path[::-1]
+        else:
+            frames.pop()
+            del depth[head]
+            done.add(head)
+            if path:
+                path.pop()
     return None
-
-
-def is_finite(g: Grammar) -> bool:
-    """Decidable finiteness of L(g) via the pumping-cycle criterion."""
-    return find_growth_cycle(g) is None
 
 
 @dataclass
@@ -602,7 +499,7 @@ class WordEnumeration:
     words: frozenset = None   # set of word tuples when exact
     count: int = 0
     cap: int = None           # the exceeded cap when not exact
-    cycle: list = None        # find_growth_cycle's certificate when infinite
+    cycle: tuple = None       # find_growth_cycle's certificate when infinite
 
     def __repr__(self):
         if self.exact:
@@ -613,43 +510,48 @@ class WordEnumeration:
 def enumerate_words(g: Grammar, cap: int = None) -> WordEnumeration:
     """Distinct words of L(g): the exact set, or "more than cap".
 
-    Requires a finite language or a cap; an infinite language with a cap
-    short-circuits to more-than and carries its growth cycle.  Distinct
-    derivations of one word count once.  Since the grammar is trimmed first,
-    any nonterminal whose word set exceeds the cap forces the start's set
-    past the cap too, which bounds the work.
+    g must be proper, as for `find_growth_cycle`, which runs once: an
+    infinite language needs a cap and short-circuits to more-than with its
+    growth cycle.  Otherwise the nonterminals below the start form a DAG,
+    and each one's word set is built once, after the sets of the
+    nonterminals in its bodies.  Distinct derivations of one word count
+    once.  Every nonterminal below the start puts at least as many words
+    into the start's set, so the first set past the cap ends the work.
     """
-    gt = g if g.trimmed else trim(g)
-    if is_empty(gt):
-        return WordEnumeration(True, frozenset(), 0)
-    cycle = find_growth_cycle(gt)
-    if cycle is not None:
+    growth = find_growth_cycle(g)
+    if growth is not None:
         if cap is None:
             raise GrammarError("enumerate_words on an infinite grammar needs a cap")
-        return WordEnumeration(False, cap=cap, cycle=cycle)
-
-    sets = {a: set() for a in gt.nonterminals}
-    changed = True
-    while changed:
-        changed = False
-        for head, body in gt.productions:
+        return WordEnumeration(False, cap=cap, cycle=growth)
+    nts = g.nonterminals
+    bodies = _bodies(g)
+    sets = {}
+    stack = [g.start]
+    while stack:
+        head = stack[-1]
+        if head in sets:
+            stack.pop()
+            continue
+        pending = [x for body in bodies.get(head, ()) for x in body
+                   if x in nts and x not in sets]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        words = set()
+        for body in bodies.get(head, ()):
             partial = {()}
             for x in body:
-                pieces = sets[x] if x in sets else {(x,)}
+                pieces = sets[x] if x in nts else ((x,),)
                 partial = {w + piece for w in partial for piece in pieces}
-                if cap is not None and len(partial) > cap + 1:
-                    # |L(head)| >= |partial| already beats the cap
+                if cap is not None and len(partial) > cap:
+                    # each partial word extends to a distinct word of head
                     return WordEnumeration(False, cap=cap)
-            target = sets[head]
-            before = len(target)
-            target.update(partial)
-            if len(target) != before:
-                changed = True
-                if cap is not None and len(target) > cap + 1:
-                    return WordEnumeration(False, cap=cap)
-    words = frozenset(sets[gt.start])
-    if cap is not None and len(words) > cap:
-        return WordEnumeration(False, cap=cap)
+            words |= partial
+        if cap is not None and len(words) > cap:
+            return WordEnumeration(False, cap=cap)
+        sets[head] = words
+    words = frozenset(sets[g.start])
     return WordEnumeration(True, words, len(words))
 
 

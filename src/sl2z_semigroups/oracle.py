@@ -84,6 +84,40 @@ class ProductTable:
         first, second = min(pairs, key=lambda pair: (len(pair[1]), pair[1]))
         return list(first), list(second)
 
+    def pumping(self, target: Mat2 = None):
+        """Search for (alpha, sigma, gamma) with
+        prod(alpha) * prod(sigma) * prod(gamma) == prod(sigma).
+
+        Such a triple certifies that prod(sigma) has infinitely many
+        factorizations: alpha^n sigma gamma^n all multiply to it.  alpha or
+        gamma (not both) may be empty.  With `target` set, only sigma with
+        prod(sigma) == target are considered.
+
+        All candidates come from the table; for fixed alpha-value A and
+        sigma-value P the unique gamma-value is P^-1 A^-1 P, which is simply
+        looked up.
+        """
+        id_mat = Mat2(1, 0, 0, 1)
+        mats = self.matrices()
+        if target is None and id_mat in self:
+            # identity in the semigroup pumps anything; keep gamma empty
+            return self.first_sequence(id_mat), self.first_sequence(mats[0]), []
+        for p in [target] if target is not None else mats:
+            if p not in self:
+                continue
+            p_inv = p.inverse()
+            for a in mats:
+                c = p_inv * a.inverse() * p
+                if c.is_identity():
+                    # forces a == identity; alpha pumps on its own
+                    if a.is_identity():
+                        return (self.first_sequence(a), self.first_sequence(p), [])
+                    continue
+                if c in self:
+                    return (self.first_sequence(a), self.first_sequence(p),
+                            self.first_sequence(c))
+        return None
+
 
 def enumerate_products(gens: GeneratorSet, depth: int,
                        budget: int = DEFAULT_BUDGET) -> ProductTable:
@@ -140,41 +174,8 @@ def find_collision(gens: GeneratorSet, depth: int, budget: int = DEFAULT_BUDGET)
 
 def find_pumping(gens: GeneratorSet, depth: int, budget: int = DEFAULT_BUDGET,
                  target: Mat2 = None):
-    """Search for (alpha, sigma, gamma) with prod(a) * prod(s) * prod(g) == prod(s).
-
-    Such a triple certifies that prod(sigma) has infinitely many
-    factorizations: alpha^n sigma gamma^n all multiply to it.  alpha or gamma
-    (not both) may be empty.  With `target` set, only sigma with
-    prod(sigma) == target are considered.
-
-    All candidates come from the depth-bounded product table; for fixed
-    alpha-value A and sigma-value P the unique gamma-value is P^-1 A^-1 P,
-    which is simply looked up.
-    """
-    table = enumerate_products(gens, depth, budget)
-    id_mat = Mat2(1, 0, 0, 1)
-    if target is None and id_mat in table:
-        # identity in the semigroup pumps anything; keep gamma empty
-        return (table.first_sequence(id_mat), table.first_sequence(table.matrices()[0]), [])
-    sigmas = [target] if target is not None else table.matrices()
-    for p in sigmas:
-        if p not in table:
-            continue
-        p_inv = p.inverse()
-        for a in table.matrices():
-            c = p_inv * a.inverse() * p
-            if c.is_identity():
-                # forces a == identity; alpha pumps on its own
-                if a.is_identity():
-                    return (table.first_sequence(a), table.first_sequence(p), [])
-                continue
-            if c in table:
-                return (
-                    table.first_sequence(a),
-                    table.first_sequence(p),
-                    table.first_sequence(c),
-                )
-    return None
+    """`ProductTable.pumping` on the depth-bounded product table."""
+    return enumerate_products(gens, depth, budget).pumping(target)
 
 
 def max_exhaustive_depth(n_gens: int, budget: int = DEFAULT_BUDGET) -> int:

@@ -1,6 +1,10 @@
 """Problem-file parsing, dispatch, report format and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +156,29 @@ class TestCommands:
         assert main(["recurrent", str(path)]) == EXIT_YES
         capsys.readouterr()
         assert main(["identity", str(path)]) == EXIT_NO
+
+    def test_reports_repeat_across_hash_seeds(self, tmp_path):
+        # the growth-cycle search follows production order, so nothing in a
+        # report may depend on the process's string hashing
+        from sl2z_semigroups.encodings import recurrent_without_identity_fixture
+        fx = recurrent_without_identity_fixture()
+        path = tmp_path / "rec.json"
+        path.write_text(emit_problem(problem_json(
+            fx.generators, target=fx.expected["recurrent_target"])))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = {}
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+            outputs[seed] = [
+                subprocess.run([sys.executable, "-m", "sl2z_semigroups.cli", cmd,
+                                str(path), *flags],
+                               env=env, capture_output=True, timeout=120).stdout
+                for cmd, flags in (("recurrent", ()), ("count", ("--cap", "4")),
+                                   ("check-finite-free", ("--depth", "2")))]
+        assert all(outputs["1"])
+        assert outputs["1"] == outputs["2"]
 
     def test_oracle_command(self, tmp_path, capsys):
         path = write(tmp_path, "p.json", {"generators": [{"matrix": S_MATRIX}]})

@@ -188,6 +188,25 @@ class TestRecurrence:
         second = is_recurrent(fx.generators, target)
         assert first.witness == second.witness
 
+    @pytest.mark.parametrize("case", ["fixture", "torsion", "identity_pumps"])
+    def test_witness_sequences_multiply_to_the_target(self, case):
+        if case == "fixture":
+            fx = recurrent_without_identity_fixture()
+            gens, m = fx.generators, fx.expected["recurrent_target"]
+        elif case == "torsion":
+            gens, m = GeneratorSet.from_matrices([S]), -IDENTITY
+        else:
+            fx = encode_subset_sum([1, 2], 3)
+            gens, m = fx.generators, fx.expected["count_target"]
+        v = is_recurrent(gens, m)
+        assert v.answer == YES and v.witness["kind"] == "grammar_cycle"
+        cycle, seqs = v.witness["cycle"], v.witness["sequences"]
+        assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+        assert len(seqs) == 3 and len({tuple(s) for s in seqs}) == 3
+        assert all(gens.product(seq) == m for seq in seqs)
+        # u x^n w y^n v: each step adds the same nonempty blocks
+        assert len(seqs[2]) - len(seqs[1]) == len(seqs[1]) - len(seqs[0]) > 0
+
     def test_free_generator_not_recurrent(self):
         gens = GeneratorSet.from_matrices([F_A])
         assert is_recurrent(gens, F_A * F_A * F_A).answer == NO
@@ -215,6 +234,11 @@ class TestFiniteFreeness:
         p = v.witness["pumping"]
         g = fx.generators
         assert g.product(p["alpha"] + p["sigma"] + p["gamma"]) == g.product(p["sigma"])
+        assert p == dict(zip(("alpha", "sigma", "gamma"), oracle.find_pumping(
+            g, 2, target=g.product(v.witness["sequence"]))))
+        seqs = v.witness["sequences"]
+        assert len({tuple(s) for s in seqs}) == 3
+        assert all(g.product(seq) == g.product(v.witness["sequence"]) for seq in seqs)
 
     def test_free_pair_unknown(self):
         v = finite_freeness(GeneratorSet.from_matrices([F_A, F_B]), 3)

@@ -2,7 +2,8 @@
 
 Ground truth throughout: evaluate every candidate word letter by letter and
 compare matrices.  The grammar layer must agree with that on exhaustive
-small ranges.
+small ranges.  Growth-cycle search and enumeration take proper grammars,
+so general grammars go through the test-side proper form first.
 """
 
 from itertools import product as iproduct
@@ -14,9 +15,11 @@ from sl2z_semigroups.algebra import (
 )
 from sl2z_semigroups.grammars import (
     Grammar, GrammarError, build_marked_semigroup_dfa, build_target_grammar,
-    enumerate_words, find_growth_cycle, intersect, is_empty, is_finite,
-    lift_over_markers, trim, words_up_to,
+    enumerate_words, find_growth_cycle, intersect, lift_over_markers,
+    words_up_to,
 )
+
+from grammar_referee import classic_is_finite, proper_form, trim
 
 F_A = evaluate(SignedWord(1, "srsr"))
 F_B = evaluate(SignedWord(1, "srrsrr"))
@@ -175,7 +178,7 @@ class TestIntersect:
         gens = GeneratorSet.from_matrices([F_A, F_B])
         d = build_marked_semigroup_dfa(gens)
         g = lift_over_markers(build_target_grammar(SignedWord(1, "")), d.markers)
-        assert is_empty(intersect(g, d))
+        assert not proper_form(intersect(g, d)).productions
 
     @pytest.mark.parametrize("mats,target,bound", [
         ([S], SignedWord(-1, ""), 8),
@@ -203,21 +206,20 @@ class TestAnalyses:
 
     def test_empty_language(self):
         g = Grammar({"X"}, {"s"}, [("X", ("X",))], "X")
-        assert is_empty(g)
-        assert not is_empty(Grammar({"X"}, {"s"}, [("X", ())], "X"))
+        assert not trim(g).productions
+        assert trim(Grammar({"X"}, {"s"}, [("X", ())], "X")).productions
 
     def test_infinite_when_identity_repeats(self):
         gens = GeneratorSet.from_matrices([S])
         d = build_marked_semigroup_dfa(gens)
         g = lift_over_markers(build_target_grammar(SignedWord(-1, "")), d.markers)
-        gi = intersect(g, d)
-        assert not is_empty(gi)
-        assert not is_finite(gi)
+        gi = proper_form(intersect(g, d))
+        assert gi.productions
         assert find_growth_cycle(gi) is not None
 
     def test_finite_singleton(self):
         g = Grammar({"X"}, {"s", "r"}, [("X", ("s", "r"))], "X")
-        assert is_finite(g)
+        assert find_growth_cycle(g) is None
         res = enumerate_words(g)
         assert res.exact and res.words == frozenset({("s", "r")}) and res.count == 1
 
@@ -225,14 +227,15 @@ class TestAnalyses:
         # a dependency cycle without growth must still count as finite
         g = Grammar({"A", "B"}, {"s"},
                     [("A", ("B",)), ("B", ("A",)), ("A", ("s",))], "A")
-        assert is_finite(g)
-        res = enumerate_words(g)
+        assert classic_is_finite(g)
+        res = enumerate_words(proper_form(g))
         assert res.exact and res.words == frozenset({("s",)})
 
     def test_nullable_cycle_finite(self):
         g = Grammar({"A"}, {"s"}, [("A", ("A", "A")), ("A", ()), ("A", ("s",))], "A")
         # A A with both sides able to be nonempty pumps: infinite
-        assert not is_finite(g)
+        assert not classic_is_finite(g)
+        assert find_growth_cycle(proper_form(g)) is not None
 
     def test_finiteness_agrees_with_bounded_growth(self):
         # structural cross-check: finite <=> no new words between B and 2B
@@ -248,14 +251,16 @@ class TestAnalyses:
             bound = min(bound, 12)  # keep the cross-check tractable
             lo = words_up_to(g, bound)
             hi = words_up_to(g, 2 * bound)
-            assert is_finite(g) == (lo == hi)
+            assert (find_growth_cycle(proper_form(g)) is None) == (lo == hi)
 
 
 class TestEnumerate:
     def test_epsilon_language(self):
+        # the proper form drops the empty word, which is all X derives
         g = Grammar({"X"}, {"s"}, [("X", ())], "X")
-        res = enumerate_words(g)
-        assert res.exact and res.words == frozenset({()}) and res.count == 1
+        assert words_up_to(g, 3) == {()}
+        res = enumerate_words(proper_form(g))
+        assert res.exact and res.words == frozenset() and res.count == 0
 
     def test_two_word_language(self):
         g = Grammar({"X"}, {"s", "r"}, [("X", ("s",)), ("X", ("r", "r"))], "X")
@@ -275,3 +280,21 @@ class TestEnumerate:
         res = enumerate_words(g, cap=5)
         assert not res.exact and res.cap == 5
         assert res.cycle == find_growth_cycle(g)
+
+    def test_growth_cycle_follows_the_first_back_edge(self):
+        # S -> a A; A -> b B; B -> c | c A: the stem S -> A, the loop A -> B -> A
+        g = Grammar({"S", "A", "B"}, {"a", "b", "c"},
+                    [("S", ("a", "A")), ("A", ("b", "B")), ("B", ("c",)),
+                     ("B", ("c", "A"))], "S")
+        stem, loop = find_growth_cycle(g)
+        assert stem == [("S", ("a", "A"), 1)]
+        assert loop == [("A", ("b", "B"), 1), ("B", ("c", "A"), 1)]
+
+    def test_shared_nonterminals_enumerate_once(self):
+        # X -> Y Y | Y s and Y -> s | r r share Y; "ss" and "rrs" come twice
+        g = Grammar({"X", "Y"}, {"s", "r"},
+                    [("X", ("Y", "Y")), ("X", ("Y", "s")), ("Y", ("s",)),
+                     ("Y", ("r", "r"))], "X")
+        res = enumerate_words(g)
+        assert res.exact and res.words == frozenset(words_up_to(g, 8))
+        assert res.count == 4

@@ -106,6 +106,18 @@ class TestPumping:
         g = GeneratorSet.from_matrices([F_A, F_B])
         assert find_pumping(g, 6) is None
 
+    def test_table_pumping_matches_find_pumping(self):
+        rng = random.Random(99)
+        for _ in range(60):
+            g = GeneratorSet.from_matrices([
+                evaluate(reduce("".join(rng.choice("sr") for _ in range(rng.randint(1, 5))),
+                                rng.choice((1, -1))))
+                for _ in range(rng.randint(1, 3))])
+            table = enumerate_products(g, 3)
+            assert table.pumping() == find_pumping(g, 3)
+            for m in table.matrices()[:4]:
+                assert table.pumping(m) == find_pumping(g, 3, target=m)
+
     def test_triple_re_multiplies(self):
         g = GeneratorSet.from_matrices([S])
         alpha, sigma, gamma = find_pumping(g, 5)

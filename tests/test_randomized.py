@@ -4,9 +4,11 @@ Saturation and its derivation grammar run against bounded path enumeration
 on arbitrary random automata (not just the fixture shapes), the
 derivations saturation records, in order, against its plain rule loop, and
 a run stopped at a goal triple against a prefix of the full run.
-Grammar finiteness runs against an independent implementation of the
-classic elimination route, and factorization counting runs against the
-Bar-Hillel intersection of the target grammar with the marked semigroup DFA.
+Growth-cycle search and enumeration on the proper form of random grammars
+run against an independent implementation of the classic elimination route
+and against bounded enumeration of the raw grammar, and factorization
+counting runs against the Bar-Hillel intersection of the target grammar
+with the marked semigroup DFA.
 """
 
 import random
@@ -28,9 +30,13 @@ from sl2z_semigroups.encodings import (
 )
 from sl2z_semigroups.grammars import (
     Grammar, build_marked_semigroup_dfa, build_target_grammar, enumerate_words,
-    find_growth_cycle, intersect, is_finite, lift_over_markers, trim, words_up_to,
+    find_growth_cycle, intersect, lift_over_markers, words_up_to,
 )
 from sl2z_semigroups.oracle import enumerate_products
+
+from grammar_referee import (
+    assert_growth_cycle, assert_proper, classic_is_finite, proper_form,
+)
 
 
 def random_automaton(rng, max_edges=10):
@@ -251,74 +257,10 @@ def test_derivation_grammar_on_random_automata():
                 for sigma in (1, -1):
                     grammar = derivation_grammar(auto, sat, (q, p, sigma))
                     assert words_up_to(grammar, 5) == paths.get((q, p, sigma), set())
-
-
-def classic_is_finite(g):
-    """Independent route: eps-eliminate, unit-eliminate, trim, cycle-check."""
-    gt = trim(g)
-    if not gt.productions:
-        return True
-    nullable = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, body in gt.productions:
-            if head not in nullable and all(x in nullable for x in body):
-                nullable.add(head)
-                changed = True
-    prods = set()
-    for head, body in gt.productions:
-        optional = [i for i, x in enumerate(body) if x in nullable]
-        for mask in range(1 << len(optional)):
-            drop = {optional[k] for k in range(len(optional)) if mask >> k & 1}
-            new = tuple(x for i, x in enumerate(body) if i not in drop)
-            if new:
-                prods.add((head, new))
-    nts = set(gt.nonterminals) | {h for h, _ in prods}
-    direct = {a: set() for a in nts}
-    for head, body in prods:
-        if len(body) == 1 and body[0] in nts:
-            direct[head].add(body[0])
-    closure = {a: {a} for a in nts}
-    changed = True
-    while changed:
-        changed = False
-        for a in nts:
-            for b in list(closure[a]):
-                for c in direct.get(b, ()):
-                    if c not in closure[a]:
-                        closure[a].add(c)
-                        changed = True
-    final = set()
-    for a in nts:
-        for b in closure[a]:
-            for head, body in prods:
-                if head != b:
-                    continue
-                if len(body) == 1 and body[0] in nts:
-                    continue
-                final.add((a, body))
-    g2 = trim(Grammar(nts, set(gt.terminals), sorted(final, key=repr), gt.start))
-    deps = {}
-    for head, body in g2.productions:
-        deps.setdefault(head, set()).update(
-            x for x in body if x in g2.nonterminals)
-    color = {}
-
-    def dfs(u, stack):
-        color[u] = "gray"
-        stack.add(u)
-        for v in deps.get(u, ()):
-            if v in stack:
-                return True
-            if color.get(v) is None and dfs(v, stack):
-                return True
-        stack.discard(u)
-        color[u] = "black"
-        return False
-
-    return not any(color.get(root) is None and dfs(root, set())
-                   for root in list(deps))
+                    assert_proper(grammar)
+                    growth = find_growth_cycle(grammar)
+                    if growth is not None:
+                        assert_growth_cycle(grammar, growth)
 
 
 def random_grammar(rng):
@@ -336,7 +278,17 @@ def test_finiteness_matches_classic_route():
     rng = random.Random(777)
     for _ in range(2000):
         g = random_grammar(rng)
-        assert is_finite(g) == classic_is_finite(g)
+        proper = proper_form(g)
+        growth = find_growth_cycle(proper)
+        assert (growth is None) == classic_is_finite(g)
+        if growth is None:
+            words = enumerate_words(proper).words
+            assert {w for w in words if len(w) <= 9} == words_up_to(g, 9) - {()}
+        else:
+            assert_growth_cycle(proper, growth)
+            assert enumerate_words(proper, cap=1).cycle == growth
+            # length 9 would cost seconds on the infinite languages
+            assert words_up_to(proper, 6) == words_up_to(g, 6) - {()}
 
 
 def test_enumeration_matches_bounded_fixpoint():
@@ -344,14 +296,19 @@ def test_enumeration_matches_bounded_fixpoint():
     checked = 0
     for _ in range(2000):
         g = random_grammar(rng)
-        if not is_finite(g):
+        if not classic_is_finite(g):
             continue
-        enum = enumerate_words(g)
-        assert enum.exact
+        proper = proper_form(g)
+        enum = enumerate_words(proper)
+        assert enum.exact and enum.count == len(enum.words)
         # every enumerated word of length <= 9 appears in the bounded
-        # fixpoint and vice versa
+        # fixpoint of the raw grammar and vice versa, but for the empty word
         short = {w for w in enum.words if len(w) <= 9}
-        assert short == words_up_to(g, 9)
+        assert short == words_up_to(g, 9) - {()}
+        capped = enumerate_words(proper, cap=2)
+        assert capped.exact == (enum.count <= 2)
+        if capped.exact:
+            assert capped.words == enum.words
         checked += 1
     assert checked >= 500
 
@@ -369,7 +326,7 @@ def referee_count(gens, m, cap):
         dfa = build_marked_semigroup_dfa(gens, sign_parity=target.sign * phi)
         lifted = lift_over_markers(build_target_grammar(SignedWord(phi, target.word)),
                                    dfa.markers)
-        comps.append((intersect(lifted, dfa), dfa))
+        comps.append((proper_form(intersect(lifted, dfa)), dfa))
     if any(find_growth_cycle(g) is not None for g, _ in comps):
         return "infinite", None, None, True
     sequences = set()
