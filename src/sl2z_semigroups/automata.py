@@ -10,7 +10,6 @@ re-joining every derivation of a triple gives the grammar of all its paths.
 """
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
 
 from .algebra import GeneratorSet, SignedWord, evaluate, inv, reduce
@@ -25,7 +24,7 @@ class WitnessError(RuntimeError):
     """A requested witness does not exist or failed re-verification."""
 
 
-# chain tag kinds; decode logic keys off these.  A chain of length 0 (its
+# chain kinds; decode logic keys off these.  A chain of length 0 (its
 # generator reduces to +-I) is a single base epsilon edge with the same kind.
 LOOP = "loop"            # full generator chain hub -> hub
 ENTRY = "entry"          # pattern automaton: initial -> A spelling w_i
@@ -36,18 +35,13 @@ EXIT_INV = "exit_inv"    # pattern automaton: A/B -> final spelling inv(w_j)
 TARGET_INV = "target_inv"  # membership automaton: hub -> final
 
 
-@dataclass(frozen=True)
-class ChainTag:
-    kind: str
-    gen: int        # 1-based generator index, 0 when not generator-bound
-    pos: int
-    length: int
-
-
 class CancellationAutomaton:
     """Finite automaton over {s,r} with sign-weighted base epsilon edges.
 
-    States are ints.  Immutable once built (builders below do all mutation).
+    States are ints, edges are ids into `edges`, and a chain's edges have
+    consecutive ids.  `s_in`/`s_out`/`r_in`/`r_out` list per state the s/r
+    edges entering / leaving it, in id order, as `eps_edges` lists the base
+    epsilon edges.  Immutable once built (builders below do all mutation).
     """
 
     def __init__(self, kind: str):
@@ -56,19 +50,31 @@ class CancellationAutomaton:
         self.initial = None
         self.final = None
         self.edges = []       # (src, dst, label in 'sr' or None, weight)
-        self.tags = []        # ChainTag per edge
+        self.chains = {}      # first edge id -> (kind, 1-based gen or 0, length)
+        self.s_in, self.s_out, self.r_in, self.r_out = [], [], [], []
+        self.eps_edges = []
 
     # -- construction helpers -------------------------------------------------
 
     def _new_state(self) -> int:
         s = self.n_states
         self.n_states += 1
+        for lists in (self.s_in, self.s_out, self.r_in, self.r_out):
+            lists.append([])
         return s
 
-    def _add_edge(self, src, dst, label, weight, tag) -> int:
+    def _add_edge(self, src, dst, label, weight) -> int:
+        e = len(self.edges)
         self.edges.append((src, dst, label, weight))
-        self.tags.append(tag)
-        return len(self.edges) - 1
+        if label == "s":
+            self.s_in[dst].append(e)
+            self.s_out[src].append(e)
+        elif label == "r":
+            self.r_in[dst].append(e)
+            self.r_out[src].append(e)
+        else:
+            self.eps_edges.append(e)
+        return e
 
     def _add_chain(self, src, dst, word: SignedWord, kind: str, gen: int):
         """Simple path src -> dst spelling word, its sign on the first edge.
@@ -76,15 +82,15 @@ class CancellationAutomaton:
         An empty word becomes a base epsilon edge carrying the sign.
         """
         letters = word.word
-        if not letters:
-            self._add_edge(src, dst, None, word.sign, ChainTag(kind, gen, 0, 0))
-            return
         n = len(letters)
+        self.chains[len(self.edges)] = (kind, gen, n)
+        if not letters:
+            self._add_edge(src, dst, None, word.sign)
+            return
         prev = src
         for pos, ch in enumerate(letters):
             nxt = dst if pos == n - 1 else self._new_state()
-            w = word.sign if pos == 0 else 1
-            self._add_edge(prev, nxt, ch, w, ChainTag(kind, gen, pos, n))
+            self._add_edge(prev, nxt, ch, word.sign if pos == 0 else 1)
             prev = nxt
 
     # -- views -----------------------------------------------------------------
@@ -213,26 +219,6 @@ class SaturationRelation:
         return iter(self.parents)
 
 
-def _edge_lists(auto: CancellationAutomaton) -> tuple:
-    """Per-state s/r edge ids (s_in, s_out, r_in, r_out) and the epsilon edges."""
-    n = auto.n_states
-    s_in = [[] for _ in range(n)]
-    s_out = [[] for _ in range(n)]
-    r_in = [[] for _ in range(n)]
-    r_out = [[] for _ in range(n)]
-    eps_edges = []
-    for e, (src, dst, label, weight) in enumerate(auto.edges):
-        if label == "s":
-            s_in[dst].append(e)
-            s_out[src].append(e)
-        elif label == "r":
-            r_in[dst].append(e)
-            r_out[src].append(e)
-        else:
-            eps_edges.append(e)
-    return s_in, s_out, r_in, r_out, eps_edges
-
-
 def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelation:
     """Least fixpoint of the cancellation rules, or its prefix up to a goal.
 
@@ -268,7 +254,7 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
     """
     n = auto.n_states
     edges = auto.edges
-    s_in, s_out, r_in, r_out, eps_edges = _edge_lists(auto)
+    s_in, s_out, r_in, r_out = auto.s_in, auto.s_out, auto.r_in, auto.r_out
 
     rel = SaturationRelation()
     parents = rel.parents
@@ -343,7 +329,7 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
                         if t3 not in parents:
                             add(t3, ("rrr", e1, t, e2, t2, e3))
 
-    for e in eps_edges:
+    for e in auto.eps_edges:
         src, dst, _, weight = edges[e]
         t = (src, dst, weight)
         if t not in parents:
@@ -418,11 +404,7 @@ def derivation_grammar(auto: CancellationAutomaton, sat: SaturationRelation,
     terminals = set(range(len(edges)))
     if root not in triples:
         return Grammar({root}, terminals, [], root)
-    s_in, s_out, r_in, r_out, eps_edges = _edge_lists(auto)
-    eps_of = {}
-    for e in eps_edges:
-        src, dst, _, weight = edges[e]
-        eps_of.setdefault((src, dst, weight), []).append(e)
+    s_in, s_out, r_in, r_out = auto.s_in, auto.s_out, auto.r_in, auto.r_out
     gaps_from = [[(x, 1, None)] for x in range(auto.n_states)]
     for t in triples:
         gaps_from[t[0]].append((t[1], t[2], t))
@@ -440,7 +422,7 @@ def derivation_grammar(auto: CancellationAutomaton, sat: SaturationRelation,
     while stack:
         t = stack.pop()
         q, p, sigma = t
-        bodies = [(e,) for e in eps_of.get(t, ())]
+        bodies = [(e,) for e in auto.eps_edges if edges[e] == (q, p, None, sigma)]
         for e1 in s_out[q]:
             _, x, _, w1 = edges[e1]
             for e2 in s_in[p]:
@@ -500,22 +482,22 @@ def extract_path(auto: CancellationAutomaton, sat: SaturationRelation,
 
 
 def _chain_runs(auto: CancellationAutomaton, path: list) -> list:
-    """Cut an edge path into complete chains; the tag of each chain's first edge."""
-    tags = auto.tags
+    """Cut an edge path into whole chains, each a run of consecutive edge
+    ids from a chain's first edge; the (kind, gen, length) of each."""
+    chains = auto.chains
     runs = []
     idx = 0
     while idx < len(path):
-        tag = tags[path[idx]]
-        if tag.pos != 0:
-            raise WitnessError(f"path enters a chain mid-way at edge {path[idx]}")
-        end = idx + max(tag.length, 1)
+        first = path[idx]
+        chain = chains.get(first)
+        if chain is None:
+            raise WitnessError(f"path enters a chain mid-way at edge {first}")
+        end = idx + max(chain[2], 1)
         if end > len(path):
             raise WitnessError("path ends inside a chain")
-        for pos in range(1, end - idx):
-            got = tags[path[idx + pos]]
-            if got.kind != tag.kind or got.gen != tag.gen or got.pos != pos:
-                raise WitnessError("path does not follow a full chain")
-        runs.append(tag)
+        if any(path[idx + k] != first + k for k in range(1, end - idx)):
+            raise WitnessError("path does not follow a full chain")
+        runs.append(chain)
         idx = end
     return runs
 
@@ -530,12 +512,12 @@ def path_sequence(auto: CancellationAutomaton, path: list) -> list:
         raise WitnessError(f"no index-sequence decoding for {auto.kind} automata")
     runs = _chain_runs(auto, path)
     if auto.kind == "membership":
-        if not runs or runs[-1].kind != TARGET_INV:
+        if not runs or runs[-1][0] != TARGET_INV:
             raise WitnessError("membership path does not end with the full target chain")
         runs.pop()
-    if any(tag.kind != LOOP for tag in runs):
+    if any(kind != LOOP for kind, _, _ in runs):
         raise WitnessError("path leaves the generator loops")
-    seq = [tag.gen for tag in runs]
+    seq = [gen for _, gen, _ in runs]
     if not seq:
         raise WitnessError("witness must use at least one generator")
     return seq
@@ -567,18 +549,18 @@ def decode_pattern_witness(auto: CancellationAutomaton, path: list,
     gens, with product(alpha) == product(beta).
     """
     runs = _chain_runs(auto, path)
-    if not runs or runs[0].kind != ENTRY or runs[-1].kind != EXIT_INV:
+    if not runs or runs[0][0] != ENTRY or runs[-1][0] != EXIT_INV:
         raise WitnessError("pattern path must run entry chain to exit chain")
-    alpha = [runs[0].gen]
+    alpha = [runs[0][1]]
     beta_rev = []
-    for tag in runs[1:-1]:
-        if tag.kind == FWD_LOOP:
-            alpha.append(tag.gen)
-        elif tag.kind in (BRIDGE_INV, INV_LOOP):
-            beta_rev.append(tag.gen)
+    for kind, gen, _ in runs[1:-1]:
+        if kind == FWD_LOOP:
+            alpha.append(gen)
+        elif kind in (BRIDGE_INV, INV_LOOP):
+            beta_rev.append(gen)
         else:
-            raise WitnessError(f"unexpected {tag.kind} chain inside pattern path")
-    beta = [runs[-1].gen] + beta_rev[::-1]
+            raise WitnessError(f"unexpected {kind} chain inside pattern path")
+    beta = [runs[-1][1]] + beta_rev[::-1]
     if alpha == beta:
         raise WitnessError("pattern decode produced identical sequences")
     if gens.product(alpha) != gens.product(beta):

@@ -33,8 +33,8 @@ def _parse_int(value, path: str) -> int:
     if isinstance(value, str):
         text = value.strip()
         sign = -1 if text.startswith("-") else 1
-        digits = text[1:] if text[0] in "+-" else text
-        if digits.isdigit():
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if digits.isascii() and digits.isdigit():  # int() rejects "²"
             return sign * int(digits)
     raise ProblemError(f"{path}: not an integer: {value!r}")
 
@@ -263,14 +263,21 @@ def _load_dfas(path: str) -> list:
         if unknown:
             raise ProblemError(f"{loc}: unknown keys {sorted(unknown)}")
         n = _parse_int(item.get("states"), f"{loc}.states")
-        alphabet = tuple(item.get("alphabet", ()))
+        alphabet, rows = item.get("alphabet", []), item.get("transitions", {})
+        if not isinstance(alphabet, list) or not all(isinstance(a, str) for a in alphabet):
+            raise ProblemError(f"{loc}.alphabet: expected an array of strings")
+        if not isinstance(rows, dict) or not all(isinstance(row, dict) for row in rows.values()):
+            raise ProblemError(f"{loc}.transitions: expected an object of objects")
         transitions = []
-        for src, row in sorted(item.get("transitions", {}).items()):
+        for src, row in sorted(rows.items()):
             for sym, dst in sorted(row.items()):
                 transitions.append((_parse_int(src, f"{loc}.transitions"), sym,
                                     _parse_int(dst, f"{loc}.transitions")))
-        finals = frozenset(_parse_int(x, f"{loc}.finals") for x in item.get("finals", ()))
-        dfas.append(encodings.DfaSpec(n, alphabet, tuple(transitions), finals))
+        finals = item.get("finals", [])
+        if not isinstance(finals, list):
+            raise ProblemError(f"{loc}.finals: expected an array")
+        finals = frozenset(_parse_int(x, f"{loc}.finals") for x in finals)
+        dfas.append(encodings.DfaSpec(n, tuple(alphabet), tuple(transitions), finals))
     return dfas
 
 

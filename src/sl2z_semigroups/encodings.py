@@ -284,9 +284,18 @@ def encode_dfa_intersection(dfas) -> Fixture:
     if not dfas:
         raise EncodingError("need at least one DFA")
     alphabet = dfas[0].alphabet
-    for d in dfas:
+    for i, d in enumerate(dfas):
         if d.alphabet != alphabet:
             raise EncodingError("DFAs must share one alphabet")
+        states = range(d.n_states)
+        if not states:
+            raise EncodingError(f"dfas[{i}].states: need at least one state, got {d.n_states}")
+        for q, sym, q2 in sorted(d.transitions):
+            if q not in states or q2 not in states or sym not in alphabet:
+                raise EncodingError(f"dfas[{i}].transitions: {q} -{sym}-> {q2} needs states in "
+                                    f"0..{d.n_states - 1} and a symbol in the alphabet")
+        if any(q not in states for q in d.finals):
+            raise EncodingError(f"dfas[{i}].finals: states must be in 0..{d.n_states - 1}")
     borders = []
     for i, d in enumerate(dfas):
         borders.extend(f"d{i}_{q}" for q in range(d.n_states))

@@ -10,12 +10,12 @@ import sys
 import pytest
 
 from sl2z_semigroups.algebra import (
-    IDENTITY, R, S, GeneratorSet, SignedWord, evaluate, reduce,
+    IDENTITY, R, S, GeneratorSet, SignedWord, evaluate, inv, reduce,
 )
 from sl2z_semigroups.automata import (
     AutomatonError, WitnessError, build_loop_automaton,
     build_membership_automaton, build_pattern_automaton, decode_pattern_witness,
-    extract_path, extract_witness, saturate,
+    extract_path, extract_witness, path_sequence, saturate,
 )
 from sl2z_semigroups.algebra import decompose
 
@@ -204,6 +204,66 @@ class TestMembershipAutomaton:
         gens = GeneratorSet.from_matrices([S])
         with pytest.raises(AutomatonError):
             build_membership_automaton(gens, SignedWord(1, ""))
+
+
+class TestWitnessDecodingRejects:
+    """Decoding accepts only whole chains in the shape of the automaton's
+    witnesses; every other edge path raises instead of decoding."""
+
+    def loop_pair(self):
+        # two chains of four edges each: 0-3 spell F_A, 4-7 spell -F_A
+        auto = build_loop_automaton(GeneratorSet.from_matrices([F_A, -F_A]))
+        assert [e[2] for e in auto.edges] == list("srsr" * 2)
+        return auto
+
+    def test_whole_chains_decode(self):
+        assert path_sequence(self.loop_pair(), [4, 5, 6, 7, 0, 1, 2, 3]) == [2, 1]
+
+    def test_path_starting_mid_chain(self):
+        with pytest.raises(WitnessError):
+            path_sequence(self.loop_pair(), [1, 2, 3, 4, 5, 6, 7, 0])
+
+    def test_path_cut_inside_a_chain(self):
+        with pytest.raises(WitnessError):
+            path_sequence(self.loop_pair(), [0, 1, 2, 3, 4, 5])
+
+    def test_first_edge_of_one_chain_then_the_rest_of_another(self):
+        with pytest.raises(WitnessError):
+            path_sequence(self.loop_pair(), [0, 5, 6, 7])
+
+    def test_membership_path_without_the_target_chain(self):
+        gens = GeneratorSet.from_matrices([F_A, F_B])
+        target = decompose(F_A * F_B)
+        auto = build_membership_automaton(gens, target)
+        sat = saturate(auto)
+        path = extract_path(auto, sat, auto.initial, auto.final, 1)
+        assert path_sequence(auto, path) == [1, 2]
+        loops_only = path[:-len(target.word)]
+        assert path_sequence(build_loop_automaton(gens), loops_only) == [1, 2]
+        with pytest.raises(WitnessError):
+            path_sequence(auto, loops_only)
+
+    def test_pattern_path_not_from_entry_to_exit(self):
+        gens = GeneratorSet.from_matrices([S, R])
+        auto = build_pattern_automaton(1, 2, gens)
+        sat = saturate(auto)
+        path = extract_path(auto, sat, auto.initial, auto.final, 1)
+        decode_pattern_witness(auto, path, gens)
+        entry = len(gens.word(1).word)
+        exit_ = len(inv(gens.word(2)).word)
+        for cut in (path[entry:], path[:-exit_]):
+            with pytest.raises(WitnessError):
+                decode_pattern_witness(auto, cut, gens)
+
+    def test_pattern_path_from_the_loops_at_a(self):
+        # with S twice, the path A --s--> A --(-s)--> final would decode to
+        # the equal products [1] and [2], but it skips the entry chain
+        gens = GeneratorSet.from_matrices([S, S])
+        auto = build_pattern_automaton(1, 2, gens)
+        assert auto.edges[1] == (1, 1, "s", 1) and auto.edges[7] == (1, 3, "s", -1)
+        assert decode_pattern_witness(auto, [0, 7], gens) == ([1], [2])
+        with pytest.raises(WitnessError):
+            decode_pattern_witness(auto, [1, 7], gens)
 
 
 class TestRecurrentFixtureAutomaton:

@@ -72,6 +72,19 @@ class TestParse:
         assert p.generators.matrix(1) == m
 
 
+    @pytest.mark.parametrize("entry", ["", "  ", "-", "+", "\u00b2", "-\u00b2", "\u0663"])
+    def test_entry_that_is_no_integer_names_field(self, tmp_path, capsys, entry):
+        path = write(tmp_path, "p.json", {
+            "generators": [{"matrix": [[entry, "0"], ["0", "1"]]}]})
+        with pytest.raises(ProblemError, match=r"generators\[0\].matrix\[0\]\[0\]: not an integer"):
+            parse_problem(path)
+        assert main(["identity", path]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: generators[0].matrix[0][0]: ")
+        assert "Traceback" not in captured.err
+
+
 class TestReports:
     def test_exit_codes(self):
         assert emit_report(Verdict("identity", "YES"), "json")[1] == EXIT_YES
@@ -305,3 +318,31 @@ class TestEncodeCommands:
     def test_encode_bad_set(self, capsys):
         assert main(["encode-essp", "--set", "1,x"]) == EXIT_INPUT
         assert "comma-separated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, field", [
+        ({"transitions": [[0, "a", 0]]}, "dfas[0].transitions"),
+        ({"transitions": {"0": ["a", 0]}}, "dfas[0].transitions"),
+        ({"transitions": {"0": {"a": 5}}}, "dfas[0].transitions"),
+        ({"transitions": {"5": {"a": 0}}}, "dfas[0].transitions"),
+        ({"finals": [5]}, "dfas[0].finals"),
+        ({"finals": 0}, "dfas[0].finals"),
+        ({"states": 0, "transitions": {}, "finals": []}, "dfas[0].states"),
+        ({"transitions": {"0": {"b": 0}}}, "dfas[0].transitions"),
+        ({"alphabet": 5}, "dfas[0].alphabet"),
+        ({"alphabet": "a"}, "dfas[0].alphabet"),
+        ({"alphabet": [["a"]]}, "dfas[0].alphabet"),
+    ], ids=["transitions-array", "transition-row-array", "target-state-out-of-range",
+            "source-state-out-of-range", "final-out-of-range", "finals-not-array",
+            "no-states", "symbol-outside-alphabet", "alphabet-number",
+            "alphabet-string", "alphabet-nested"])
+    def test_malformed_dfa_names_field(self, tmp_path, capsys, change, field):
+        dfa = {"states": 1, "alphabet": ["a"], "transitions": {"0": {"a": 0}},
+               "finals": [0]}
+        dfa.update(change)
+        dfa_path = tmp_path / "dfas.json"
+        dfa_path.write_text(json.dumps([dfa]))
+        assert main(["encode-dfa", "--dfas", str(dfa_path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field}: ")
+        assert "Traceback" not in captured.err

@@ -20,9 +20,8 @@ from sl2z_semigroups.algebra import (
 import pytest
 
 from sl2z_semigroups.automata import (
-    AutomatonError, CancellationAutomaton, ChainTag, _edge_lists,
-    build_loop_automaton, build_pattern_automaton, derivation_grammar,
-    extract_path, saturate,
+    AutomatonError, CancellationAutomaton, build_loop_automaton,
+    build_pattern_automaton, derivation_grammar, extract_path, saturate,
 )
 from sl2z_semigroups.decisions import FactorizationCounter
 from sl2z_semigroups.encodings import (
@@ -48,9 +47,29 @@ def random_automaton(rng, max_edges=10):
     for _ in range(rng.randint(1, max_edges)):
         auto._add_edge(rng.randrange(n), rng.randrange(n),
                        rng.choice(["s", "r", "s", "r", None]),
-                       rng.choice([1, 1, 1, -1]),
-                       ChainTag("loop", 0, 0, 1))
+                       rng.choice([1, 1, 1, -1]))
     return auto
+
+
+def edge_lists(auto):
+    """Per-state s/r edge ids (s_in, s_out, r_in, r_out) and the epsilon
+    edges, rebuilt from the edge list alone."""
+    n = auto.n_states
+    s_in = [[] for _ in range(n)]
+    s_out = [[] for _ in range(n)]
+    r_in = [[] for _ in range(n)]
+    r_out = [[] for _ in range(n)]
+    eps_edges = []
+    for e, (src, dst, label, weight) in enumerate(auto.edges):
+        if label == "s":
+            s_in[dst].append(e)
+            s_out[src].append(e)
+        elif label == "r":
+            r_in[dst].append(e)
+            r_out[src].append(e)
+        else:
+            eps_edges.append(e)
+    return s_in, s_out, r_in, r_out, eps_edges
 
 
 def brute_trivial_relation(auto, max_edges):
@@ -92,10 +111,13 @@ def reference_saturate(auto):
 
     Every rule instance builds its derivation and is deduplicated on
     insertion, and composition joins every gap pair, so this shows the
-    order `saturate` has to keep without its shortcuts.
+    order `saturate` has to keep without its shortcuts.  Its edge index is
+    rebuilt from the edge list, and the automaton's own must equal it.
     """
     edges = auto.edges
-    s_in, s_out, r_in, r_out, eps_edges = _edge_lists(auto)
+    s_in, s_out, r_in, r_out, eps_edges = edge_lists(auto)
+    assert (auto.s_in, auto.s_out, auto.r_in, auto.r_out, auto.eps_edges) == \
+        (s_in, s_out, r_in, r_out, eps_edges)
     parents = {}
     gaps_from = [[(x, 1, None)] for x in range(auto.n_states)]
     gaps_to = [[(x, 1, None)] for x in range(auto.n_states)]
