@@ -8,11 +8,40 @@ both representations in sync: `reduce` / `mul` / `inv` work on signed words,
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class AlgebraError(ValueError):
     """Raised for inputs outside SL(2,Z) or malformed words."""
+
+
+def decimal_str(n: int) -> str:
+    """Decimal string of n, also past the interpreter's limit on the digits
+    of an int-to-str conversion (Python >= 3.11): such a number is split
+    at a power of ten and its halves are converted on their own."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + decimal_str(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits; log10(2) > 0.3
+    high, low = divmod(n, 10 ** k)
+    return decimal_str(high) + decimal_str(low).zfill(k)
+
+
+def decimal_int(text: str) -> int:
+    """Value of a decimal string like `int(text)`, also past the
+    interpreter's limit on the digits of a str-to-int conversion: a string
+    of ASCII digits over it is converted in halves."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text[1:] if text[:1] == "-" else text
+        if len(digits) < 2 or not (digits.isascii() and digits.isdigit()):
+            raise
+    if text[:1] == "-":
+        return -decimal_int(text[1:])
+    k = len(text) // 2
+    return decimal_int(text[:-k]) * 10 ** k + decimal_int(text[-k:])
 
 
 @dataclass(frozen=True)
@@ -59,8 +88,6 @@ S = Mat2(0, -1, 1, 0)
 R = Mat2(0, -1, 1, 1)
 T = Mat2(1, 1, 0, 1)  # shear; equals -(S*R)
 
-_LETTER = {"s": S, "r": R}
-
 
 @dataclass(frozen=True)
 class SignedWord:
@@ -87,9 +114,6 @@ class SignedWord:
 
     def __repr__(self):
         return f"({'+' if self.sign == 1 else '-'}, {self.word or 'e'})"
-
-
-NEG_ONE = SignedWord(-1, "")
 
 
 def reduce(raw: str, sign: int = 1) -> SignedWord:
@@ -135,11 +159,21 @@ def inv(x: SignedWord) -> SignedWord:
 
 
 def evaluate(x: SignedWord) -> Mat2:
-    """sign * (left-to-right product of the letter matrices)."""
-    m = IDENTITY
+    """sign * (left-to-right product of the letter matrices).
+
+    The entries are multiplied through the letters as plain integers
+    (times S maps rows (a, b) to (b, -a), times R to (b, b - a)), and one
+    `Mat2` is built at the end, so the determinant is checked once.
+    """
+    a, b, c, d = 1, 0, 0, 1
     for ch in x.word:
-        m = m * _LETTER[ch]
-    return m if x.sign == 1 else -m
+        if ch == "s":
+            a, b, c, d = b, -a, d, -c
+        else:
+            a, b, c, d = b, b - a, d, d - c
+    if x.sign == 1:
+        return Mat2(a, b, c, d)
+    return Mat2(-a, -b, -c, -d)
 
 
 # T and its inverse as signed words; checked at import time because a sign
@@ -166,14 +200,15 @@ def _t_power(q: int) -> SignedWord:
 
 def _nearest_toward_zero(a: int, c: int) -> int:
     """Nearest integer to a/c, ties rounded toward zero."""
-    f = Fraction(a, c)
-    fl = f.numerator // f.denominator
-    lo, hi = f - fl, fl + 1 - f
-    if lo < hi:
+    if c < 0:
+        a, c = -a, -c
+    fl, rem = divmod(a, c)
+    # a/c - fl = rem/c lies in [0, 1); compare it with 1/2
+    if 2 * rem < c:
         return fl
-    if hi < lo:
+    if 2 * rem > c:
         return fl + 1
-    return fl if f > 0 else fl + 1
+    return fl if a > 0 else fl + 1
 
 
 def decompose(m: Mat2) -> SignedWord:
@@ -185,24 +220,24 @@ def decompose(m: Mat2) -> SignedWord:
     rebuilt from the inverses of the applied operations.
     """
     quotients = []
-    cur = m
-    while cur.c != 0:
-        q = _nearest_toward_zero(cur.a, cur.c)
+    a, b, c, d = m.a, m.b, m.c, m.d
+    while c != 0:
+        q = _nearest_toward_zero(a, c)
         # T^-q then S, applied on the left
-        a1 = cur.a - q * cur.c
-        b1 = cur.b - q * cur.d
-        cur = Mat2(-cur.c, -cur.d, a1, b1)
+        a, b, c, d = -c, -d, a - q * c, b - q * d
         quotients.append(q)
-    # cur == [[e, b], [0, e]] with e = +-1
-    if cur.a == 1:
-        word = _t_power(cur.b)
-    else:
-        word = mul(NEG_ONE, _t_power(-cur.b))
-    # m = (T^q1 S^-1)(T^q2 S^-1)...(remainder); S^-1 = (-, "s")
-    s_inv = SignedWord(-1, "s")
+    # [[a, b], [0, d]] with a = d = +-1, i.e. a * T^(a*b)
+    rest = _t_power(a * b)
+    # m = (T^q1 S^-1)(T^q2 S^-1)...(remainder) with S^-1 = (-, "s"): join
+    # the pieces right to left and reduce once
+    pieces = [rest.word]
+    sign = a * rest.sign
     for q in reversed(quotients):
-        word = mul(s_inv, word)
-        word = mul(_t_power(q), word)
+        tq = _t_power(q)
+        pieces.append("s")
+        pieces.append(tq.word)
+        sign *= -tq.sign
+    word = reduce("".join(reversed(pieces)), sign)
     if evaluate(word) != m:
         raise AlgebraError(f"decomposition self-check failed for {m}")
     return word
@@ -268,6 +303,16 @@ class GeneratorSet:
     def markers(self) -> list:
         return [g.marker for g in self._entries]
 
+    def sequence_word(self, sequence) -> SignedWord:
+        """Reduced signed word of the product of a 1-based index sequence:
+        its generators' words joined and reduced once.  The normal form is
+        unique, so this equals `decompose(self.product(sequence))`."""
+        words = [self._entries[i - 1].word for i in sequence]
+        sign = 1
+        for w in words:
+            sign *= w.sign
+        return reduce("".join(w.word for w in words), sign)
+
     def product(self, sequence) -> Mat2:
         """Product of the 1-based index sequence; rejects the empty sequence."""
         seq = list(sequence)
@@ -283,6 +328,8 @@ class GeneratorSet:
 
 
 def _selfcheck():
+    if evaluate(SignedWord(1, "s")) != S or evaluate(SignedWord(1, "r")) != R:
+        raise AlgebraError("letter matrices in evaluate are wrong")
     if evaluate(T_WORD) != T:
         raise AlgebraError("T word constant is wrong")
     if evaluate(T_INV_WORD) != T.inverse():

@@ -10,7 +10,7 @@ re-joining every derivation of a triple gives the grammar of all its paths.
 """
 
 from collections import deque
-from itertools import islice
+from itertools import chain, islice
 
 from .algebra import GeneratorSet, SignedWord, evaluate, inv, reduce
 from .grammars import Grammar
@@ -193,7 +193,8 @@ class SaturationRelation:
       ("rrr", e1, gap1, e2, gap2, e3)         r (gap1) r (gap2) r
       ("compose", t1, t2)                     transitive composition
     where a gap is a triple, or None for the empty path.  `triples` is its
-    key view.
+    key view, and `gaps_from[q]` lists the triples leaving state q, in
+    derivation order.
 
     `complete` is False when `saturate` stopped at its goal with work left:
     `parents` is then a prefix of the full relation's, holding the goal and
@@ -201,8 +202,9 @@ class SaturationRelation:
     witness needs.  Counting and recurrence read the complete relation.
     """
 
-    def __init__(self):
+    def __init__(self, n_states: int):
         self.parents = {}
+        self.gaps_from = [[] for _ in range(n_states)]
         self.complete = True
 
     @property
@@ -256,10 +258,10 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
     edges = auto.edges
     s_in, s_out, r_in, r_out = auto.s_in, auto.s_out, auto.r_in, auto.r_out
 
-    rel = SaturationRelation()
+    rel = SaturationRelation(n)
     parents = rel.parents
     # the triples leaving / entering each state, in derivation order
-    gaps_from = [[] for _ in range(n)]
+    gaps_from = rel.gaps_from
     gaps_to = [[] for _ in range(n)]
     # succ[sign][x] / pred[sign][x]: far ends of the triples of that sign
     # leaving / entering x, or None before the first one
@@ -392,7 +394,8 @@ def derivation_grammar(auto: CancellationAutomaton, sat: SaturationRelation,
     exactly the nonempty paths q -> p of value sigma * I.  Every body holds
     an edge or two triples, so there are no epsilon or unit productions, and
     every triple of the relation derives a path, so the grammar is proper
-    in the sense of `grammars.find_growth_cycle`.
+    in the sense of `grammars.find_growth_cycle`.  The gaps leaving a state
+    are read from the relation's `gaps_from` lists.
     A root outside the relation gives the empty grammar.  The relation must
     be complete: a goal-stopped one lacks rule instances, so it raises.
     """
@@ -405,9 +408,7 @@ def derivation_grammar(auto: CancellationAutomaton, sat: SaturationRelation,
     if root not in triples:
         return Grammar({root}, terminals, [], root)
     s_in, s_out, r_in, r_out = auto.s_in, auto.s_out, auto.r_in, auto.r_out
-    gaps_from = [[(x, 1, None)] for x in range(auto.n_states)]
-    for t in triples:
-        gaps_from[t[0]].append((t[1], t[2], t))
+    gaps_from = sat.gaps_from
 
     def gaps(x, y, sg):
         """Body pieces of the gaps x -> y of sign sg: the empty path, the triple."""
@@ -431,16 +432,20 @@ def derivation_grammar(auto: CancellationAutomaton, sat: SaturationRelation,
                     bodies.append((e1, *g, e2))
         for e1 in r_out[q]:
             _, x, _, w1 = edges[e1]
-            for (y, sg1, t1) in gaps_from[x]:
-                g1 = () if t1 is None else (t1,)
+            # the empty first gap, then the triples leaving x
+            for t1 in chain((None,), gaps_from[x]):
+                if t1 is None:
+                    y, sg1, g1 = x, 1, ()
+                else:
+                    y, sg1, g1 = t1[1], t1[2], (t1,)
                 for e2 in r_out[y]:
                     _, z, _, w2 = edges[e2]
                     for e3 in r_in[p]:
                         u, _, _, w3 = edges[e3]
                         for g2 in gaps(z, u, -sigma * sg1 * w1 * w2 * w3):
                             bodies.append((e1, *g1, e2, *g2, e3))
-        for (y, sg1, t1) in gaps_from[q][1:]:
-            t2 = (y, p, sigma * sg1)
+        for t1 in gaps_from[q]:
+            t2 = (t1[1], p, sigma * t1[2])
             if t2 in triples:
                 bodies.append((t1, t2))
         for body in bodies:

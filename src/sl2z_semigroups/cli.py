@@ -10,7 +10,10 @@ import json
 import sys
 import traceback
 
-from .algebra import AlgebraError, GeneratorSet, Mat2, SignedWord, evaluate, reduce
+from .algebra import (
+    AlgebraError, GeneratorSet, Mat2, SignedWord, decimal_int, decimal_str, evaluate,
+    reduce,
+)
 from . import decisions
 from . import encodings
 from . import oracle as oracle_mod
@@ -35,7 +38,7 @@ def _parse_int(value, path: str) -> int:
         sign = -1 if text.startswith("-") else 1
         digits = text[1:] if text[:1] in ("+", "-") else text
         if digits.isascii() and digits.isdigit():  # int() rejects "²"
-            return sign * int(digits)
+            return sign * decimal_int(digits)
     raise ProblemError(f"{path}: not an integer: {value!r}")
 
 
@@ -97,7 +100,7 @@ class Problem:
 def _load_json(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=decimal_int)
     except OSError as exc:
         raise ProblemError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -127,7 +130,7 @@ def parse_problem(path: str) -> Problem:
 
 
 def matrix_json(m: Mat2) -> list:
-    return [[str(m.a), str(m.b)], [str(m.c), str(m.d)]]
+    return [[decimal_str(m.a), decimal_str(m.b)], [decimal_str(m.c), decimal_str(m.d)]]
 
 
 def problem_json(gens: GeneratorSet, target: Mat2 = None, parameters: dict = None) -> dict:
@@ -338,10 +341,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    # argparse parsers keep no state between parse_args calls, so one is
+    # built per process, on the first call
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error, which would read as UNKNOWN_UP_TO
         if exc.code == 0:

@@ -10,7 +10,7 @@ exact arithmetic before being returned.
 
 from dataclasses import dataclass
 
-from .algebra import GeneratorSet, Mat2, decompose
+from .algebra import GeneratorSet, Mat2, SignedWord, decimal_str, decompose
 from . import automata as am
 from . import grammars as gr
 from . import oracle as oracle_mod
@@ -95,15 +95,17 @@ def identity_in_semigroup(gens: GeneratorSet) -> Verdict:
     return Verdict("identity", YES, _sequences_witness(seq))
 
 
-def _target_automaton(gens: GeneratorSet, m: Mat2) -> tuple:
+def _target_automaton(gens: GeneratorSet, m: Mat2, target: SignedWord = None) -> tuple:
     """(automaton, sigma): the sigma-signed trivial paths initial -> final
     spell the factorizations of m.
 
     For m != +-I a chain spelling inv(m) is appended to the loop automaton
     and sigma is +1; the +-I cases are (hub, hub, sign) on the loop
-    automaton itself.
+    automaton itself.  `target` is m's reduced word when the caller has
+    it, else `decompose(m)`.
     """
-    target = decompose(m)
+    if target is None:
+        target = decompose(m)
     if target.word:
         return am.build_membership_automaton(gens, target), 1
     return am.build_loop_automaton(gens), target.sign
@@ -168,9 +170,9 @@ class FactorizationCounter:
     def __init__(self, gens: GeneratorSet):
         self.gens = gens
 
-    def _paths(self, m: Mat2):
+    def _paths(self, m: Mat2, target: SignedWord = None):
         """(automaton, saturation, root triple, derivation grammar) of m."""
-        auto, sigma = _target_automaton(self.gens, m)
+        auto, sigma = _target_automaton(self.gens, m, target)
         sat = am.saturate(auto)
         root = (auto.initial, auto.final, sigma)
         return auto, sat, root, am.derivation_grammar(auto, sat, root)
@@ -197,8 +199,9 @@ class FactorizationCounter:
         _check_product(self.gens, seq, m, "membership")
         return cnt, [seq]
 
-    def recurrence_certificate(self, m: Mat2):
-        """(growth cycle, pumped factorizations) of m, or None.
+    def recurrence_certificate(self, m: Mat2, target: SignedWord = None):
+        """(growth cycle, pumped factorizations) of m, or None; `target` is
+        m's reduced word when the caller has it.
 
         The derivation grammar's growth cycle runs through a triple A; the
         cycle is reported as its triples [A, ..., A].  Filling the other
@@ -208,7 +211,7 @@ class FactorizationCounter:
         realizes the root triple.  The factorizations decoded for n = 1, 2,
         3 are each re-multiplied to m and must be pairwise distinct.
         """
-        auto, sat, root, grammar = self._paths(m)
+        auto, sat, root, grammar = self._paths(m, target)
         growth = gr.find_growth_cycle(grammar)
         if growth is None:
             return None
@@ -283,13 +286,15 @@ def finite_freeness(gens: GeneratorSet, depth: int = 4) -> Verdict:
     counter = FactorizationCounter(gens)
     table = oracle_mod.enumerate_products(gens, depth)
     for m in table.matrices():
-        certificate = counter.recurrence_certificate(m)
+        sequence = table.first_sequence(m)
+        certificate = counter.recurrence_certificate(m, gens.sequence_word(sequence))
         if certificate is None:
             continue
         witness = {
             "kind": "recurrent_matrix",
-            "matrix": [[str(m.a), str(m.b)], [str(m.c), str(m.d)]],
-            "sequence": table.first_sequence(m),
+            "matrix": [[decimal_str(m.a), decimal_str(m.b)],
+                       [decimal_str(m.c), decimal_str(m.d)]],
+            "sequence": sequence,
             "sequences": certificate[1],
         }
         pumping = table.pumping(m)

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from sl2z_semigroups.algebra import (
     IDENTITY, R, S, T, AlgebraError, GeneratorSet, Mat2, SignedWord,
-    decompose, evaluate, inv, mul, reduce,
+    decimal_int, decimal_str, decompose, evaluate, inv, mul, reduce,
 )
 
 sr_words = st.text(alphabet="sr", max_size=20)
@@ -148,6 +148,13 @@ class TestEvaluate:
         assert evaluate(SignedWord(-1, "sr")) == T
         assert evaluate(SignedWord(-1, "rrs")) == T.inverse()
 
+    @given(st.text(alphabet="sr", max_size=40), signs)
+    def test_matches_product_of_letter_matrices(self, word, sign):
+        m = IDENTITY
+        for ch in word:
+            m = m * {"s": S, "r": R}[ch]
+        assert evaluate(SignedWord(sign, word)) == (m if sign == 1 else -m)
+
 
 class TestDecompose:
     def test_generator_round_trip(self):
@@ -207,6 +214,20 @@ class TestQuotientRounding:
         q = _nearest_toward_zero(a, c)
         assert abs(Fraction(a, c) - q) <= Fraction(1, 2)
 
+    @given(st.integers(-50, 50), st.integers(-12, 12))
+    def test_ties_round_toward_zero(self, a, c):
+        from fractions import Fraction
+        from sl2z_semigroups.algebra import _nearest_toward_zero
+        if c == 0:
+            return
+        f = Fraction(a, c)
+        below = f.numerator // f.denominator
+        if f - below == Fraction(1, 2):
+            expected = below if f > 0 else below + 1
+        else:
+            expected = round(f)
+        assert _nearest_toward_zero(a, c) == expected
+
 
 class TestGeneratorSet:
     def test_from_matrices_round_trip(self):
@@ -229,3 +250,38 @@ class TestGeneratorSet:
         g = GeneratorSet.from_matrices([S])
         with pytest.raises(AlgebraError):
             g.product([])
+
+    def test_sequence_word_is_the_normal_form_of_the_product(self):
+        g = GeneratorSet.from_matrices([S, R, T])
+        for seq in ([1], [1, 1], [2, 2, 2], [3, 1, 2, 3], [1, 3, 3, 2, 1]):
+            assert g.sequence_word(seq) == decompose(g.product(seq))
+
+
+class TestDecimalStrings:
+    """Entries past the interpreter's limit on int/str conversion digits
+    (Python >= 3.11) convert without changing that limit."""
+
+    def big_values(self):
+        return [10 ** 4300, 7 ** 9000 + 1, -(3 ** 12000), 10 ** 9001 - 1]
+
+    def test_round_trip_past_the_limit(self):
+        import sys
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        for n in self.big_values():
+            text = decimal_str(n)
+            assert text.lstrip("-").isdigit() and len(text) > 4300
+            assert decimal_int(text) == n
+            assert decimal_int(text) == sum(
+                int(ch) * 10 ** k for k, ch in enumerate(reversed(text.lstrip("-")))
+            ) * (-1 if n < 0 else 1)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_short_values_are_str_and_int(self):
+        for n in (0, 1, -1, 10 ** 30, -(2 ** 200)):
+            assert decimal_str(n) == str(n)
+            assert decimal_int(str(n)) == n
+
+    @pytest.mark.parametrize("text", ["", "-", "--5", "1" * 5000 + "x", "+" + "1" * 5000])
+    def test_rejects_what_int_rejects(self, text):
+        with pytest.raises(ValueError):
+            decimal_int(text)

@@ -12,6 +12,7 @@ from sl2z_semigroups.cli import (
     EXIT_INPUT, EXIT_INTERNAL, EXIT_NO, EXIT_UNKNOWN, EXIT_YES, ProblemError,
     emit_problem, emit_report, main, parse_problem, problem_json,
 )
+from sl2z_semigroups.algebra import GeneratorSet
 from sl2z_semigroups.decisions import Count, Verdict
 
 
@@ -83,6 +84,125 @@ class TestParse:
         assert captured.out == ""
         assert captured.err.startswith("error: generators[0].matrix[0][0]: ")
         assert "Traceback" not in captured.err
+
+
+def fibonacci_power(k):
+    """[[2, 1], [1, 1]]^k; its entries have about 0.418 k digits."""
+    from sl2z_semigroups.algebra import IDENTITY, Mat2
+    result, base = IDENTITY, Mat2(2, 1, 1, 1)
+    while k:
+        if k & 1:
+            result = result * base
+        base, k = base * base, k >> 1
+    return result
+
+
+def int_digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+class TestEntriesPastTheDigitLimit:
+    """Python >= 3.11 refuses int/str conversions of more than 4,300 digits
+    by default; the program converts such entries without changing that
+    limit."""
+
+    def test_identity_on_a_4425_digit_target(self, tmp_path, capsys):
+        m = fibonacci_power(10587)
+        limit = int_digit_limit()
+        doc = problem_json(GeneratorSet.from_matrices([fibonacci_power(1)]), target=m)
+        assert len(doc["target"]["matrix"][0][0]) == 4425
+        path = tmp_path / "big.json"
+        path.write_text(emit_problem(doc))
+        assert main(["identity", str(path)]) in (EXIT_YES, EXIT_NO)
+        assert "Traceback" not in capsys.readouterr().err
+        assert int_digit_limit() == limit
+
+    def test_problem_round_trip(self, tmp_path):
+        m = fibonacci_power(10587)
+        text = emit_problem(problem_json(GeneratorSet.from_matrices([m])))
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        parsed = parse_problem(str(path))
+        assert parsed.generators.matrix(1) == m
+        assert emit_problem(problem_json(parsed.generators)) == text
+
+    def test_json_number_entry(self, tmp_path):
+        m = fibonacci_power(10587)
+        rows = problem_json(GeneratorSet.from_matrices([m]))["generators"][0]["matrix"]
+        path = tmp_path / "big.json"
+        path.write_text('{"generators": [{"matrix": [[%s, %s], [%s, %s]]}]}'
+                        % tuple(x for row in rows for x in row))
+        assert parse_problem(str(path)).generators.matrix(1) == m
+
+
+class TestCachedParser:
+    """`main` builds its parser once per process and reuses it."""
+
+    def count_problem(self, tmp_path):
+        # a, b, ab, ba over a free pair: aba has the three factorizations
+        # [a, b, a], [ab, a], [a, ba]
+        from sl2z_semigroups.algebra import Mat2
+        a, b = Mat2(1, 2, 0, 1), Mat2(1, 0, 2, 1)
+        gens = GeneratorSet.from_matrices([a, b, a * b, b * a])
+        path = tmp_path / "count.json"
+        path.write_text(emit_problem(problem_json(gens, target=a * b * a)))
+        return str(path)
+
+    def test_one_parser_per_process(self, tmp_path, capsys, monkeypatch):
+        from sl2z_semigroups import cli
+        built = []
+
+        def build_parser():
+            built.append(1)
+            return original()
+        original = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        path = write(tmp_path, "p.json", {"generators": [{"matrix": S_MATRIX}]})
+        for _ in range(3):
+            assert main(["identity", path]) == EXIT_YES
+        assert built == [1]
+
+    def test_flag_does_not_stick(self, tmp_path, capsys):
+        path = self.count_problem(tmp_path)
+        assert main(["count", path, "--cap", "2"]) == EXIT_YES
+        assert json.loads(capsys.readouterr().out)["count"] == {"more_than": 2}
+        assert main(["count", path]) == EXIT_YES
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["count"] == 3
+        assert doc["witness"]["sequences"] == [[1, 4], [3, 1], [1, 2, 1]]
+
+    def test_usage_error_after_a_call(self, tmp_path, capsys):
+        path = write(tmp_path, "p.json", {"generators": [{"matrix": S_MATRIX}]})
+        assert main(["identity", path]) == EXIT_YES
+        capsys.readouterr()
+        assert main(["identity"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage: sl2z" in captured.err
+        assert main(["identity", path]) == EXIT_YES
+
+    def test_help_before_and_after_calls(self, tmp_path, capsys, monkeypatch):
+        from sl2z_semigroups import cli
+        monkeypatch.setattr(cli, "_parser", None)
+        path = write(tmp_path, "p.json", {"generators": [{"matrix": S_MATRIX}]})
+        helps = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+            assert main(["identity", path]) == EXIT_YES
+            assert main(["check-finite-free", path, "--depth", "x"]) == EXIT_INPUT
+            capsys.readouterr()
+        assert "usage: sl2z" in helps[0] and helps[0] == helps[1]
+
+    def test_identical_calls_print_identical_output(self, tmp_path, capsys):
+        path = self.count_problem(tmp_path)
+        outputs = []
+        for _ in range(2):
+            assert main(["check-finite-free", path, "--depth", "2"]) == EXIT_UNKNOWN
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0]
 
 
 class TestReports:

@@ -163,9 +163,17 @@ def reference_saturate(auto):
     return parents
 
 
+def assert_gaps_from_in_order(sat, n_states):
+    """`derivation_grammar` reads the gaps leaving each state from here."""
+    assert len(sat.gaps_from) == n_states
+    for x in range(n_states):
+        assert sat.gaps_from[x] == [t for t in sat.parents if t[0] == x]
+
+
 def assert_same_derivations(auto):
     sat = saturate(auto)
     assert list(sat.parents.items()) == list(reference_saturate(auto).items())
+    assert_gaps_from_in_order(sat, auto.n_states)
 
 
 def test_saturation_derivations_match_reference_on_random_automata():
@@ -194,6 +202,7 @@ def goal_stopped_lengths(auto, goals):
         sat = saturate(auto, goal)
         got = list(sat.parents.items())
         assert got == items[:len(got)]
+        assert_gaps_from_in_order(sat, auto.n_states)
         if goal in full.triples:
             assert goal in sat.triples
         else:
@@ -391,3 +400,39 @@ def test_counter_matches_bar_hillel_referee():
             if kind == "exact":
                 assert seqs == sequences
             assert (counter.recurrence_certificate(m) is not None) == recurrent
+
+
+def test_sequence_words_are_normal_forms_of_products():
+    """`finite_freeness` takes a candidate's target word from its first
+    sequence's generator words instead of decomposing the matrix."""
+    rng = random.Random(31337)
+    checked = 0
+    for _ in range(40):
+        gens = GeneratorSet.from_words([
+            SignedWord(rng.choice((1, -1)),
+                       "".join(rng.choice("sr") for _ in range(rng.randint(0, 6))))
+            for _ in range(rng.randint(1, 3))])
+        table = enumerate_products(gens, 3)
+        for m in table.matrices():
+            seq = table.first_sequence(m)
+            words = [gens.word(i) for i in seq]
+            sign = 1
+            for w in words:
+                sign *= w.sign
+            word = reduce("".join(w.word for w in words), sign)
+            assert word == decompose(m)
+            assert gens.sequence_word(seq) == word
+            checked += 1
+    assert checked > 200
+
+
+def test_recurrence_certificate_with_the_sequence_word():
+    for gens, targets in referee_cases():
+        counter = FactorizationCounter(gens)
+        table = enumerate_products(gens, 3)
+        for m in targets:
+            seq = table.first_sequence(m)
+            if seq is None:
+                continue
+            assert counter.recurrence_certificate(m, gens.sequence_word(seq)) == \
+                counter.recurrence_certificate(m)
