@@ -39,9 +39,10 @@ class CancellationAutomaton:
     """Finite automaton over {s,r} with sign-weighted base epsilon edges.
 
     States are ints, edges are ids into `edges`, and a chain's edges have
-    consecutive ids.  `s_in`/`s_out`/`r_in`/`r_out` list per state the s/r
-    edges entering / leaving it, in id order, as `eps_edges` lists the base
-    epsilon edges.  Immutable once built (builders below do all mutation).
+    consecutive ids.  `s_in`/`s_out`/`r_in`/`r_out` hold per state a tuple
+    of the s/r edges entering / leaving it, in id order, as `eps_edges`
+    lists the base epsilon edges.  Immutable once built (builders below do
+    all mutation).
     """
 
     def __init__(self, kind: str):
@@ -57,21 +58,23 @@ class CancellationAutomaton:
     # -- construction helpers -------------------------------------------------
 
     def _new_state(self) -> int:
+        # per-state edge lists are tuples without spare room, and the states
+        # of a chain have one edge in and one out, so most share the empty one
         s = self.n_states
         self.n_states += 1
         for lists in (self.s_in, self.s_out, self.r_in, self.r_out):
-            lists.append([])
+            lists.append(())
         return s
 
     def _add_edge(self, src, dst, label, weight) -> int:
         e = len(self.edges)
         self.edges.append((src, dst, label, weight))
         if label == "s":
-            self.s_in[dst].append(e)
-            self.s_out[src].append(e)
+            self.s_in[dst] += (e,)
+            self.s_out[src] += (e,)
         elif label == "r":
-            self.r_in[dst].append(e)
-            self.r_out[src].append(e)
+            self.r_in[dst] += (e,)
+            self.r_out[src] += (e,)
         else:
             self.eps_edges.append(e)
         return e
@@ -163,6 +166,65 @@ def build_pattern_automaton(i: int, j: int, gens: GeneratorSet) -> CancellationA
     auto._add_chain(a, final, exit_word, EXIT_INV, j)
     auto._add_chain(b, final, exit_word, EXIT_INV, j)
     return auto
+
+
+def build_freeness_automaton(gens: GeneratorSet) -> tuple:
+    """One automaton for every pattern pair: (automaton, [((i, j), goal)]).
+
+    A carries the loops w_g, an epsilon edge of weight +1 joins A to B, and
+    B carries the loops inv(w_g).  The loops at A share their suffixes and
+    each starts with an edge of its own, carrying its sign; the loops at B
+    share their prefixes and each ends with an edge of its own, carrying its
+    sign.  A state initial_i has a copy of the first edge of A's loop i, and
+    a state final_j a copy of the last edge of B's loop j.  Shared suffix
+    states lead to A one way only, and shared prefix states are reached from
+    B one way only, so the paths initial_i -> final_j spell exactly the
+    words of `build_pattern_automaton(i, j)`, and its goal triple
+    (initial_i, final_j, +1) answers that pair.  The pairs i < j come in
+    lexicographic order.  The loops are not chains of their own, so the
+    automaton records none and its paths are not decoded: a witness comes
+    from the pair's own pattern automaton.
+    """
+    auto = CancellationAutomaton("freeness")
+    a = auto._new_state()
+    b = auto._new_state()
+    n = len(gens)
+    firsts = []
+    into = {}   # (state, letter) -> the state whose edge of that letter enters it
+    for g in range(1, n + 1):
+        w = gens.word(g)
+        node = a
+        for ch in reversed(w.word[1:]):
+            if (node, ch) not in into:
+                into[node, ch] = auto._new_state()
+                auto._add_edge(into[node, ch], node, ch, 1)
+            node = into[node, ch]
+        firsts.append(auto._add_edge(a, node, w.word[:1] or None, w.sign))
+    auto._add_edge(a, b, None, 1)
+    lasts = []
+    out = {}    # (state, letter) -> the state its edge of that letter enters
+    for g in range(1, n + 1):
+        w = inv(gens.word(g))
+        node = b
+        for ch in w.word[:-1]:
+            if (node, ch) not in out:
+                out[node, ch] = auto._new_state()
+                auto._add_edge(node, out[node, ch], ch, 1)
+            node = out[node, ch]
+        lasts.append(auto._add_edge(node, b, w.word[-1:] or None, w.sign))
+    initials = []
+    for e in firsts:
+        _, dst, label, weight = auto.edges[e]
+        initials.append(auto._new_state())
+        auto._add_edge(initials[-1], dst, label, weight)
+    finals = []
+    for e in lasts:
+        src, _, label, weight = auto.edges[e]
+        finals.append(auto._new_state())
+        auto._add_edge(src, finals[-1], label, weight)
+    goals = [((i, j), (initials[i - 1], finals[j - 1], 1))
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return auto, goals
 
 
 def build_membership_automaton(gens: GeneratorSet, target_word: SignedWord) -> CancellationAutomaton:

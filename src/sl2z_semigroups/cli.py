@@ -8,7 +8,6 @@ entries travel as decimal strings because JSON numbers are lossy past 2^53.
 import argparse
 import json
 import sys
-import traceback
 
 from .algebra import (
     AlgebraError, GeneratorSet, Mat2, SignedWord, decimal_int, decimal_str, evaluate,
@@ -371,6 +370,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:
+        # imported here, so that a process that never fails does not hold it
+        import traceback
         traceback.print_exc()
         print("internal error: no verdict", file=sys.stderr)
         return EXIT_INTERNAL

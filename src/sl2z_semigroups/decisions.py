@@ -1,11 +1,12 @@
 """Decision procedures over generator sets, with machine-checkable verdicts.
 
 Every procedure saturates cancellation automata.  Identity, membership and
-freeness look up one triple, and their saturation stops once it is derived;
-factorization counting and recurrence read the complete relation's
-derivation grammar, whose words are the automaton paths of the
-factorizations.  Every YES carries a witness that is re-multiplied with
-exact arithmetic before being returned.
+each freeness witness look up one triple, and their saturation stops once
+it is derived; one complete saturation of the freeness automaton decides
+every pair of generators at once; factorization counting and recurrence
+read the complete relation's derivation grammar, whose words are the
+automaton paths of the factorizations.  Every YES carries a witness that
+is re-multiplied with exact arithmetic before being returned.
 """
 
 from dataclasses import dataclass
@@ -121,14 +122,42 @@ def membership(gens: GeneratorSet, m: Mat2) -> Verdict:
     return Verdict("membership", YES, _sequences_witness(seq))
 
 
+def _pattern_witness(gens: GeneratorSet, i: int, j: int):
+    """(alpha, beta) from pattern automaton (i, j), two distinct sequences
+    starting with i and j with equal products, or None.  Saturation stops
+    once the goal triple is derived."""
+    auto = am.build_pattern_automaton(i, j, gens)
+    goal = (auto.initial, auto.final, 1)
+    sat = am.saturate(auto, goal)
+    if goal not in sat.triples:
+        return None
+    return am.decode_pattern_witness(auto, am.extract_path(auto, sat, *goal), gens)
+
+
+def _colliding_pair(gens: GeneratorSet):
+    """The least pair i < j, in lexicographic order, such that some product
+    starting with generator i equals one starting with j; or None.
+
+    One complete saturation of the freeness automaton decides every pair.
+    """
+    auto, goals = am.build_freeness_automaton(gens)
+    if not goals:
+        return None
+    triples = am.saturate(auto).triples
+    return next((pair for pair, goal in goals if goal in triples), None)
+
+
 def is_free(gens: GeneratorSet) -> Verdict:
     """Does every semigroup element factor uniquely over the generators?
 
     Exact.  Two distinct equal-product sequences either strip (dropping the
     common prefix) to a nonempty product equal to I, or to sequences
     starting with different generators i != j, which is precisely a positive
-    trivial path through the pattern automaton M_i G* (G^-1)* M_j^-1.  Pairs
-    are scanned in lexicographic order; the first witness found is reported.
+    trivial path through the pattern automaton M_i G* (G^-1)* M_j^-1.  Pair
+    (1, 2) is tried first on its own pattern automaton, stopped at its goal.
+    With more generators, one saturation of the shared freeness automaton
+    then gives the least colliding pair in lexicographic order, and that
+    pair's witness comes from its own pattern automaton, stopped at its goal.
     """
     seq = _trivial_path_witness(gens, am.build_loop_automaton(gens), 1, _ID,
                                 "identity")
@@ -138,17 +167,17 @@ def is_free(gens: GeneratorSet) -> Verdict:
         _check_product(gens, beta, gens.matrix(1), "freeness")
         return Verdict("freeness", NO, _sequences_witness(alpha, beta))
     n = len(gens)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            auto = am.build_pattern_automaton(i, j, gens)
-            goal = (auto.initial, auto.final, 1)
-            sat = am.saturate(auto, goal)
-            if goal not in sat.triples:
-                continue
-            path = am.extract_path(auto, sat, *goal)
-            alpha, beta = am.decode_pattern_witness(auto, path, gens)
-            return Verdict("freeness", NO, _sequences_witness(alpha, beta))
-    return Verdict("freeness", YES)
+    witness = _pattern_witness(gens, 1, 2) if n > 1 else None
+    if witness is None and n > 2:
+        pair = _colliding_pair(gens)
+        if pair is not None:
+            witness = _pattern_witness(gens, *pair)
+            if witness is None:
+                raise DecisionError(f"pair {pair} collides in the freeness "
+                                    "automaton but not in its pattern automaton")
+    if witness is None:
+        return Verdict("freeness", YES)
+    return Verdict("freeness", NO, _sequences_witness(*witness))
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +300,13 @@ def finite_freeness(gens: GeneratorSet, depth: int = 4) -> Verdict:
     of its own: if -I is a nonempty product P then P * P = I.  A trivial
     cycle at any other state would say no more: a cycle at a mid-chain
     state q of chain c forces M_c * X = +-I for the block X of full chains
-    it traverses.  Branch (b), exact per candidate: a recurrent product of
-    <= depth generators (a recurrent matrix can exist without I, so
-    branch (a) alone is not a complete criterion).  With neither, the
-    honest answer is UNKNOWN_UP_TO(depth).
+    it traverses.  Without I, a set in which no pair of generators collides
+    is free (see `is_free`): every element factors uniquely, so none is
+    recurrent and no candidate is looked at.  Otherwise branch (b),
+    `recurrent_product_sweep`, exact per candidate: a recurrent product of
+    <= depth generators (a recurrent matrix can exist without I, so branch
+    (a) alone is not a complete criterion).  With neither, the honest
+    answer is UNKNOWN_UP_TO(depth).
     """
     if depth < 1:
         raise DecisionError("depth must be >= 1")
@@ -282,7 +314,20 @@ def finite_freeness(gens: GeneratorSet, depth: int = 4) -> Verdict:
                                 "finite freeness")
     if seq is not None:
         return Verdict("finite_freeness", NO, _sequences_witness(seq))
+    if _colliding_pair(gens) is None:
+        return Verdict("finite_freeness", UNKNOWN, depth_bound=depth)
+    return recurrent_product_sweep(gens, depth)
 
+
+def recurrent_product_sweep(gens: GeneratorSet, depth: int) -> Verdict:
+    """Branch (b) of `finite_freeness` on its own: NO with the first
+    recurrent product of <= depth generators, in the oracle table's order,
+    else UNKNOWN_UP_TO(depth).
+
+    Every product is a candidate, so the oracle's sequence budget applies
+    (`oracle.OracleBudgetError`).  A candidate's target word is the reduced
+    join of the generator words of its first sequence.
+    """
     counter = FactorizationCounter(gens)
     table = oracle_mod.enumerate_products(gens, depth)
     for m in table.matrices():

@@ -264,6 +264,22 @@ class TestCommands:
         assert code == EXIT_UNKNOWN
         assert doc["depth_bound"] == 2
 
+    def test_free_set_past_the_oracle_budget(self, tmp_path, capsys):
+        # a free set has no recurrent element, so no product is enumerated
+        path = write(tmp_path, "p.json", {
+            "generators": [{"word": {"sign": 1, "sr": "srsr"}},
+                           {"word": {"sign": 1, "sr": "srrsrr"}}]})
+        assert main(["check-finite-free", path, "--depth", "25"]) == EXIT_UNKNOWN
+        assert json.loads(capsys.readouterr().out)["depth_bound"] == 25
+
+    def test_non_free_set_past_the_oracle_budget_exits_3(self, tmp_path, capsys):
+        # the same generator twice: not free, and no product is the identity
+        path = write(tmp_path, "p.json", {
+            "generators": [{"word": {"sign": 1, "sr": "srsr"}}] * 2})
+        assert main(["check-finite-free", path, "--depth", "25"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds budget" in captured.err
+
     def test_count_command(self, tmp_path, capsys):
         path = write(tmp_path, "p.json", {
             "generators": [{"word": {"sign": 1, "sr": "srsr"}}],

@@ -8,9 +8,10 @@ from sl2z_semigroups.algebra import (
     IDENTITY, R, S, GeneratorSet, Mat2, SignedWord, evaluate,
 )
 from sl2z_semigroups import oracle
+from sl2z_semigroups import decisions
 from sl2z_semigroups.decisions import (
-    NO, UNKNOWN, YES, DecisionError, count_factorizations, finite_freeness,
-    identity_in_semigroup, is_free, is_recurrent, membership,
+    NO, UNKNOWN, YES, DecisionError, Verdict, count_factorizations, finite_freeness,
+    identity_in_semigroup, is_free, is_recurrent, membership, recurrent_product_sweep,
 )
 from sl2z_semigroups.encodings import (
     encode_equal_subset_sum, encode_subset_sum,
@@ -244,6 +245,66 @@ class TestFiniteFreeness:
         v = finite_freeness(GeneratorSet.from_matrices([F_A, F_B]), 3)
         assert v.answer == UNKNOWN
         assert v.depth_bound == 3
+
+    def test_recurrent_fixture_witness(self):
+        fx = recurrent_without_identity_fixture()
+        for depth in (2, 3):
+            v = finite_freeness(fx.generators, depth)
+            assert v.witness == {
+                "kind": "recurrent_matrix",
+                "matrix": [["-239", "1056"], ["-98", "433"]],
+                "sequence": [2],
+                "sequences": [[1, 1, 2, 3, 3], [1, 1, 1, 2, 3, 3, 3],
+                              [1, 1, 1, 1, 2, 3, 3, 3, 3]],
+                "pumping": {"alpha": [1], "sigma": [2], "gamma": [3]},
+            }
+
+    @pytest.mark.parametrize("gens, depth", [
+        (GeneratorSet.from_matrices([F_A * F_A, F_A * F_B]), 3),
+        (GeneratorSet.from_matrices([F_B * F_A, F_A * F_A]), 2),
+        (encode_equal_subset_sum([1, 2, 4]).generators, 2),
+        (GeneratorSet.from_matrices([F_A]), 6),
+    ])
+    def test_free_sets_look_at_no_candidate(self, monkeypatch, gens, depth):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a free set needs no candidate")
+        monkeypatch.setattr(decisions.FactorizationCounter, "recurrence_certificate", refuse)
+        monkeypatch.setattr(oracle, "enumerate_products", refuse)
+        assert is_free(gens).answer == YES
+        assert finite_freeness(gens, depth) == Verdict("finite_freeness", UNKNOWN,
+                                                       depth_bound=depth)
+
+    def test_random_sets_agree_with_the_candidate_loop(self):
+        # random sets, and sets {X A X^-1, X A^-1 Y^-1, Y A^-1 Y^-1} over the
+        # free pair, in which X Y^-1 = w1^n w2 w3^(n-1) for every n >= 1;
+        # the reference runs branch (b) on every set, free or not
+        rng = random.Random(8128)
+
+        def free_pair_product():
+            m = IDENTITY
+            for _ in range(rng.randint(1, 2)):
+                m = m * rng.choice((Mat2(1, 2, 0, 1), Mat2(1, 0, 2, 1)))
+            return m
+
+        answers = set()
+        for k in range(80):
+            if k % 2:
+                gens = random_generators(rng)
+            else:
+                x, y, a = free_pair_product(), free_pair_product(), free_pair_product()
+                gens = GeneratorSet.from_matrices([
+                    x * a * x.inverse(), x * a.inverse() * y.inverse(),
+                    y * a.inverse() * y.inverse()])
+            ident = identity_in_semigroup(gens)
+            if ident.answer == YES:
+                reference = Verdict("finite_freeness", NO, ident.witness)
+            else:
+                reference = recurrent_product_sweep(gens, 3)
+            assert finite_freeness(gens, 3) == reference
+            answers.add((reference.answer, (reference.witness or {}).get("kind"),
+                         is_free(gens).answer))
+        assert answers == {(NO, "sequences", NO), (NO, "recurrent_matrix", NO),
+                           (UNKNOWN, None, NO), (UNKNOWN, None, YES)}
 
 
 class TestPinnedWitnesses:

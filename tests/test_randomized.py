@@ -3,7 +3,8 @@
 Saturation and its derivation grammar run against bounded path enumeration
 on arbitrary random automata (not just the fixture shapes), the
 derivations saturation records, in order, against its plain rule loop, and
-a run stopped at a goal triple against a prefix of the full run.
+a run stopped at a goal triple against a prefix of the full run.  The
+shared freeness automaton runs against one pattern automaton per pair.
 Growth-cycle search and enumeration on the proper form of random grammars
 run against an independent implementation of the classic elimination route
 and against bounded enumeration of the raw grammar, and factorization
@@ -20,12 +21,13 @@ from sl2z_semigroups.algebra import (
 import pytest
 
 from sl2z_semigroups.automata import (
-    AutomatonError, CancellationAutomaton, build_loop_automaton,
-    build_pattern_automaton, derivation_grammar, extract_path, saturate,
+    AutomatonError, CancellationAutomaton, build_freeness_automaton,
+    build_loop_automaton, build_pattern_automaton, derivation_grammar,
+    extract_path, saturate,
 )
-from sl2z_semigroups.decisions import FactorizationCounter
+from sl2z_semigroups.decisions import NO, YES, FactorizationCounter, is_free
 from sl2z_semigroups.encodings import (
-    encode_subset_sum, recurrent_without_identity_fixture,
+    encode_equal_subset_sum, encode_subset_sum, recurrent_without_identity_fixture,
 )
 from sl2z_semigroups.grammars import (
     Grammar, build_marked_semigroup_dfa, build_target_grammar, enumerate_words,
@@ -116,8 +118,10 @@ def reference_saturate(auto):
     """
     edges = auto.edges
     s_in, s_out, r_in, r_out, eps_edges = edge_lists(auto)
-    assert (auto.s_in, auto.s_out, auto.r_in, auto.r_out, auto.eps_edges) == \
-        (s_in, s_out, r_in, r_out, eps_edges)
+    # the automaton keeps each state's edges in a tuple
+    assert [[list(es) for es in lists]
+            for lists in (auto.s_in, auto.s_out, auto.r_in, auto.r_out)] + [auto.eps_edges] == \
+        [s_in, s_out, r_in, r_out, eps_edges]
     parents = {}
     gaps_from = [[(x, 1, None)] for x in range(auto.n_states)]
     gaps_to = [[(x, 1, None)] for x in range(auto.n_states)]
@@ -254,6 +258,77 @@ def test_derivation_grammar_refuses_a_goal_stopped_relation():
     full = saturate(auto)
     assert len(sat) < len(full)
     assert derivation_grammar(auto, full, goal).productions
+
+
+def pattern_collisions(gens):
+    """The pairs i < j whose own pattern automaton has its goal triple."""
+    n = len(gens)
+    found = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            auto = build_pattern_automaton(i, j, gens)
+            goal = (auto.initial, auto.final, 1)
+            if goal in saturate(auto, goal).triples:
+                found.append((i, j))
+    return found
+
+
+def random_reduced_word(rng, length):
+    """A reduced word of the given length, letter by letter."""
+    w = ""
+    while len(w) < length:
+        ch = rng.choice("sr")
+        if not (w + ch).endswith(("ss", "rrr")):
+            w += ch
+    return w
+
+
+def test_freeness_automaton_matches_pattern_automata():
+    rng = random.Random(1729)
+    seen = {"one generator": 0, "+-I": 0, "one letter": 0, "duplicate": 0,
+            "colliding pair": 0, "free pair": 0}
+    for _ in range(320):
+        words = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(("+-I", "one letter", "duplicate") + ("word",) * 9)
+            if kind == "duplicate" and words:
+                words.append(rng.choice(words))
+            elif kind == "+-I":
+                words.append(SignedWord(rng.choice((1, -1)), ""))
+            elif kind == "one letter":
+                words.append(SignedWord(rng.choice((1, -1)), rng.choice("sr")))
+            else:
+                words.append(SignedWord(rng.choice((1, -1)),
+                                        random_reduced_word(rng, rng.randint(2, 5))))
+        gens = GeneratorSet.from_words(words)
+        n = len(gens)
+        auto, goals = build_freeness_automaton(gens)
+        assert [pair for pair, _ in goals] == \
+            [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        triples = saturate(auto).triples
+        collisions = pattern_collisions(gens)
+        assert [pair for pair, goal in goals if goal in triples] == collisions
+        seen["one generator"] += n == 1
+        seen["+-I"] += any(not w.word for w in words)
+        seen["one letter"] += any(len(w.word) == 1 for w in words)
+        seen["duplicate"] += len(set(words)) < n
+        seen["colliding pair"] += len(collisions)
+        seen["free pair"] += len(goals) - len(collisions)
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("values", [
+    [1, 2, 4], [1, 2, 4, 8], [1, 2, 4, 8, 16],
+    [1, 2, 3], [3, 5, 8, 13], [1, 2, 4, 7], [2, 3, 5, 9],
+])
+def test_is_free_on_equal_subset_sum(values):
+    fx = encode_equal_subset_sum(values)
+    v = is_free(fx.generators)
+    assert v.answer == (YES if fx.expected["free"] else NO)
+    if v.answer == NO:
+        alpha, beta = v.witness["sequences"]
+        assert alpha != beta
+        assert fx.generators.product(alpha) == fx.generators.product(beta)
 
 
 def brute_trivial_paths(auto, max_edges):
