@@ -7,9 +7,12 @@ Builds the query lists of `bench/workloads.py` for the seed, writing their
 problem files into a temporary directory, runs each query once through
 `cli.main` in this process, and checks each report with
 `workloads.check_report`.  Prints one line per workload: its name, the
-number of queries and the sha256 of every (label, exit code, stdout) in
-list order.  Two versions whose lines agree printed the same reports.
-Exits 1 if some verdict is wrong.
+number of queries, the sha256 of every (label, exit code, stdout) in list
+order, and the sha256 of every problem file the workload wrote (name and
+bytes, in name order).  Two versions whose lines agree wrote the same
+problem files and printed the same reports, so an encoding change that
+moves a matrix but no verdict shows in the last column.  Exits 1 if some
+verdict is wrong.
 
 `bench/` is only read: the module is loaded from its file without writing
 bytecode next to it.
@@ -44,14 +47,27 @@ def load_workloads():
     return module
 
 
+def digest_files(workdir: str) -> str:
+    """sha256 of every (file name, bytes) in the directory, in name order."""
+    digest = hashlib.sha256()
+    for fname in sorted(os.listdir(workdir)):
+        with open(os.path.join(workdir, fname), "rb") as fh:
+            data = fh.read()
+        digest.update(json.dumps([fname, len(data)]).encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def digest_workload(workloads, name: str, seed: int) -> tuple:
-    """(query count, hex digest, wrong-verdict messages) of one workload."""
+    """(query count, report digest, problem-file digest, wrong-verdict
+    messages) of one workload."""
     pkg = types.SimpleNamespace(algebra=algebra, cli=cli, encodings=encodings,
                                 oracle=oracle)
     digest = hashlib.sha256()
     wrong = []
     with tempfile.TemporaryDirectory(prefix="report-digest-") as workdir:
         queries = workloads.build(pkg, workdir, name, seed)
+        problems = digest_files(workdir)
         for q in queries:
             out = io.StringIO()
             with contextlib.redirect_stdout(out), \
@@ -63,7 +79,7 @@ def digest_workload(workloads, name: str, seed: int) -> tuple:
                 workloads.check_report(q, code, json.loads(text), algebra.Mat2)
             except (ValueError, KeyError, TypeError, workloads.WrongVerdict) as exc:
                 wrong.append(f"{name}: {q.label}: {type(exc).__name__}: {exc}")
-    return len(queries), digest.hexdigest(), wrong
+    return len(queries), digest.hexdigest(), problems, wrong
 
 
 def main(argv=None) -> int:
@@ -75,8 +91,8 @@ def main(argv=None) -> int:
     names = workloads.WORKLOADS if args.workload == "all" else (args.workload,)
     failed = False
     for name in names:
-        count, hexdigest, wrong = digest_workload(workloads, name, args.seed)
-        print(f"{name:16s} {count:4d} {hexdigest}", flush=True)
+        count, reports, problems, wrong = digest_workload(workloads, name, args.seed)
+        print(f"{name:16s} {count:4d} {reports} {problems}", flush=True)
         for line in wrong:
             print(f"  wrong: {line}", file=sys.stderr)
         failed = failed or bool(wrong)

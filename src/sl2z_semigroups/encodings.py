@@ -9,7 +9,7 @@ constructions as generator sets with recomputed ground truth.
 
 from dataclasses import dataclass, field
 
-from .algebra import GeneratorSet, Mat2, IDENTITY
+from .algebra import GeneratorSet, Mat2, IDENTITY, MAX_WORD_LETTERS
 from . import oracle as oracle_mod
 
 
@@ -58,24 +58,38 @@ def alpha(w, n_letters=None):
     return tuple(out)
 
 
-F_A = Mat2(1, 2, 0, 1)
-F_B = Mat2(1, 0, 2, 1)
-_F = {
-    ("a", False): F_A,
-    ("a", True): Mat2(1, -2, 0, 1),
-    ("b", False): F_B,
-    ("b", True): Mat2(1, 0, -2, 1),
+# letter -> (is an a-letter, shear k): f(a^±1) = [[1, k], [0, 1]] and
+# f(b^±1) = [[1, 0], [k, 1]] with k = ±2
+_SHEAR = {
+    ("a", False): (True, 2),
+    ("a", True): (True, -2),
+    ("b", False): (False, 2),
+    ("b", True): (False, -2),
 }
 
 
 def f_matrix(w) -> Mat2:
-    """Letterwise product of the binary-alphabet matrices."""
-    m = IDENTITY
+    """Letterwise product of the binary-alphabet matrices.
+
+    Runs on four plain integers: multiplying on the right by f(a^±1) is the
+    column shear b += k*a, d += k*c, and by f(b^±1) the shear a += k*b,
+    c += k*d.  One `Mat2` is built at the end, so the determinant is checked
+    once per word.  A letter outside {a, b} x {plain, inverted} raises
+    `EncodingError` where it occurs.
+    """
+    a, b, c, d = 1, 0, 0, 1
     for lt in w:
-        if lt not in _F:
+        step = _SHEAR.get(lt)
+        if step is None:
             raise EncodingError(f"letter outside the binary group alphabet: {lt!r}")
-        m = m * _F[lt]
-    return m
+        is_a, k = step
+        if is_a:
+            b += k * a
+            d += k * c
+        else:
+            a += k * b
+            c += k * d
+    return Mat2(a, b, c, d)
 
 
 def closed_form(i: int, j: int) -> Mat2:
@@ -121,6 +135,37 @@ def _z_index(symbols) -> dict:
     return z
 
 
+def _check_letters(field, n):
+    if n > MAX_WORD_LETTERS:
+        raise EncodingError(f"{field} is too large: the encoded words would have more "
+                            f"than {MAX_WORD_LETTERS} letters")
+
+
+def _expand_words(specs, z) -> list:
+    """Symbolic words from (field, runs) specs, each run a (symbol,
+    inverted, repeat) triple.
+
+    A run of r letters z_i^+-1 has r * (2i + 1) letters after alpha.  The
+    words' running total is checked against `MAX_WORD_LETTERS` before any
+    word is built, so an oversized input is refused, naming the field of
+    the word that crosses the limit, without building a tuple of its size,
+    and every accepted instance encodes in time linear in the limit.
+    """
+    total = 0
+    for field, runs in specs:
+        total += sum(r * (2 * z[sym] + 1) for sym, _, r in runs)
+        _check_letters(field, total)
+    return [tuple(lt for sym, inv, r in runs for lt in (letter(sym, inv),) * r)
+            for _, runs in specs]
+
+
+def _step_specs(field, i, sym, repeat) -> list:
+    """Specs of the payload word i sym^repeat (i+1)^-1 and the skip word
+    i (i+1)^-1 of one chain step."""
+    head, tail = (str(i), False, 1), (str(i + 1), True, 1)
+    return [(field, (head, (sym, False, repeat), tail)), (field, (head, tail))]
+
+
 def _equal_subset_pair(values):
     """Two disjoint nonempty index subsets of equal sum, or None (k <= 12)."""
     if len(values) > 12:
@@ -156,14 +201,13 @@ def encode_equal_subset_sum(values) -> Fixture:
     if not values or any(v < 1 for v in values):
         raise EncodingError("need a nonempty list of positive integers")
     k = len(values)
+    pair = _equal_subset_pair(values)  # first: it refuses sets past k = 12
     z = _z_index([str(i) for i in range(k + 1)] + ["a", "b", "#"])
-    words = []
+    specs = []
     for i in range(k):
-        payload = tuple(letter("a") for _ in range(values[i]))
-        words.append(word(letter(str(i)), *payload, letter(str(i + 1), True)))
-        words.append(word(letter(str(i)), letter(str(i + 1), True)))
+        specs += _step_specs(f"--set entry {i + 1}", i, "a", values[i])
+    words = _expand_words(specs, z)
     gens = GeneratorSet.from_matrices([encode_group_word(w, z) for w in words])
-    pair = _equal_subset_pair(values)
     expected = {"free": pair is None}
     provenance = {"values": values}
     if pair is not None:
@@ -185,22 +229,17 @@ def encode_subset_sum(values, x: int) -> Fixture:
     if x < 0:
         raise EncodingError("target must be nonnegative")
     k = len(values)
+    mask = _subset_with_sum(values, x)  # first: it refuses sets past k = 12
     z = _z_index([str(i) for i in range(2 * k + 2)] + ["a", "b", "#"])
-    words = []
+    specs = []
     for i in range(k):
-        payload = tuple(letter("a") for _ in range(values[i]))
-        words.append(word(letter(str(i)), *payload, letter(str(i + 1), True)))
-        words.append(word(letter(str(i)), letter(str(i + 1), True)))
+        specs += _step_specs(f"--set entry {i + 1}", i, "a", values[i])
     for i in range(k + 1, 2 * k + 1):
-        payload = tuple(letter("b") for _ in range(values[i - k - 1]))
-        words.append(word(letter(str(i)), *payload, letter(str(i + 1), True)))
-        words.append(word(letter(str(i)), letter(str(i + 1), True)))
-    words.append(word(letter(str(k)), *(letter("a", True),) * x,
-                      letter(str(k + 1), True)))
-    words.append(word(letter(str(2 * k + 1)), *(letter("b", True),) * x,
-                      letter(str(0), True)))
+        specs += _step_specs(f"--set entry {i - k}", i, "b", values[i - k - 1])
+    specs.append(("--x", ((str(k), False, 1), ("a", True, x), (str(k + 1), True, 1))))
+    specs.append(("--x", ((str(2 * k + 1), False, 1), ("b", True, x), ("0", True, 1))))
+    words = _expand_words(specs, z)
     gens = GeneratorSet.from_matrices([encode_group_word(w, z) for w in words])
-    mask = _subset_with_sum(values, x)
     expected = {
         "identity": mask is not None,
         # the count-question target: the first epsilon word 0 . 1^-1
@@ -296,17 +335,26 @@ def encode_dfa_intersection(dfas) -> Fixture:
                                     f"0..{d.n_states - 1} and a symbol in the alphabet")
         if any(q not in states for q in d.finals):
             raise EncodingError(f"dfas[{i}].finals: states must be in 0..{d.n_states - 1}")
+    # every state has its own border letter, indexed before #, so the word
+    # # . d0_0^-1 alone has at least 2 * (states + 1) + 1 + 3 letters after alpha:
+    # too many states are refused before the index is built
+    n_states = sum(d.n_states for d in dfas)
+    field = (f"DFA state count and alphabet ({n_states} states in all, "
+             f"{len(alphabet)} symbols)")
+    _check_letters(field, 2 * n_states + 6)
     borders = []
     for i, d in enumerate(dfas):
         borders.extend(f"d{i}_{q}" for q in range(d.n_states))
     z = _z_index(borders + list(alphabet) + ["#"])
-    words = []
+    specs = []
     for i, d in enumerate(dfas):
-        words.append(word(letter("#"), letter(f"d{i}_0", True)))
+        specs.append((field, (("#", False, 1), (f"d{i}_0", True, 1))))
         for (q, sym, q2) in sorted(d.transitions):
-            words.append(word(letter(f"d{i}_{q}"), letter(sym), letter(f"d{i}_{q2}", True)))
+            specs.append((field, ((f"d{i}_{q}", False, 1), (sym, False, 1),
+                                  (f"d{i}_{q2}", True, 1))))
         for q in sorted(d.finals):
-            words.append(word(letter(f"d{i}_{q}"), letter("#")))
+            specs.append((field, ((f"d{i}_{q}", False, 1), ("#", False, 1))))
+    words = _expand_words(specs, z)
     gens = GeneratorSet.from_matrices([encode_group_word(w, z) for w in words])
     expected = {"dfas": tuple(dfas)}
     return Fixture(gens, words, z, expected, {"alphabet": alphabet})

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -449,6 +450,35 @@ class TestEncodeCommands:
         assert main(argv) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, field", [
+        (["encode-ssp", "--set", "1,2", "--x", "99999999999999999999999"], "--x"),
+        (["encode-essp", "--set", "99999999999999999999999"], "--set entry 1"),
+        (["encode-essp", "--set", "1,99999999999999999999999"], "--set entry 2"),
+    ])
+    def test_oversized_encoding_exits_3_naming_field(self, argv, field, capsys):
+        # refused from the letter count, before any word is built
+        started = time.perf_counter()
+        assert main(argv) == EXIT_INPUT
+        assert time.perf_counter() - started < 3.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} is too large: ")
+        assert "Traceback" not in captured.err
+
+    def test_oversized_dfa_state_count_exits_3(self, tmp_path, capsys):
+        dfa_path = tmp_path / "dfas.json"
+        dfa_path.write_text(json.dumps([
+            {"states": 10 ** 20, "alphabet": ["a"], "transitions": {}, "finals": []}]))
+        started = time.perf_counter()
+        assert main(["encode-dfa", "--dfas", str(dfa_path)]) == EXIT_INPUT
+        assert time.perf_counter() - started < 3.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: DFA state count and alphabet ({10 ** 20} states in all, 1 symbols) "
+            "is too large: ")
         assert "Traceback" not in captured.err
 
     def test_encode_bad_set(self, capsys):

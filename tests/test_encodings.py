@@ -4,13 +4,19 @@ Ground truth: free reduction of group words, exhaustive subset enumeration,
 direct DFA simulation, and the brute-force product oracle.
 """
 
+import importlib.util
+import os
+import random
+import re
+import sys
+import types
 from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sl2z_semigroups.algebra import IDENTITY, Mat2
-from sl2z_semigroups import oracle
+from sl2z_semigroups import algebra, cli, encodings, oracle
 from sl2z_semigroups.encodings import (
     DfaSpec, EncodingError, alpha, closed_form, encode_dfa_intersection,
     encode_equal_subset_sum, encode_subset_sum, f_matrix, free_reduce,
@@ -20,6 +26,36 @@ from sl2z_semigroups.encodings import (
 
 A, B = ("a", False), ("b", False)
 A_INV, B_INV = ("a", True), ("b", True)
+
+LETTER_MATRICES = {
+    A: Mat2(1, 2, 0, 1), A_INV: Mat2(1, -2, 0, 1),
+    B: Mat2(1, 0, 2, 1), B_INV: Mat2(1, 0, -2, 1),
+}
+
+
+def letterwise_f(w) -> Mat2:
+    """Reference f: one Mat2 product per letter."""
+    m = IDENTITY
+    for lt in w:
+        if lt not in LETTER_MATRICES:
+            raise EncodingError(f"letter outside the binary group alphabet: {lt!r}")
+        m = m * LETTER_MATRICES[lt]
+    return m
+
+
+def load_bench_workloads():
+    """bench/workloads.py, loaded from its file without writing bytecode."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
 
 
 class TestAlpha:
@@ -47,6 +83,21 @@ class TestFMatrix:
     def test_rejects_foreign_letter(self):
         with pytest.raises(EncodingError):
             f_matrix((("c", False),))
+        # first, middle and last position
+        for foreign in (("c", False), ("a", None), ("B", True), "a"):
+            for position in (0, 2, 4):
+                w = [A, B, A_INV, B_INV]
+                w.insert(position, foreign)
+                with pytest.raises(EncodingError, match="outside the binary group alphabet"):
+                    f_matrix(w)
+
+    def test_equals_letterwise_product(self):
+        rng = random.Random(20161)
+        letters = [A, B, A_INV, B_INV]
+        words = [()] + [tuple(rng.choice(letters) for _ in range(rng.randint(0, 40)))
+                        for _ in range(1200)]
+        for w in words:
+            assert f_matrix(w) == letterwise_f(w)
 
     def test_monomorphism_small_exhaustive(self):
         # value I iff the word freely reduces to nothing (length <= 4)
@@ -142,6 +193,66 @@ class TestSubsetSum:
         for seq in ([0, 1], [2, 3], [0, 2, 4], [8, 9]):
             w = free_reduce(sum((fx.words[i] for i in seq), ()))
             assert w[0][0] in borders and w[-1][0] in borders
+
+
+class TestWordLengthLimit:
+    """Each builder counts the letters of its words after alpha, and refuses
+    an input past `MAX_WORD_LETTERS` before it builds a word."""
+
+    @staticmethod
+    def alpha_letters(fx):
+        return sum(len(alpha(tuple((fx.z_index[sym], inv) for sym, inv in w)))
+                   for w in fx.words)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: encode_subset_sum([1, 2], 5), "--x"),
+        (lambda: encode_equal_subset_sum([3, 1]), "--set entry 2"),
+        (lambda: encode_dfa_intersection([
+            DfaSpec(2, ("a",), ((0, "a", 1), (1, "a", 0)), frozenset({1}))]),
+         "DFA state count and alphabet (2 states in all, 1 symbols)"),
+    ], ids=["ssp", "essp", "dfa"])
+    def test_limit_is_the_exact_letter_count(self, monkeypatch, build, field):
+        fx = build()
+        n = self.alpha_letters(fx)
+        monkeypatch.setattr(encodings, "MAX_WORD_LETTERS", n)
+        again = build()
+        assert again.words == fx.words
+        assert cli.problem_json(again.generators) == cli.problem_json(fx.generators)
+        monkeypatch.setattr(encodings, "MAX_WORD_LETTERS", n - 1)
+        with pytest.raises(EncodingError, match="^" + re.escape(f"{field} is too large")):
+            build()
+
+    def test_huge_inputs_refused(self):
+        huge = 10 ** 23
+        with pytest.raises(EncodingError, match="^--x is too large"):
+            encode_subset_sum([1, 2], huge)
+        with pytest.raises(EncodingError, match="^--set entry 1 is too large"):
+            encode_subset_sum([huge, 2], 3)
+        with pytest.raises(EncodingError, match="^--set entry 1 is too large"):
+            encode_equal_subset_sum([huge])
+        with pytest.raises(EncodingError, match="^DFA state count"):
+            encode_dfa_intersection([DfaSpec(huge, ("a",), (), frozenset())])
+
+
+@pytest.mark.parametrize("workload", ["membership", "freeness", "counting",
+                                      "finite_freeness"])
+def test_bench_problem_files_match_letterwise_reference(workload, tmp_path, monkeypatch):
+    """The benchmark's fixtures (subset-sum and equal-subset-sum ladders, DFA
+    encodings, the recurrent fixture) write byte-identical problem files
+    with the letterwise reference in place of `f_matrix`."""
+    workloads = load_bench_workloads()
+    pkg = types.SimpleNamespace(algebra=algebra, cli=cli, encodings=encodings,
+                                oracle=oracle)
+
+    def problem_files(workdir):
+        workdir.mkdir()
+        workloads.build(pkg, str(workdir), workload, 3)
+        return {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+
+    fast = problem_files(tmp_path / "fast")
+    monkeypatch.setattr(encodings, "f_matrix", letterwise_f)
+    reference = problem_files(tmp_path / "reference")
+    assert fast and fast == reference
 
 
 class TestRecurrentFixture:
