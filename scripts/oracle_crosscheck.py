@@ -3,7 +3,9 @@
 
 Draws random generator sets (reduced words up to --max-len, up to --gens
 generators), runs freeness / membership / counting, and compares with the
-exhaustive product table wherever the table is conclusive.  Finite freeness
+exhaustive product table wherever the table is conclusive.  Every
+`check-free` NO witness is re-multiplied, and no collision in the table
+strips to a pair of first generators below the witness's.  Finite freeness
 at depth 3 is checked against its candidate loop run on every set: a free
 set must answer UNKNOWN_UP_TO, and every NO witness is re-multiplied.
 """
@@ -11,15 +13,21 @@ set must answer UNKNOWN_UP_TO, and every NO witness is re-multiplied.
 import argparse
 import random
 import time
+from itertools import combinations
 
 from sl2z_semigroups.algebra import GeneratorSet, SignedWord
 from sl2z_semigroups import oracle
+from sl2z_semigroups.encodings import encode_equal_subset_sum
 from sl2z_semigroups.decisions import (
     NO, UNKNOWN, YES, Verdict, count_factorizations, finite_freeness,
     identity_in_semigroup, is_free, membership, recurrent_product_sweep,
 )
 
 FINITE_FREENESS_DEPTH = 3
+# the paper's equal-subset-sum family: these collide in a pair of
+# generators, which random sets seldom reach without an identity
+ESSP_COLLIDING = ([1, 2, 3], [3, 5, 8, 13], [1, 2, 4, 7], [2, 3, 5, 9], [1, 1, 4, 4])
+ESSP_DEPTH = 4
 
 
 def random_generator_set(rng, max_gens, max_len):
@@ -43,6 +51,31 @@ def candidate_loop(gens, depth):
     if ident.answer == YES:
         return Verdict("finite_freeness", NO, ident.witness)
     return recurrent_product_sweep(gens, depth)
+
+
+def check_freeness_no(gens, table, witness):
+    """Why a `check-free` NO witness fails, or None when it holds.
+
+    Its two sequences must differ and multiply alike.  Unless alpha is a
+    prefix of beta (the identity branch), it names the least colliding pair
+    (alpha[0], beta[0]): no two sequences of one product in the table may
+    differ, after their common prefix, in a pair of generators below it,
+    and none may strip to a product equal to I.
+    """
+    alpha, beta = witness["sequences"]
+    if alpha == beta or gens.product(alpha) != gens.product(beta):
+        return f"{alpha} and {beta} are not two factorizations of one product"
+    if beta[:len(alpha)] == alpha:
+        return None
+    least = (alpha[0], beta[0])
+    for m in table.matrices():
+        for x, y in combinations(table.sequences(m), 2):
+            n = next((n for n, (a, b) in enumerate(zip(x, y)) if a != b), None)
+            if n is None:
+                return f"{x} and {y} give I, but the witness is not the identity's"
+            if (min(x[n], y[n]), max(x[n], y[n])) < least:
+                return f"{x} and {y} collide below the pair {least}"
+    return None
 
 
 def check_finite_freeness_no(gens, witness):
@@ -69,7 +102,8 @@ def main():
 
     rng = random.Random(args.seed)
     t0 = time.monotonic()
-    stats = {"free": 0, "not_free": 0, "checked_counts": 0, "finite_free_no": 0}
+    stats = {"free": 0, "not_free": 0, "pair_witnesses": 0, "checked_counts": 0,
+             "finite_free_no": 0}
     for trial in range(args.trials):
         gens = random_generator_set(rng, args.gens, args.max_len)
         if oracle.max_exhaustive_depth(len(gens)) < args.depth:
@@ -83,6 +117,12 @@ def main():
                              f"freeness said {verdict.answer}")
         if verdict.answer == YES and collision is not None:
             raise SystemExit(f"trial {trial}: free verdict contradicted")
+        if verdict.answer == NO:
+            fault = check_freeness_no(gens, table, verdict.witness)
+            if fault is not None:
+                raise SystemExit(f"trial {trial}: freeness witness: {fault}")
+            alpha, beta = verdict.witness["sequences"]
+            stats["pair_witnesses"] += beta[:len(alpha)] != alpha
         finite = finite_freeness(gens, FINITE_FREENESS_DEPTH)
         if verdict.answer == YES and finite.answer != UNKNOWN:
             raise SystemExit(f"trial {trial}: free set but finite freeness said {finite.answer}")
@@ -104,6 +144,15 @@ def main():
             stats["checked_counts"] += 1
             if table.count(m) > counted.count.value:
                 raise SystemExit(f"trial {trial}: count too small for {m}")
+    for values in ESSP_COLLIDING:
+        gens = encode_equal_subset_sum(values).generators
+        verdict = is_free(gens)
+        table = oracle.enumerate_products(gens, ESSP_DEPTH)
+        fault = ("answered YES" if verdict.answer != NO else
+                 check_freeness_no(gens, table, verdict.witness))
+        if fault is not None:
+            raise SystemExit(f"essp {values}: freeness witness: {fault}")
+        stats["pair_witnesses"] += 1
     print(f"{args.trials} trials in {time.monotonic() - t0:.1f}s: {stats}")
 
 

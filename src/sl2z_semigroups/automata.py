@@ -24,14 +24,11 @@ class WitnessError(RuntimeError):
     """A requested witness does not exist or failed re-verification."""
 
 
-# chain kinds; decode logic keys off these.  A chain of length 0 (its
-# generator reduces to +-I) is a single base epsilon edge with the same kind.
+# chain kinds of the loop and membership automata; `path_sequence` keys off
+# these.  A chain of length 0 (its generator reduces to +-I) is a single base
+# epsilon edge with the same kind.  The freeness and pattern automata have no
+# chains: their loops share edges, and they mark single edges instead.
 LOOP = "loop"            # full generator chain hub -> hub
-ENTRY = "entry"          # pattern automaton: initial -> A spelling w_i
-FWD_LOOP = "fwd_loop"    # pattern automaton: loops at A
-BRIDGE_INV = "bridge_inv"  # pattern automaton: A -> B spelling inv(w_g)
-INV_LOOP = "inv_loop"    # pattern automaton: loops at B
-EXIT_INV = "exit_inv"    # pattern automaton: A/B -> final spelling inv(w_j)
 TARGET_INV = "target_inv"  # membership automaton: hub -> final
 
 
@@ -52,6 +49,9 @@ class CancellationAutomaton:
         self.final = None
         self.edges = []       # (src, dst, label in 'sr' or None, weight)
         self.chains = {}      # first edge id -> (kind, 1-based gen or 0, length)
+        # freeness and pattern automata: edge id -> the 1-based generator whose
+        # loop at A it opens, whose loop at B it closes, or whose tap it is
+        self.opens, self.closes, self.taps = {}, {}, {}
         self.s_in, self.s_out, self.r_in, self.r_out = [], [], [], []
         self.eps_edges = []
 
@@ -136,56 +136,20 @@ def build_loop_automaton(gens: GeneratorSet) -> CancellationAutomaton:
     return auto
 
 
-def build_pattern_automaton(i: int, j: int, gens: GeneratorSet) -> CancellationAutomaton:
-    """Accepts the values of M_i u v^-1 M_j^-1 for u, v in G* (1-based i != j).
-
-    initial --w_i--> A; loops at A spell every w_g; chains A -> B and loops
-    at B spell every inv(w_g); A -> final and B -> final spell inv(w_j).
-    A positively-signed trivial path initial -> final therefore witnesses
-    M_i u = M_j v, two factorizations starting with different generators.
-    """
-    if i == j:
-        raise AutomatonError("pattern automaton needs two distinct indices")
-    n = len(gens)
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise AutomatonError(f"indices out of range: ({i}, {j}) with {n} generators")
-    auto = CancellationAutomaton("pattern")
-    initial = auto._new_state()
-    a = auto._new_state()
-    b = auto._new_state()
-    final = auto._new_state()
-    auto.initial, auto.final = initial, final
-    auto._add_chain(initial, a, gens.word(i), ENTRY, i)
-    for g in range(1, n + 1):
-        auto._add_chain(a, a, gens.word(g), FWD_LOOP, g)
-    for g in range(1, n + 1):
-        w = inv(gens.word(g))
-        auto._add_chain(a, b, w, BRIDGE_INV, g)
-        auto._add_chain(b, b, w, INV_LOOP, g)
-    exit_word = inv(gens.word(j))
-    auto._add_chain(a, final, exit_word, EXIT_INV, j)
-    auto._add_chain(b, final, exit_word, EXIT_INV, j)
-    return auto
-
-
-def build_freeness_automaton(gens: GeneratorSet) -> tuple:
-    """One automaton for every pattern pair: (automaton, [((i, j), goal)]).
+def _shared_loops(kind: str, gens: GeneratorSet, heads, tails) -> tuple:
+    """(automaton, [initial_g for g in heads], [final_g for g in tails]).
 
     A carries the loops w_g, an epsilon edge of weight +1 joins A to B, and
     B carries the loops inv(w_g).  The loops at A share their suffixes and
     each starts with an edge of its own, carrying its sign; the loops at B
-    share their prefixes and each ends with an edge of its own, carrying its
-    sign.  A state initial_i has a copy of the first edge of A's loop i, and
-    a state final_j a copy of the last edge of B's loop j.  Shared suffix
-    states lead to A one way only, and shared prefix states are reached from
-    B one way only, so the paths initial_i -> final_j spell exactly the
-    words of `build_pattern_automaton(i, j)`, and its goal triple
-    (initial_i, final_j, +1) answers that pair.  The pairs i < j come in
-    lexicographic order.  The loops are not chains of their own, so the
-    automaton records none and its paths are not decoded: a witness comes
-    from the pair's own pattern automaton.
+    share their prefixes and each ends with one, carrying its sign.  A tap
+    copies the first edge of A's loop g out of initial_g, or the last edge
+    of B's loop g into final_g.  Shared states lead to A, or are reached
+    from B, one way only, so a path initial_i -> final_j spells
+    w_i u inv(v) inv(w_j) with u, v in G*.  The automaton records the
+    generator whose loop each own edge opens or closes, and each tap's.
     """
-    auto = CancellationAutomaton("freeness")
+    auto = CancellationAutomaton(kind)
     a = auto._new_state()
     b = auto._new_state()
     n = len(gens)
@@ -200,6 +164,7 @@ def build_freeness_automaton(gens: GeneratorSet) -> tuple:
                 auto._add_edge(into[node, ch], node, ch, 1)
             node = into[node, ch]
         firsts.append(auto._add_edge(a, node, w.word[:1] or None, w.sign))
+        auto.opens[firsts[-1]] = g
     auto._add_edge(a, b, None, 1)
     lasts = []
     out = {}    # (state, letter) -> the state its edge of that letter enters
@@ -212,18 +177,50 @@ def build_freeness_automaton(gens: GeneratorSet) -> tuple:
                 auto._add_edge(node, out[node, ch], ch, 1)
             node = out[node, ch]
         lasts.append(auto._add_edge(node, b, w.word[-1:] or None, w.sign))
+        auto.closes[lasts[-1]] = g
     initials = []
-    for e in firsts:
-        _, dst, label, weight = auto.edges[e]
+    for g in heads:
+        _, dst, label, weight = auto.edges[firsts[g - 1]]
         initials.append(auto._new_state())
-        auto._add_edge(initials[-1], dst, label, weight)
+        auto.taps[auto._add_edge(initials[-1], dst, label, weight)] = g
     finals = []
-    for e in lasts:
-        src, _, label, weight = auto.edges[e]
+    for g in tails:
+        src, _, label, weight = auto.edges[lasts[g - 1]]
         finals.append(auto._new_state())
-        auto._add_edge(src, finals[-1], label, weight)
+        auto.taps[auto._add_edge(src, finals[-1], label, weight)] = g
+    return auto, initials, finals
+
+
+def build_pattern_automaton(i: int, j: int, gens: GeneratorSet) -> CancellationAutomaton:
+    """Accepts the values of M_i u v^-1 M_j^-1 for u, v in G* (1-based i != j).
+
+    `_shared_loops` tapped for initial_i and final_j only, its initial and
+    final states.  A positively-signed trivial path initial -> final
+    witnesses M_i u = M_j v, two factorizations starting with different
+    generators, which `decode_pattern_witness` reads off the path.
+    """
+    if i == j:
+        raise AutomatonError("pattern automaton needs two distinct indices")
+    n = len(gens)
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise AutomatonError(f"indices out of range: ({i}, {j}) with {n} generators")
+    auto, (auto.initial,), (auto.final,) = _shared_loops("pattern", gens, (i,), (j,))
+    return auto
+
+
+def build_freeness_automaton(gens: GeneratorSet) -> tuple:
+    """One automaton for every pattern pair: (automaton, [((i, j), goal)]).
+
+    `_shared_loops` tapped for every generator: the paths initial_i ->
+    final_j spell the words of `build_pattern_automaton(i, j)`, so the goal
+    (initial_i, final_j, +1) answers that pair.  The pairs i < j come in
+    lexicographic order.
+    """
+    n = len(gens)
+    everyone = range(1, n + 1)
+    auto, initials, finals = _shared_loops("freeness", gens, everyone, everyone)
     goals = [((i, j), (initials[i - 1], finals[j - 1], 1))
-             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+             for i in everyone for j in range(i + 1, n + 1)]
     return auto, goals
 
 
@@ -548,11 +545,17 @@ def extract_path(auto: CancellationAutomaton, sat: SaturationRelation,
     return path
 
 
-def _chain_runs(auto: CancellationAutomaton, path: list) -> list:
-    """Cut an edge path into whole chains, each a run of consecutive edge
-    ids from a chain's first edge; the (kind, gen, length) of each."""
+def path_sequence(auto: CancellationAutomaton, path: list) -> list:
+    """Generator index sequence of a loop/membership-automaton path.
+
+    The path must be a run of whole generator loops, closed on a membership
+    automaton by the whole target chain; anything else raises.  A whole
+    chain is a run of consecutive edge ids from a chain's first edge.
+    """
+    if auto.kind not in ("loop", "membership"):
+        raise WitnessError(f"no index-sequence decoding for {auto.kind} automata")
     chains = auto.chains
-    runs = []
+    runs = []   # the (kind, gen, length) of each chain
     idx = 0
     while idx < len(path):
         first = path[idx]
@@ -566,18 +569,6 @@ def _chain_runs(auto: CancellationAutomaton, path: list) -> list:
             raise WitnessError("path does not follow a full chain")
         runs.append(chain)
         idx = end
-    return runs
-
-
-def path_sequence(auto: CancellationAutomaton, path: list) -> list:
-    """Generator index sequence of a loop/membership-automaton path.
-
-    The path must be a run of whole generator loops, closed on a membership
-    automaton by the whole target chain; anything else raises.
-    """
-    if auto.kind not in ("loop", "membership"):
-        raise WitnessError(f"no index-sequence decoding for {auto.kind} automata")
-    runs = _chain_runs(auto, path)
     if auto.kind == "membership":
         if not runs or runs[-1][0] != TARGET_INV:
             raise WitnessError("membership path does not end with the full target chain")
@@ -611,23 +602,21 @@ def decode_pattern_witness(auto: CancellationAutomaton, path: list,
                            gens: GeneratorSet) -> tuple:
     """Two distinct equal-product sequences from a pattern-automaton path.
 
-    The path spells w_i u (v-chains reversed) inv(w_j); it decodes to
-    alpha = [i] + forward loop gens and beta = [j] + reversed inverse-chain
-    gens, with product(alpha) == product(beta).
+    The path must run, edge after joined edge, from the initial tap to the
+    final tap.  It spells w_i u inv(v) inv(w_j), and decodes to alpha = [i] +
+    the generators whose loops its own first edges open, and beta = [j] +
+    those whose loops its own last edges close, reversed.  The two must
+    differ and are re-multiplied to equal products.
     """
-    runs = _chain_runs(auto, path)
-    if not runs or runs[0][0] != ENTRY or runs[-1][0] != EXIT_INV:
-        raise WitnessError("pattern path must run entry chain to exit chain")
-    alpha = [runs[0][1]]
-    beta_rev = []
-    for kind, gen, _ in runs[1:-1]:
-        if kind == FWD_LOOP:
-            alpha.append(gen)
-        elif kind in (BRIDGE_INV, INV_LOOP):
-            beta_rev.append(gen)
-        else:
-            raise WitnessError(f"unexpected {kind} chain inside pattern path")
-    beta = [runs[-1][1]] + beta_rev[::-1]
+    edges = auto.edges
+    ends = [auto.initial] + [edges[e][1] for e in path]
+    if (not path or path[0] not in auto.taps or path[-1] not in auto.taps
+            or ends[-1] != auto.final
+            or any(edges[e][0] != at for e, at in zip(path, ends))):
+        raise WitnessError("pattern path must run from the initial tap to the final tap")
+    alpha = [auto.taps[path[0]]] + [auto.opens[e] for e in path if e in auto.opens]
+    beta = [auto.taps[path[-1]]] + [auto.closes[e] for e in reversed(path)
+                                    if e in auto.closes]
     if alpha == beta:
         raise WitnessError("pattern decode produced identical sequences")
     if gens.product(alpha) != gens.product(beta):

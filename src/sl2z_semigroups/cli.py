@@ -97,13 +97,18 @@ class Problem:
 
 
 def _load_json(path: str):
+    # JSON text is UTF-8 whatever the locale says
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_int=decimal_int)
     except OSError as exc:
         raise ProblemError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ProblemError(f"{path}: not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise ProblemError(f"{path}: malformed JSON: {exc}")
+    except RecursionError:
+        raise ProblemError(f"{path}: JSON nested too deeply")
 
 
 def parse_problem(path: str) -> Problem:

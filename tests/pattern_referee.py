@@ -1,0 +1,60 @@
+"""Test-side referee for freeness: the chain-based pattern automaton.
+
+`automata.build_freeness_automaton` and `automata.build_pattern_automaton`
+share one construction, whose loops share suffixes and prefixes.  The
+tests check that construction against this independent one, in which every
+loop and every inverse loop is a chain of its own: a pair (i, j) collides
+iff the goal triple (initial, final, +1) of `build_chain_pattern_automaton`
+is in its saturation.
+"""
+
+from sl2z_semigroups.algebra import GeneratorSet, inv
+from sl2z_semigroups.automata import CancellationAutomaton, saturate
+
+ENTRY = "entry"          # initial -> A spelling w_i
+FWD_LOOP = "fwd_loop"    # loops at A
+BRIDGE_INV = "bridge_inv"  # A -> B spelling inv(w_g)
+INV_LOOP = "inv_loop"    # loops at B
+EXIT_INV = "exit_inv"    # A/B -> final spelling inv(w_j)
+
+
+def build_chain_pattern_automaton(i: int, j: int, gens: GeneratorSet) -> CancellationAutomaton:
+    """Accepts the values of M_i u v^-1 M_j^-1 for u, v in G* (1-based i != j).
+
+    initial --w_i--> A; loops at A spell every w_g; chains A -> B and loops
+    at B spell every inv(w_g); A -> final and B -> final spell inv(w_j).
+    A positively-signed trivial path initial -> final therefore witnesses
+    M_i u = M_j v, two factorizations starting with different generators.
+    """
+    assert i != j
+    n = len(gens)
+    auto = CancellationAutomaton("pattern")
+    initial = auto._new_state()
+    a = auto._new_state()
+    b = auto._new_state()
+    final = auto._new_state()
+    auto.initial, auto.final = initial, final
+    auto._add_chain(initial, a, gens.word(i), ENTRY, i)
+    for g in range(1, n + 1):
+        auto._add_chain(a, a, gens.word(g), FWD_LOOP, g)
+    for g in range(1, n + 1):
+        w = inv(gens.word(g))
+        auto._add_chain(a, b, w, BRIDGE_INV, g)
+        auto._add_chain(b, b, w, INV_LOOP, g)
+    exit_word = inv(gens.word(j))
+    auto._add_chain(a, final, exit_word, EXIT_INV, j)
+    auto._add_chain(b, final, exit_word, EXIT_INV, j)
+    return auto
+
+
+def pattern_collisions(gens: GeneratorSet) -> list:
+    """The pairs i < j whose chain-based pattern automaton has its goal triple."""
+    n = len(gens)
+    found = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            auto = build_chain_pattern_automaton(i, j, gens)
+            goal = (auto.initial, auto.final, 1)
+            if goal in saturate(auto, goal).triples:
+                found.append((i, j))
+    return found

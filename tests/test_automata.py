@@ -207,8 +207,10 @@ class TestMembershipAutomaton:
 
 
 class TestWitnessDecodingRejects:
-    """Decoding accepts only whole chains in the shape of the automaton's
-    witnesses; every other edge path raises instead of decoding."""
+    """Decoding accepts only paths in the shape of the automaton's witnesses:
+    whole chains on a loop or membership automaton, one joined path from
+    tap to tap on a pattern automaton.  Every other edge path raises
+    instead of decoding."""
 
     def loop_pair(self):
         # two chains of four edges each: 0-3 spell F_A, 4-7 spell -F_A
@@ -255,15 +257,36 @@ class TestWitnessDecodingRejects:
             with pytest.raises(WitnessError):
                 decode_pattern_witness(auto, cut, gens)
 
-    def test_pattern_path_from_the_loops_at_a(self):
-        # with S twice, the path A --s--> A --(-s)--> final would decode to
-        # the equal products [1] and [2], but it skips the entry chain
+    def s_twice(self):
+        """Pattern (1, 2) of {S, S} and its edges, found by their ends: the
+        initial tap, the epsilon edge from A to B, the final tap, and a loop
+        s at A.  S^-1 = -S, so the final tap is an s edge of weight -1."""
         gens = GeneratorSet.from_matrices([S, S])
         auto = build_pattern_automaton(1, 2, gens)
-        assert auto.edges[1] == (1, 1, "s", 1) and auto.edges[7] == (1, 3, "s", -1)
-        assert decode_pattern_witness(auto, [0, 7], gens) == ([1], [2])
+        edges = auto.edges
+        (entry,) = [e for e, edge in enumerate(edges) if edge[0] == auto.initial]
+        (exit_,) = [e for e, edge in enumerate(edges) if edge[1] == auto.final]
+        a, b = edges[entry][1], edges[exit_][0]
+        (bridge,) = [e for e, edge in enumerate(edges) if edge == (a, b, None, 1)]
+        loop = next(e for e, edge in enumerate(edges) if edge == (a, a, "s", 1))
+        assert edges[entry] == (auto.initial, a, "s", 1)
+        assert edges[exit_] == (b, auto.final, "s", -1)
+        return gens, auto, entry, bridge, exit_, loop
+
+    def test_pattern_path_from_the_loops_at_a(self):
+        # with S twice, the path A --s--> A --eps--> B --(-s)--> final would
+        # decode to the equal products [1] and [2], but it skips the
+        # initial tap
+        gens, auto, entry, bridge, exit_, loop = self.s_twice()
+        assert decode_pattern_witness(auto, [entry, bridge, exit_], gens) == ([1], [2])
         with pytest.raises(WitnessError):
-            decode_pattern_witness(auto, [1, 7], gens)
+            decode_pattern_witness(auto, [loop, bridge, exit_], gens)
+
+    def test_pattern_path_that_breaks_off(self):
+        # both taps, and [1] and [2] multiply alike, but no edge joins them
+        gens, auto, entry, bridge, exit_, loop = self.s_twice()
+        with pytest.raises(WitnessError):
+            decode_pattern_witness(auto, [entry, exit_], gens)
 
 
 class TestRecurrentFixtureAutomaton:

@@ -364,6 +364,22 @@ class TestCommands:
         assert main(["identity", str(path)]) == EXIT_INPUT
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        (b"[" * 100_000, "JSON nested too deeply"),
+        (b"\xff\xfe[\x00]\x00", "not UTF-8 text"),
+    ], ids=["deeply-nested", "utf-16-bom"])
+    @pytest.mark.parametrize("argv", [["identity"], ["encode-dfa", "--dfas"]],
+                             ids=["identity", "encode-dfa"])
+    def test_unreadable_file_exits_3_naming_it(self, tmp_path, capsys, argv,
+                                               content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(argv + [str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {message}")
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("argv", [["identity"],
                                       ["check-finite-free", "p.json", "--depth", "x"]])
     def test_usage_error_exits_3(self, argv, capsys):

@@ -327,6 +327,17 @@ class TestPinnedWitnesses:
         gens = GeneratorSet.from_words([SignedWord(*w) for w in words])
         assert is_free(gens).witness["sequences"] == pair
 
+    @pytest.mark.parametrize("values, pair", [
+        ([1, 2, 3], [[1, 3, 6], [2, 4, 5]]),
+        ([3, 5, 8, 13], [[1, 3, 6], [2, 4, 5]]),
+        ([1, 2, 4, 7], [[1, 3, 5, 8], [2, 4, 6, 7]]),
+        ([2, 3, 5, 9], [[1, 3, 6], [2, 4, 5]]),
+        ([1, 1, 4, 4], [[1, 4], [2, 3]]),
+    ])
+    def test_equal_subset_sum_collision(self, values, pair):
+        # the paper's family: an equal-sum split is a collision
+        assert is_free(encode_equal_subset_sum(values).generators).witness["sequences"] == pair
+
     @pytest.mark.parametrize("words, seq", [
         ([(1, "r"), (-1, ""), (1, "rr")], [1, 1, 2, 1]),
         ([(1, "sr"), (-1, ""), (1, "rs")], [2, 2]),

@@ -4,7 +4,9 @@ Saturation and its derivation grammar run against bounded path enumeration
 on arbitrary random automata (not just the fixture shapes), the
 derivations saturation records, in order, against its plain rule loop, and
 a run stopped at a goal triple against a prefix of the full run.  The
-shared freeness automaton runs against one pattern automaton per pair.
+shared freeness automaton, and the pattern automata built the same way,
+run against the chain-based pattern automaton of each pair
+(`pattern_referee`).
 Growth-cycle search and enumeration on the proper form of random grammars
 run against an independent implementation of the classic elimination route
 and against bounded enumeration of the raw grammar, and factorization
@@ -22,8 +24,8 @@ import pytest
 
 from sl2z_semigroups.automata import (
     AutomatonError, CancellationAutomaton, build_freeness_automaton,
-    build_loop_automaton, build_pattern_automaton, derivation_grammar,
-    extract_path, saturate,
+    build_loop_automaton, build_pattern_automaton, decode_pattern_witness,
+    derivation_grammar, extract_path, saturate,
 )
 from sl2z_semigroups.decisions import NO, YES, FactorizationCounter, is_free
 from sl2z_semigroups.encodings import (
@@ -38,6 +40,7 @@ from sl2z_semigroups.oracle import enumerate_products
 from grammar_referee import (
     assert_growth_cycle, assert_proper, classic_is_finite, proper_form,
 )
+from pattern_referee import pattern_collisions
 
 
 def random_automaton(rng, max_edges=10):
@@ -260,19 +263,6 @@ def test_derivation_grammar_refuses_a_goal_stopped_relation():
     assert derivation_grammar(auto, full, goal).productions
 
 
-def pattern_collisions(gens):
-    """The pairs i < j whose own pattern automaton has its goal triple."""
-    n = len(gens)
-    found = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            auto = build_pattern_automaton(i, j, gens)
-            goal = (auto.initial, auto.final, 1)
-            if goal in saturate(auto, goal).triples:
-                found.append((i, j))
-    return found
-
-
 def random_reduced_word(rng, length):
     """A reduced word of the given length, letter by letter."""
     w = ""
@@ -308,6 +298,15 @@ def test_freeness_automaton_matches_pattern_automata():
         triples = saturate(auto).triples
         collisions = pattern_collisions(gens)
         assert [pair for pair, goal in goals if goal in triples] == collisions
+        for pair, _ in goals:
+            pattern = build_pattern_automaton(*pair, gens)
+            goal = (pattern.initial, pattern.final, 1)
+            sat = saturate(pattern, goal)
+            assert (goal in sat.triples) == (pair in collisions)
+            if pair in collisions:
+                alpha, beta = decode_pattern_witness(
+                    pattern, extract_path(pattern, sat, *goal), gens)
+                assert (alpha[0], beta[0]) == pair
         seen["one generator"] += n == 1
         seen["+-I"] += any(not w.word for w in words)
         seen["one letter"] += any(len(w.word) == 1 for w in words)
