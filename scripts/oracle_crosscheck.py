@@ -5,7 +5,9 @@ Draws random generator sets (reduced words up to --max-len, up to --gens
 generators), runs freeness / membership / counting, and compares with the
 exhaustive product table wherever the table is conclusive.  Every
 `check-free` NO witness is re-multiplied, and no collision in the table
-strips to a pair of first generators below the witness's.  Finite freeness
+strips to a pair of first generators below the witness's.  Every identity
+and membership YES witness is re-multiplied, and a set whose table holds I
+must answer YES to identity.  Finite freeness
 at depth 3 is checked against its candidate loop run on every set: a free
 set must answer UNKNOWN_UP_TO, and every NO witness is re-multiplied.
 """
@@ -15,7 +17,7 @@ import random
 import time
 from itertools import combinations
 
-from sl2z_semigroups.algebra import GeneratorSet, SignedWord
+from sl2z_semigroups.algebra import IDENTITY, GeneratorSet, SignedWord
 from sl2z_semigroups import oracle
 from sl2z_semigroups.encodings import encode_equal_subset_sum
 from sl2z_semigroups.decisions import (
@@ -103,7 +105,7 @@ def main():
     rng = random.Random(args.seed)
     t0 = time.monotonic()
     stats = {"free": 0, "not_free": 0, "pair_witnesses": 0, "checked_counts": 0,
-             "finite_free_no": 0}
+             "finite_free_no": 0, "identity": 0, "member_witnesses": 0}
     for trial in range(args.trials):
         gens = random_generator_set(rng, args.gens, args.max_len)
         if oracle.max_exhaustive_depth(len(gens)) < args.depth:
@@ -123,6 +125,14 @@ def main():
                 raise SystemExit(f"trial {trial}: freeness witness: {fault}")
             alpha, beta = verdict.witness["sequences"]
             stats["pair_witnesses"] += beta[:len(alpha)] != alpha
+        ident = identity_in_semigroup(gens)
+        if ident.answer == YES:
+            stats["identity"] += 1
+            seq = ident.witness["sequences"][0]
+            if gens.product(seq) != IDENTITY:
+                raise SystemExit(f"trial {trial}: identity witness {seq} does not multiply to I")
+        elif IDENTITY in table:
+            raise SystemExit(f"trial {trial}: the table holds I but identity said {ident.answer}")
         finite = finite_freeness(gens, FINITE_FREENESS_DEPTH)
         if verdict.answer == YES and finite.answer != UNKNOWN:
             raise SystemExit(f"trial {trial}: free set but finite freeness said {finite.answer}")
@@ -136,8 +146,14 @@ def main():
                              "with its candidate loop")
         mats = table.matrices()
         for m in mats[:3]:
-            if membership(gens, m).answer != YES:
+            member = membership(gens, m)
+            if member.answer != YES:
                 raise SystemExit(f"trial {trial}: member of table rejected")
+            seq = member.witness["sequences"][0]
+            if gens.product(seq) != m:
+                raise SystemExit(f"trial {trial}: membership witness {seq} does not "
+                                 f"multiply to {m}")
+            stats["member_witnesses"] += 1
         m = mats[0]
         counted = count_factorizations(gens, m, cap=5)
         if counted.count.kind == "exact":

@@ -24,22 +24,14 @@ class WitnessError(RuntimeError):
     """A requested witness does not exist or failed re-verification."""
 
 
-# chain kinds of the loop and membership automata; `path_sequence` keys off
-# these.  A chain of length 0 (its generator reduces to +-I) is a single base
-# epsilon edge with the same kind.  The freeness and pattern automata have no
-# chains: their loops share edges, and they mark single edges instead.
-LOOP = "loop"            # full generator chain hub -> hub
-TARGET_INV = "target_inv"  # membership automaton: hub -> final
-
-
 class CancellationAutomaton:
     """Finite automaton over {s,r} with sign-weighted base epsilon edges.
 
-    States are ints, edges are ids into `edges`, and a chain's edges have
-    consecutive ids.  `s_in`/`s_out`/`r_in`/`r_out` hold per state a tuple
-    of the s/r edges entering / leaving it, in id order, as `eps_edges`
-    lists the base epsilon edges.  Immutable once built (builders below do
-    all mutation).
+    States are ints and edges are ids into `edges`.  `s_in`/`s_out`/`r_in`/
+    `r_out` hold per state a tuple of the s/r edges entering / leaving it,
+    in id order, as `eps_edges` lists the base epsilon edges.  Paths decode
+    by the loops' own edges, named in `opens`, `closes` and `taps` (see
+    `_hub_loops`).  Immutable once built (builders below do all mutation).
     """
 
     def __init__(self, kind: str):
@@ -48,9 +40,8 @@ class CancellationAutomaton:
         self.initial = None
         self.final = None
         self.edges = []       # (src, dst, label in 'sr' or None, weight)
-        self.chains = {}      # first edge id -> (kind, 1-based gen or 0, length)
-        # freeness and pattern automata: edge id -> the 1-based generator whose
-        # loop at A it opens, whose loop at B it closes, or whose tap it is
+        # edge id -> the 1-based generator whose loop at the hub (A) it opens,
+        # whose loop at B it closes, or whose tap it is
         self.opens, self.closes, self.taps = {}, {}, {}
         self.s_in, self.s_out, self.r_in, self.r_out = [], [], [], []
         self.eps_edges = []
@@ -58,8 +49,8 @@ class CancellationAutomaton:
     # -- construction helpers -------------------------------------------------
 
     def _new_state(self) -> int:
-        # per-state edge lists are tuples without spare room, and the states
-        # of a chain have one edge in and one out, so most share the empty one
+        # per-state edge lists are tuples without spare room, and most states
+        # of a loop have one edge in and one out, so most share the empty one
         s = self.n_states
         self.n_states += 1
         for lists in (self.s_in, self.s_out, self.r_in, self.r_out):
@@ -79,23 +70,6 @@ class CancellationAutomaton:
             self.eps_edges.append(e)
         return e
 
-    def _add_chain(self, src, dst, word: SignedWord, kind: str, gen: int):
-        """Simple path src -> dst spelling word, its sign on the first edge.
-
-        An empty word becomes a base epsilon edge carrying the sign.
-        """
-        letters = word.word
-        n = len(letters)
-        self.chains[len(self.edges)] = (kind, gen, n)
-        if not letters:
-            self._add_edge(src, dst, None, word.sign)
-            return
-        prev = src
-        for pos, ch in enumerate(letters):
-            nxt = dst if pos == n - 1 else self._new_state()
-            self._add_edge(prev, nxt, ch, word.sign if pos == 0 else 1)
-            prev = nxt
-
     # -- views -----------------------------------------------------------------
 
     def path_value(self, edge_ids) -> SignedWord:
@@ -114,61 +88,59 @@ class CancellationAutomaton:
                 f"{len(self.edges)} edges)")
 
 
-def _generator_loops(kind: str, gens: GeneratorSet) -> CancellationAutomaton:
-    """Initial hub state 0 with one LOOP chain per generator."""
-    auto = CancellationAutomaton(kind)
-    hub = auto._new_state()
-    auto.initial = hub
-    for i, g in enumerate(gens, start=1):
-        auto._add_chain(hub, hub, g.word, LOOP, i)
-    return auto
+def _hub_loops(auto: CancellationAutomaton, hub: int, gens: GeneratorSet) -> list:
+    """Lay one loop w_g at hub per generator; the loops' own first edges.
+
+    Each loop's own edge carries its sign, is recorded in `auto.opens`, and
+    enters a tree of +1 edges shared by the loops' suffixes, which leads
+    each of its states to the hub one way only."""
+    firsts = []
+    into = {}   # (state, letter) -> the state whose edge of that letter enters it
+    for g in range(1, len(gens) + 1):
+        w = gens.word(g)
+        node = hub
+        for ch in reversed(w.word[1:]):
+            if (node, ch) not in into:
+                into[node, ch] = auto._new_state()
+                auto._add_edge(into[node, ch], node, ch, 1)
+            node = into[node, ch]
+        firsts.append(auto._add_edge(hub, node, w.word[:1] or None, w.sign))
+        auto.opens[firsts[-1]] = g
+    return firsts
 
 
 def build_loop_automaton(gens: GeneratorSet) -> CancellationAutomaton:
-    """Hub state with one cycle per generator spelling its reduced word.
+    """Hub state 0 with one loop per generator spelling its reduced word.
 
     Closed paths at the hub are in bijection with nonempty generator index
-    sequences, so (hub, hub, sigma) in the saturation relation says exactly
-    that sigma * I is a nonempty product of generators.
+    sequences (`_hub_loops`), so (hub, hub, sigma) in the saturation
+    relation says exactly that sigma * I is a nonempty product.
     """
-    auto = _generator_loops("loop", gens)
-    auto.final = auto.initial
+    auto = CancellationAutomaton("loop")
+    auto.initial = auto.final = auto._new_state()
+    _hub_loops(auto, auto.initial, gens)
     return auto
 
 
 def _shared_loops(kind: str, gens: GeneratorSet, heads, tails) -> tuple:
     """(automaton, [initial_g for g in heads], [final_g for g in tails]).
 
-    A carries the loops w_g, an epsilon edge of weight +1 joins A to B, and
-    B carries the loops inv(w_g).  The loops at A share their suffixes and
-    each starts with an edge of its own, carrying its sign; the loops at B
-    share their prefixes and each ends with one, carrying its sign.  A tap
-    copies the first edge of A's loop g out of initial_g, or the last edge
-    of B's loop g into final_g.  Shared states lead to A, or are reached
-    from B, one way only, so a path initial_i -> final_j spells
+    A carries the loops w_g of `_hub_loops`, an epsilon edge of weight +1
+    joins A to B, and B carries the loops inv(w_g), which share their
+    prefixes and each end with an own edge carrying the sign.  A tap copies the first edge of A's loop g out of initial_g, or
+    the last edge of B's loop g into final_g.  Shared states lead to A, or
+    are reached from B, one way only, so a path initial_i -> final_j spells
     w_i u inv(v) inv(w_j) with u, v in G*.  The automaton records the
     generator whose loop each own edge opens or closes, and each tap's.
     """
     auto = CancellationAutomaton(kind)
     a = auto._new_state()
     b = auto._new_state()
-    n = len(gens)
-    firsts = []
-    into = {}   # (state, letter) -> the state whose edge of that letter enters it
-    for g in range(1, n + 1):
-        w = gens.word(g)
-        node = a
-        for ch in reversed(w.word[1:]):
-            if (node, ch) not in into:
-                into[node, ch] = auto._new_state()
-                auto._add_edge(into[node, ch], node, ch, 1)
-            node = into[node, ch]
-        firsts.append(auto._add_edge(a, node, w.word[:1] or None, w.sign))
-        auto.opens[firsts[-1]] = g
+    firsts = _hub_loops(auto, a, gens)
     auto._add_edge(a, b, None, 1)
     lasts = []
     out = {}    # (state, letter) -> the state its edge of that letter enters
-    for g in range(1, n + 1):
+    for g in range(1, len(gens) + 1):
         w = inv(gens.word(g))
         node = b
         for ch in w.word[:-1]:
@@ -235,9 +207,14 @@ def build_membership_automaton(gens: GeneratorSet, target_word: SignedWord) -> C
     if not w.word:
         raise AutomatonError("membership chain for +-I is degenerate; "
                              "query the loop automaton instead")
-    auto = _generator_loops("membership", gens)
+    auto = CancellationAutomaton("membership")
+    prev = auto.initial = auto._new_state()
+    _hub_loops(auto, auto.initial, gens)
     auto.final = auto._new_state()
-    auto._add_chain(auto.initial, auto.final, w, TARGET_INV, 0)
+    for pos, ch in enumerate(w.word):
+        nxt = auto.final if pos == len(w.word) - 1 else auto._new_state()
+        auto._add_edge(prev, nxt, ch, w.sign if pos == 0 else 1)
+        prev = nxt
     return auto
 
 
@@ -548,34 +525,18 @@ def extract_path(auto: CancellationAutomaton, sat: SaturationRelation,
 def path_sequence(auto: CancellationAutomaton, path: list) -> list:
     """Generator index sequence of a loop/membership-automaton path.
 
-    The path must be a run of whole generator loops, closed on a membership
-    automaton by the whole target chain; anything else raises.  A whole
-    chain is a run of consecutive edge ids from a chain's first edge.
+    The path must run, edge after joined edge, from the hub (`initial`) to
+    `final`.  Shared states lead to the hub one way only, so it is a run of
+    whole loops, closed on a membership automaton by the target chain, and
+    the loops' own edges (`opens`) name its generators; else it raises.
     """
     if auto.kind not in ("loop", "membership"):
         raise WitnessError(f"no index-sequence decoding for {auto.kind} automata")
-    chains = auto.chains
-    runs = []   # the (kind, gen, length) of each chain
-    idx = 0
-    while idx < len(path):
-        first = path[idx]
-        chain = chains.get(first)
-        if chain is None:
-            raise WitnessError(f"path enters a chain mid-way at edge {first}")
-        end = idx + max(chain[2], 1)
-        if end > len(path):
-            raise WitnessError("path ends inside a chain")
-        if any(path[idx + k] != first + k for k in range(1, end - idx)):
-            raise WitnessError("path does not follow a full chain")
-        runs.append(chain)
-        idx = end
-    if auto.kind == "membership":
-        if not runs or runs[-1][0] != TARGET_INV:
-            raise WitnessError("membership path does not end with the full target chain")
-        runs.pop()
-    if any(kind != LOOP for kind, _, _ in runs):
-        raise WitnessError("path leaves the generator loops")
-    seq = [gen for _, gen, _ in runs]
+    edges = auto.edges
+    ends = [auto.initial] + [edges[e][1] for e in path]
+    if ends[-1] != auto.final or any(edges[e][0] != at for e, at in zip(path, ends)):
+        raise WitnessError("path must run, joined, from the hub to the final state")
+    seq = [auto.opens[e] for e in path if e in auto.opens]
     if not seq:
         raise WitnessError("witness must use at least one generator")
     return seq

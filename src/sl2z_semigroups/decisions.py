@@ -298,15 +298,15 @@ def finite_freeness(gens: GeneratorSet, depth: int = 4) -> Verdict:
     Branch (a), exact: I in the semigroup, i.e. the (hub, hub, +1) triple
     of the loop automaton, which pumps every element.  -I needs no lookup
     of its own: if -I is a nonempty product P then P * P = I.  A trivial
-    cycle at any other state would say no more: a cycle at a mid-chain
-    state q of chain c forces M_c * X = +-I for the block X of full chains
-    it traverses.  Without I, a set in which no pair of generators collides
-    is free (see `is_free`): every element factors uniquely, so none is
-    recurrent and no candidate is looked at.  Otherwise branch (b),
-    `recurrent_product_sweep`, exact per candidate: a recurrent product of
-    <= depth generators (a recurrent matrix can exist without I, so branch
-    (a) alone is not a complete criterion).  With neither, the honest
-    answer is UNKNOWN_UP_TO(depth).
+    cycle at any other state would say no more: one at a shared state q
+    spells v X u, X whole loops and u v = w_g for a loop g through q, so
+    X * M_g = +-I.  Without I, a set in which no pair of generators
+    collides is free (see `is_free`): every element factors uniquely, so
+    none is recurrent and no candidate is looked at.
+    Otherwise branch (b), `recurrent_product_sweep`, exact per candidate: a
+    recurrent product of <= depth generators (a recurrent matrix can exist
+    without I, so branch (a) alone is not a complete criterion).  With
+    neither, the honest answer is UNKNOWN_UP_TO(depth).
     """
     if depth < 1:
         raise DecisionError("depth must be >= 1")

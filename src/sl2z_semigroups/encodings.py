@@ -8,8 +8,10 @@ constructions as generator sets with recomputed ground truth.
 """
 
 from dataclasses import dataclass, field
+from math import prod
 
 from .algebra import GeneratorSet, Mat2, IDENTITY, MAX_WORD_LETTERS
+from .algebra import Generator, SignedWord, decompose, reduce
 from . import oracle as oracle_mod
 
 
@@ -58,6 +60,17 @@ def alpha(w, n_letters=None):
     return tuple(out)
 
 
+def _merged_alpha(w) -> tuple:
+    """alpha(w) with each a^-i a^j between neighbouring letters merged into
+    a^(j-i): fewer letters, the same image under f."""
+    out, prev = [], 0
+    for idx, inv in w:
+        out += [("a", idx < prev)] * abs(idx - prev)
+        out.append(("b", inv))
+        prev = idx
+    return tuple(out + [("a", True)] * prev)
+
+
 # letter -> (is an a-letter, shear k): f(a^±1) = [[1, k], [0, 1]] and
 # f(b^±1) = [[1, 0], [k, 1]] with k = ±2
 _SHEAR = {
@@ -92,6 +105,19 @@ def f_matrix(w) -> Mat2:
     return Mat2(a, b, c, d)
 
 
+# f of each binary letter as a reduced signed word: f(a) = phi(srsr) and
+# f(b) = phi(srrsrr), and their inverses
+_LETTER_WORD = {lt: decompose(f_matrix((lt,))) for lt in _SHEAR}
+
+
+def f_word(w) -> SignedWord:
+    """Reduced signed word of f(w), for a word that `f_matrix` accepts: its
+    letters' words joined and reduced once, which is `decompose(f_matrix(w))`
+    without the Euclidean steps."""
+    words = [_LETTER_WORD[lt] for lt in w]
+    return reduce("".join(x.word for x in words), prod(x.sign for x in words))
+
+
 def closed_form(i: int, j: int) -> Mat2:
     """Value of (a^j b a^-j)^i in closed form: [[1+4ij, -8ij^2], [2i, 1-4ij]].
 
@@ -110,6 +136,16 @@ def encode_group_word(w, z_index: dict) -> Mat2:
     """f(alpha(.)) of a symbolic group word under the given z-indexing."""
     indexed = tuple((z_index[sym], inv) for sym, inv in w)
     return f_matrix(alpha(indexed))
+
+
+def _generator_set(words, z_index: dict) -> GeneratorSet:
+    """Generators f(alpha(w)) of the symbolic words, each word from `f_word`,
+    not `decompose`; `GeneratorSet` checks that it evaluates to the matrix."""
+    gens = []
+    for i, w in enumerate(words, start=1):
+        letters = _merged_alpha(tuple((z_index[sym], inv) for sym, inv in w))
+        gens.append(Generator(f_matrix(letters), f_word(letters), f"#{i}"))
+    return GeneratorSet(gens)
 
 
 @dataclass
@@ -207,7 +243,7 @@ def encode_equal_subset_sum(values) -> Fixture:
     for i in range(k):
         specs += _step_specs(f"--set entry {i + 1}", i, "a", values[i])
     words = _expand_words(specs, z)
-    gens = GeneratorSet.from_matrices([encode_group_word(w, z) for w in words])
+    gens = _generator_set(words, z)
     expected = {"free": pair is None}
     provenance = {"values": values}
     if pair is not None:
@@ -239,7 +275,7 @@ def encode_subset_sum(values, x: int) -> Fixture:
     specs.append(("--x", ((str(k), False, 1), ("a", True, x), (str(k + 1), True, 1))))
     specs.append(("--x", ((str(2 * k + 1), False, 1), ("b", True, x), ("0", True, 1))))
     words = _expand_words(specs, z)
-    gens = GeneratorSet.from_matrices([encode_group_word(w, z) for w in words])
+    gens = _generator_set(words, z)
     expected = {
         "identity": mask is not None,
         # the count-question target: the first epsilon word 0 . 1^-1
@@ -282,7 +318,7 @@ def recurrent_without_identity_fixture() -> Fixture:
         word(letter("0"), letter("a", True), letter("1", True)),
         word(letter("1"), letter("a", True), letter("1", True)),
     ]
-    gens = GeneratorSet.from_matrices([encode_group_word(w, z) for w in words])
+    gens = _generator_set(words, z)
     target_word = word(letter("0"), letter("1", True))
     target = encode_group_word(target_word, z)
     expected = {
@@ -355,7 +391,7 @@ def encode_dfa_intersection(dfas) -> Fixture:
         for q in sorted(d.finals):
             specs.append((field, ((f"d{i}_{q}", False, 1), ("#", False, 1))))
     words = _expand_words(specs, z)
-    gens = GeneratorSet.from_matrices([encode_group_word(w, z) for w in words])
+    gens = _generator_set(words, z)
     expected = {"dfas": tuple(dfas)}
     return Fixture(gens, words, z, expected, {"alphabet": alphabet})
 
@@ -389,3 +425,4 @@ def verify_fixture(fixture: Fixture, depth: int, budget: int = oracle_mod.DEFAUL
                 f"identity expectation {expected['identity']} but oracle depth "
                 f"{depth} says {found}")
     return True
+

@@ -8,14 +8,24 @@ iff the goal triple (initial, final, +1) of `build_chain_pattern_automaton`
 is in its saturation.
 """
 
-from sl2z_semigroups.algebra import GeneratorSet, inv
+from sl2z_semigroups.algebra import GeneratorSet, SignedWord, inv
 from sl2z_semigroups.automata import CancellationAutomaton, saturate
 
-ENTRY = "entry"          # initial -> A spelling w_i
-FWD_LOOP = "fwd_loop"    # loops at A
-BRIDGE_INV = "bridge_inv"  # A -> B spelling inv(w_g)
-INV_LOOP = "inv_loop"    # loops at B
-EXIT_INV = "exit_inv"    # A/B -> final spelling inv(w_j)
+
+def add_chain(auto: CancellationAutomaton, src, dst, word: SignedWord):
+    """Simple path src -> dst spelling word, its sign on the first edge.
+
+    An empty word becomes a base epsilon edge carrying the sign.
+    """
+    letters = word.word
+    if not letters:
+        auto._add_edge(src, dst, None, word.sign)
+        return
+    prev = src
+    for pos, ch in enumerate(letters):
+        nxt = dst if pos == len(letters) - 1 else auto._new_state()
+        auto._add_edge(prev, nxt, ch, word.sign if pos == 0 else 1)
+        prev = nxt
 
 
 def build_chain_pattern_automaton(i: int, j: int, gens: GeneratorSet) -> CancellationAutomaton:
@@ -34,16 +44,16 @@ def build_chain_pattern_automaton(i: int, j: int, gens: GeneratorSet) -> Cancell
     b = auto._new_state()
     final = auto._new_state()
     auto.initial, auto.final = initial, final
-    auto._add_chain(initial, a, gens.word(i), ENTRY, i)
+    add_chain(auto, initial, a, gens.word(i))
     for g in range(1, n + 1):
-        auto._add_chain(a, a, gens.word(g), FWD_LOOP, g)
+        add_chain(auto, a, a, gens.word(g))
     for g in range(1, n + 1):
         w = inv(gens.word(g))
-        auto._add_chain(a, b, w, BRIDGE_INV, g)
-        auto._add_chain(b, b, w, INV_LOOP, g)
+        add_chain(auto, a, b, w)
+        add_chain(auto, b, b, w)
     exit_word = inv(gens.word(j))
-    auto._add_chain(a, final, exit_word, EXIT_INV, j)
-    auto._add_chain(b, final, exit_word, EXIT_INV, j)
+    add_chain(auto, a, final, exit_word)
+    add_chain(auto, b, final, exit_word)
     return auto
 
 

@@ -59,9 +59,13 @@ class TestLoopAutomaton:
         assert auto.edges == [(0, 0, None, -1)]
 
     def test_chain_lengths(self):
+        # srsr and srrsrr share the suffix r: the hub, 3 states of srsr and
+        # 4 more of srrsrr; 4 edges for srsr and 5 more for srrsrr
         auto = build_loop_automaton(GeneratorSet.from_matrices([F_A, F_B]))
-        assert len(auto.edges) == 4 + 6
-        assert auto.n_states == 1 + 3 + 5
+        assert len(auto.edges) == 4 + 5
+        assert auto.n_states == 1 + 3 + 4
+        assert sorted(auto.opens.values()) == [1, 2]
+        assert all(auto.edges[e][0] == auto.initial for e in auto.opens)
 
     def test_generator_sign_on_first_edge(self):
         auto = build_loop_automaton(GeneratorSet.from_matrices([-S]))
@@ -208,30 +212,52 @@ class TestMembershipAutomaton:
 
 class TestWitnessDecodingRejects:
     """Decoding accepts only paths in the shape of the automaton's witnesses:
-    whole chains on a loop or membership automaton, one joined path from
-    tap to tap on a pattern automaton.  Every other edge path raises
-    instead of decoding."""
+    one joined path of whole loops from the hub, closed on a membership
+    automaton by the target chain, or one joined path from tap to tap on a
+    pattern automaton.  Every other edge path raises instead of decoding."""
 
     def loop_pair(self):
-        # two chains of four edges each: 0-3 spell F_A, 4-7 spell -F_A
+        """The loops of F_A and -F_A, found by their structure.  Both spell
+        srsr, so they share the path r s r back to the hub and differ in
+        their own first edges, which carry the signs."""
         auto = build_loop_automaton(GeneratorSet.from_matrices([F_A, -F_A]))
-        assert [e[2] for e in auto.edges] == list("srsr" * 2)
-        return auto
+        edges = auto.edges
+        own = {g: e for e, g in auto.opens.items()}
+        at = edges[own[1]][1]
+        assert edges[own[2]][1] == at
+        shared = []
+        while at != auto.initial:
+            (e,) = [e for e, edge in enumerate(edges) if edge[0] == at]
+            shared.append(e)
+            at = edges[e][1]
+        loops = [own[1]] + shared, [own[2]] + shared
+        assert [[edges[e][2:] for e in loop] for loop in loops] == [
+            [("s", 1), ("r", 1), ("s", 1), ("r", 1)],
+            [("s", -1), ("r", 1), ("s", 1), ("r", 1)],
+        ]
+        return auto, loops
 
     def test_whole_chains_decode(self):
-        assert path_sequence(self.loop_pair(), [4, 5, 6, 7, 0, 1, 2, 3]) == [2, 1]
+        auto, (first, second) = self.loop_pair()
+        assert path_sequence(auto, second + first) == [2, 1]
 
     def test_path_starting_mid_chain(self):
+        # joined, and back at the hub, but it starts inside the first loop
+        auto, (first, second) = self.loop_pair()
         with pytest.raises(WitnessError):
-            path_sequence(self.loop_pair(), [1, 2, 3, 4, 5, 6, 7, 0])
+            path_sequence(auto, first[1:] + second)
 
     def test_path_cut_inside_a_chain(self):
+        auto, (first, second) = self.loop_pair()
         with pytest.raises(WitnessError):
-            path_sequence(self.loop_pair(), [0, 1, 2, 3, 4, 5])
+            path_sequence(auto, first + second[:2])
 
     def test_first_edge_of_one_chain_then_the_rest_of_another(self):
+        # from the hub back to it, with one own edge, but after the first
+        # loop the shared edges start away from the hub: the edges do not join
+        auto, (first, second) = self.loop_pair()
         with pytest.raises(WitnessError):
-            path_sequence(self.loop_pair(), [0, 5, 6, 7])
+            path_sequence(auto, first + second[1:])
 
     def test_membership_path_without_the_target_chain(self):
         gens = GeneratorSet.from_matrices([F_A, F_B])

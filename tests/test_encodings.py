@@ -15,11 +15,11 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, strategies as st
 
-from sl2z_semigroups.algebra import IDENTITY, Mat2
+from sl2z_semigroups.algebra import IDENTITY, Mat2, SignedWord, decompose
 from sl2z_semigroups import algebra, cli, encodings, oracle
 from sl2z_semigroups.encodings import (
     DfaSpec, EncodingError, alpha, closed_form, encode_dfa_intersection,
-    encode_equal_subset_sum, encode_subset_sum, f_matrix, free_reduce,
+    encode_equal_subset_sum, encode_subset_sum, f_matrix, f_word, free_reduce,
     inverse_word, letter, marked_query_word, recurrent_without_identity_fixture,
     verify_fixture, word,
 )
@@ -112,6 +112,33 @@ class TestFMatrix:
             for w in iproduct(letters, repeat=length):
                 image_trivial = f_matrix(alpha(w)) == IDENTITY
                 assert image_trivial == (free_reduce(w) == ())
+
+
+class TestFWord:
+    """`f_word` joins the letters' words instead of decomposing the matrix."""
+
+    def test_letter_words(self):
+        assert f_word((A,)) == SignedWord(1, "srsr")
+        assert f_word((B,)) == SignedWord(1, "srrsrr")
+        assert f_word(()) == SignedWord(1, "")
+        assert f_word((A, A_INV)) == SignedWord(1, "")
+
+    def test_equals_decompose_on_random_words(self):
+        rng = random.Random(20162)
+        letters = [A, B, A_INV, B_INV]
+        for _ in range(600):
+            w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 40)))
+            assert f_word(w) == decompose(f_matrix(w))
+
+    def test_merged_alpha_keeps_the_value(self):
+        # the generators' words come from alpha with its a-runs merged
+        rng = random.Random(20163)
+        for _ in range(300):
+            w = tuple((rng.randint(1, 5), rng.random() < 0.5)
+                      for _ in range(rng.randint(0, 8)))
+            merged = encodings._merged_alpha(w)
+            assert len(merged) <= len(alpha(w))
+            assert f_word(merged) == decompose(f_matrix(alpha(w)))
 
 
 class TestClosedForm:
@@ -253,6 +280,29 @@ def test_bench_problem_files_match_letterwise_reference(workload, tmp_path, monk
     monkeypatch.setattr(encodings, "f_matrix", letterwise_f)
     reference = problem_files(tmp_path / "reference")
     assert fast and fast == reference
+
+
+@pytest.mark.parametrize("workload", ["membership", "freeness", "counting",
+                                      "finite_freeness"])
+def test_bench_fixture_words_equal_decompose(workload, tmp_path, monkeypatch):
+    """Every generator of the benchmark's fixtures carries the word that
+    `decompose` gives for its matrix."""
+    workloads = load_bench_workloads()
+    pkg = types.SimpleNamespace(algebra=algebra, cli=cli, encodings=encodings,
+                                oracle=oracle)
+    built = []
+    generator_set = encodings._generator_set
+
+    def recording(words, z_index):
+        built.append(generator_set(words, z_index))
+        return built[-1]
+
+    monkeypatch.setattr(encodings, "_generator_set", recording)
+    workloads.build(pkg, str(tmp_path), workload, 3)
+    assert built
+    for gens in built:
+        for g in gens:
+            assert g.word == decompose(g.matrix)
 
 
 class TestRecurrentFixture:

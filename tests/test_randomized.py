@@ -6,7 +6,10 @@ derivations saturation records, in order, against its plain rule loop, and
 a run stopped at a goal triple against a prefix of the full run.  The
 shared freeness automaton, and the pattern automata built the same way,
 run against the chain-based pattern automaton of each pair
-(`pattern_referee`).
+(`pattern_referee`); identity, membership and counting on the loop and
+membership automata, whose loops share suffixes, run against the layout
+with one chain per generator (`loop_referee`), and their closed hub paths
+against the index sequences they must decode to.
 Growth-cycle search and enumeration on the proper form of random grammars
 run against an independent implementation of the classic elimination route
 and against bounded enumeration of the raw grammar, and factorization
@@ -18,16 +21,20 @@ import random
 from collections import deque
 
 from sl2z_semigroups.algebra import (
-    IDENTITY, S, GeneratorSet, Mat2, SignedWord, decompose, evaluate, reduce,
+    IDENTITY, S, GeneratorSet, Mat2, SignedWord, decompose, evaluate, inv, reduce,
 )
 import pytest
 
 from sl2z_semigroups.automata import (
-    AutomatonError, CancellationAutomaton, build_freeness_automaton,
-    build_loop_automaton, build_pattern_automaton, decode_pattern_witness,
-    derivation_grammar, extract_path, saturate,
+    AutomatonError, CancellationAutomaton, WitnessError, build_freeness_automaton,
+    build_loop_automaton, build_membership_automaton, build_pattern_automaton,
+    decode_pattern_witness, derivation_grammar, extract_path, path_sequence,
+    saturate,
 )
-from sl2z_semigroups.decisions import NO, YES, FactorizationCounter, is_free
+from sl2z_semigroups.decisions import (
+    NO, YES, FactorizationCounter, count_factorizations, identity_in_semigroup,
+    is_free, membership,
+)
 from sl2z_semigroups.encodings import (
     encode_equal_subset_sum, encode_subset_sum, recurrent_without_identity_fixture,
 )
@@ -40,6 +47,7 @@ from sl2z_semigroups.oracle import enumerate_products
 from grammar_referee import (
     assert_growth_cycle, assert_proper, classic_is_finite, proper_form,
 )
+from loop_referee import chain_count, chain_witness
 from pattern_referee import pattern_collisions
 
 
@@ -314,6 +322,114 @@ def test_freeness_automaton_matches_pattern_automata():
         seen["colliding pair"] += len(collisions)
         seen["free pair"] += len(goals) - len(collisions)
     assert min(seen.values()) >= 20, seen
+
+
+def random_signed_words(rng, n_gens, max_len):
+    return [SignedWord(rng.choice((1, -1)), random_reduced_word(rng, rng.randint(0, max_len)))
+            for _ in range(rng.randint(*n_gens))]
+
+
+def loop_referee_cases(seed=7, n_sets=300):
+    """(generators, targets): seeded random sets of 2-4 generators with
+    words of 0-8 letters, each with a product of 1-3 of its generators
+    and the value of a random word as membership targets."""
+    rng = random.Random(seed)
+    for _ in range(n_sets):
+        gens = GeneratorSet.from_words(random_signed_words(rng, (2, 4), 8))
+        seq = [rng.randint(1, len(gens)) for _ in range(rng.randint(1, 3))]
+        outsider = evaluate(SignedWord(1, random_reduced_word(rng, rng.randint(1, 8))))
+        yield gens, [gens.product(seq), outsider]
+
+
+def test_loop_automata_match_chain_referee():
+    """Shared suffixes move no verdict and no count; a witness may move,
+    but every one re-multiplies.  Counts, which read the derivation
+    grammar of the complete saturation, are checked on every fourth set."""
+    seen = {"identity": 0, "no identity": 0, "member": 0, "non-member": 0,
+            "exact count": 0, "infinite count": 0}
+    for case, (gens, targets) in enumerate(loop_referee_cases()):
+        ident = identity_in_semigroup(gens)
+        ref = chain_witness(gens, IDENTITY)
+        assert (ident.answer == YES) == (ref is not None)
+        if ref is not None:
+            assert gens.product(ref) == IDENTITY
+            assert gens.product(ident.witness["sequences"][0]) == IDENTITY
+        seen["identity" if ref is not None else "no identity"] += 1
+        for m in targets:
+            v = membership(gens, m)
+            ref = chain_witness(gens, m)
+            assert (v.answer == YES) == (ref is not None)
+            if ref is not None:
+                assert gens.product(ref) == m
+                assert gens.product(v.witness["sequences"][0]) == m
+            seen["member" if ref is not None else "non-member"] += 1
+            if case % 4:
+                continue
+            kind, value, sequences = chain_count(gens, m, 4)
+            counted = count_factorizations(gens, m, cap=4)
+            assert (counted.count.kind, counted.count.value) == (kind, value)
+            if kind == "exact":
+                assert (counted.witness or {}).get("sequences", []) == sequences
+            seen["exact count" if kind == "exact" else "infinite count"] += kind != "more_than"
+    assert min(seen.values()) >= 20, seen
+
+
+def loop_edges(gens, g):
+    """Edges of generator g's loop: its letters, or one epsilon edge."""
+    return max(len(gens.word(g).word), 1)
+
+
+def sequences_within(gens, budget):
+    """Every nonempty index sequence whose loops have <= budget edges."""
+    found, frontier = [], [[]]
+    while frontier:
+        nxt = []
+        for seq in frontier:
+            used = sum(loop_edges(gens, g) for g in seq)
+            for g in range(1, len(gens) + 1):
+                if used + loop_edges(gens, g) <= budget:
+                    nxt.append(seq + [g])
+        found += nxt
+        frontier = nxt
+    return sorted(found)
+
+
+def paths_to_final(auto, max_edges):
+    """Every edge path of <= max_edges edges from `initial` to `final`."""
+    out_edges = {}
+    for e, (src, _, _, _) in enumerate(auto.edges):
+        out_edges.setdefault(src, []).append(e)
+    found, frontier = [], [()]
+    for _ in range(max_edges):
+        frontier = [path + (e,) for path in frontier
+                    for e in out_edges.get(auto.edges[path[-1]][1] if path else auto.initial, ())]
+        found += [list(path) for path in frontier if auto.edges[path[-1]][1] == auto.final]
+    return found
+
+
+def test_closed_hub_paths_decode_to_every_short_sequence():
+    """The closed hub paths of <= L edges decode exactly to the index
+    sequences whose loops have <= L edges in all, one path per sequence;
+    on a membership automaton the same holds for the paths hub -> final,
+    less the target chain's edges."""
+    rng = random.Random(11)
+    budget = 6
+    for _ in range(60):
+        gens = GeneratorSet.from_words(random_signed_words(rng, (1, 3), 4))
+        auto = build_loop_automaton(gens)
+        decoded = sorted(path_sequence(auto, p) for p in paths_to_final(auto, budget))
+        assert decoded == sequences_within(gens, budget)
+        target = SignedWord(1, random_reduced_word(rng, rng.randint(1, 2)))
+        auto = build_membership_automaton(gens, target)
+        chain = len(inv(target).word)
+        paths = paths_to_final(auto, budget)
+        # the target chain alone is the one path hub -> final without a loop
+        bare = [p for p in paths if not set(p) & auto.opens.keys()]
+        assert bare == [list(range(len(auto.edges) - chain, len(auto.edges)))]
+        with pytest.raises(WitnessError):
+            path_sequence(auto, bare[0])
+        decoded = sorted(path_sequence(auto, p) for p in paths if p not in bare)
+        assert decoded == sequences_within(gens, budget - chain)
 
 
 @pytest.mark.parametrize("values", [
