@@ -127,9 +127,10 @@ def _shared_loops(kind: str, gens: GeneratorSet, heads, tails) -> tuple:
 
     A carries the loops w_g of `_hub_loops`, an epsilon edge of weight +1
     joins A to B, and B carries the loops inv(w_g), which share their
-    prefixes and each end with an own edge carrying the sign.  A tap copies the first edge of A's loop g out of initial_g, or
-    the last edge of B's loop g into final_g.  Shared states lead to A, or
-    are reached from B, one way only, so a path initial_i -> final_j spells
+    prefixes and each end with an own edge carrying the sign.  A tap copies
+    the first edge of A's loop g out of initial_g, or the last edge of B's
+    loop g into final_g.  Shared states lead to A, or are reached from B,
+    one way only, so a path initial_i -> final_j spells
     w_i u inv(v) inv(w_j) with u, v in G*.  The automaton records the
     generator whose loop each own edge opens or closes, and each tap's.
     """
