@@ -14,6 +14,9 @@ problem files and printed the same reports, so an encoding change that
 moves a matrix but no verdict shows in the last column.  Exits 1 if some
 verdict is wrong.
 
+`scripts/report_digests.txt` pins the lines of `--seed 3`, and CI diffs
+the output against it, so a change that moves a report updates that file.
+
 `bench/` is only read: the module is loaded from its file without writing
 bytecode next to it.
 """

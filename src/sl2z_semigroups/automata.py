@@ -12,7 +12,7 @@ re-joining every derivation of a triple gives the grammar of all its paths.
 from collections import deque
 from itertools import chain, islice
 
-from .algebra import GeneratorSet, SignedWord, evaluate, inv, reduce
+from .algebra import GeneratorSet, SignedWord, inv, reduce
 from .grammars import Grammar
 
 
@@ -30,8 +30,9 @@ class CancellationAutomaton:
     States are ints and edges are ids into `edges`.  `s_in`/`s_out`/`r_in`/
     `r_out` hold per state a tuple of the s/r edges entering / leaving it,
     in id order, as `eps_edges` lists the base epsilon edges.  Paths decode
-    by the loops' own edges, named in `opens`, `closes` and `taps` (see
-    `_hub_loops`).  Immutable once built (builders below do all mutation).
+    by the loops' own edges and the taps, named in `opens`, `closes`,
+    `heads` and `tails` (see `_hub_loops` and `_shared_loops`).  Immutable
+    once built (builders below do all mutation).
     """
 
     def __init__(self, kind: str):
@@ -41,8 +42,8 @@ class CancellationAutomaton:
         self.final = None
         self.edges = []       # (src, dst, label in 'sr' or None, weight)
         # edge id -> the 1-based generator whose loop at the hub (A) it opens,
-        # whose loop at B it closes, or whose tap it is
-        self.opens, self.closes, self.taps = {}, {}, {}
+        # whose loop at B it closes, or whose initial / final tap it is
+        self.opens, self.closes, self.heads, self.tails = {}, {}, {}, {}
         self.s_in, self.s_out, self.r_in, self.r_out = [], [], [], []
         self.eps_edges = []
 
@@ -132,7 +133,8 @@ def _shared_loops(kind: str, gens: GeneratorSet, heads, tails) -> tuple:
     loop g into final_g.  Shared states lead to A, or are reached from B,
     one way only, so a path initial_i -> final_j spells
     w_i u inv(v) inv(w_j) with u, v in G*.  The automaton records the
-    generator whose loop each own edge opens or closes, and each tap's.
+    generator whose loop each own edge opens or closes, and whose initial
+    (`heads`) or final (`tails`) tap each tap is.
     """
     auto = CancellationAutomaton(kind)
     a = auto._new_state()
@@ -155,12 +157,12 @@ def _shared_loops(kind: str, gens: GeneratorSet, heads, tails) -> tuple:
     for g in heads:
         _, dst, label, weight = auto.edges[firsts[g - 1]]
         initials.append(auto._new_state())
-        auto.taps[auto._add_edge(initials[-1], dst, label, weight)] = g
+        auto.heads[auto._add_edge(initials[-1], dst, label, weight)] = g
     finals = []
     for g in tails:
         src, _, label, weight = auto.edges[lasts[g - 1]]
         finals.append(auto._new_state())
-        auto.taps[auto._add_edge(src, finals[-1], label, weight)] = g
+        auto.tails[auto._add_edge(src, finals[-1], label, weight)] = g
     return auto, initials, finals
 
 
@@ -523,6 +525,11 @@ def extract_path(auto: CancellationAutomaton, sat: SaturationRelation,
     return path
 
 
+def _joined(edges, path) -> bool:
+    """Whether each edge of the path leaves where the last one ended."""
+    return all(edges[e][1] == edges[f][0] for e, f in zip(path, path[1:]))
+
+
 def path_sequence(auto: CancellationAutomaton, path: list) -> list:
     """Generator index sequence of a loop/membership-automaton path.
 
@@ -534,8 +541,8 @@ def path_sequence(auto: CancellationAutomaton, path: list) -> list:
     if auto.kind not in ("loop", "membership"):
         raise WitnessError(f"no index-sequence decoding for {auto.kind} automata")
     edges = auto.edges
-    ends = [auto.initial] + [edges[e][1] for e in path]
-    if ends[-1] != auto.final or any(edges[e][0] != at for e, at in zip(path, ends)):
+    if not (path and edges[path[0]][0] == auto.initial
+            and edges[path[-1]][1] == auto.final and _joined(edges, path)):
         raise WitnessError("path must run, joined, from the hub to the final state")
     seq = [auto.opens[e] for e in path if e in auto.opens]
     if not seq:
@@ -544,41 +551,30 @@ def path_sequence(auto: CancellationAutomaton, path: list) -> list:
 
 
 def extract_witness(auto: CancellationAutomaton, sat: SaturationRelation,
-                    frm: int, to: int, sigma: int, gens: GeneratorSet) -> list:
-    """Generator index sequence for a loop/membership-automaton triple.
-
-    A loop-automaton sequence is re-multiplied with exact matrix arithmetic
-    and must equal sigma * I.  Anything else raises instead of returning a
-    bogus certificate.
-    """
-    seq = path_sequence(auto, extract_path(auto, sat, frm, to, sigma))
-    if auto.kind == "loop":
-        value = gens.product(seq)
-        expected = evaluate(SignedWord(sigma, ""))
-        if value != expected:
-            raise WitnessError(f"witness {seq} multiplies to {value}, not {expected}")
-    return seq
+                    frm: int, to: int, sigma: int) -> list:
+    """Generator index sequence for a loop/membership-automaton triple: the
+    `path_sequence` of its `extract_path`.  The caller re-multiplies it."""
+    return path_sequence(auto, extract_path(auto, sat, frm, to, sigma))
 
 
 def decode_pattern_witness(auto: CancellationAutomaton, path: list,
                            gens: GeneratorSet) -> tuple:
-    """Two distinct equal-product sequences from a pattern-automaton path.
+    """Two distinct equal-product sequences from a tap-to-tap path of a
+    pattern or freeness automaton.
 
-    The path must run, edge after joined edge, from the initial tap to the
-    final tap.  It spells w_i u inv(v) inv(w_j), and decodes to alpha = [i] +
-    the generators whose loops its own first edges open, and beta = [j] +
-    those whose loops its own last edges close, reversed.  The two must
-    differ and are re-multiplied to equal products.
+    The path must run, edge after joined edge, from an initial tap
+    (`heads`) to a final tap (`tails`); the tap states are its ends.  It
+    spells w_i u inv(v) inv(w_j), and decodes to alpha = [i] + the
+    generators whose loops its own first edges open, and beta = [j] + those
+    whose loops its own last edges close, reversed.  The two must differ
+    and are re-multiplied to equal products.
     """
-    edges = auto.edges
-    ends = [auto.initial] + [edges[e][1] for e in path]
-    if (not path or path[0] not in auto.taps or path[-1] not in auto.taps
-            or ends[-1] != auto.final
-            or any(edges[e][0] != at for e, at in zip(path, ends))):
-        raise WitnessError("pattern path must run from the initial tap to the final tap")
-    alpha = [auto.taps[path[0]]] + [auto.opens[e] for e in path if e in auto.opens]
-    beta = [auto.taps[path[-1]]] + [auto.closes[e] for e in reversed(path)
-                                    if e in auto.closes]
+    if not (path and path[0] in auto.heads and path[-1] in auto.tails
+            and _joined(auto.edges, path)):
+        raise WitnessError("pattern path must run from an initial tap to a final tap")
+    alpha = [auto.heads[path[0]]] + [auto.opens[e] for e in path if e in auto.opens]
+    beta = [auto.tails[path[-1]]] + [auto.closes[e] for e in reversed(path)
+                                     if e in auto.closes]
     if alpha == beta:
         raise WitnessError("pattern decode produced identical sequences")
     if gens.product(alpha) != gens.product(beta):

@@ -1,12 +1,13 @@
 """Decision procedures over generator sets, with machine-checkable verdicts.
 
-Every procedure saturates cancellation automata.  Identity, membership and
-each freeness witness look up one triple, and their saturation stops once
-it is derived; one complete saturation of the freeness automaton decides
-every pair of generators at once; factorization counting and recurrence
-read the complete relation's derivation grammar, whose words are the
-automaton paths of the factorizations.  Every YES carries a witness that
-is re-multiplied with exact arithmetic before being returned.
+Every procedure saturates cancellation automata.  Identity and membership
+look up one triple, and their saturation stops once it is derived; one
+saturation of the freeness automaton, stopped at pair (1, 2)'s goal,
+decides every pair of generators and gives the least colliding pair's
+witness; factorization counting and recurrence read the complete
+relation's derivation grammar, whose words are the automaton paths of the
+factorizations.  Every witness is re-multiplied once with exact arithmetic
+before being returned.
 """
 
 from dataclasses import dataclass
@@ -78,7 +79,7 @@ def _trivial_path_witness(gens: GeneratorSet, auto, sigma: int, m: Mat2, what: s
     sat = am.saturate(auto, goal)
     if goal not in sat.triples:
         return None
-    seq = am.extract_witness(auto, sat, *goal, gens)
+    seq = am.extract_witness(auto, sat, *goal)
     _check_product(gens, seq, m, what)
     return seq
 
@@ -122,29 +123,21 @@ def membership(gens: GeneratorSet, m: Mat2) -> Verdict:
     return Verdict("membership", YES, _sequences_witness(seq))
 
 
-def _pattern_witness(gens: GeneratorSet, i: int, j: int):
-    """(alpha, beta) from pattern automaton (i, j), two distinct sequences
-    starting with i and j with equal products, or None.  Saturation stops
-    once the goal triple is derived."""
-    auto = am.build_pattern_automaton(i, j, gens)
-    goal = (auto.initial, auto.final, 1)
-    sat = am.saturate(auto, goal)
-    if goal not in sat.triples:
-        return None
-    return am.decode_pattern_witness(auto, am.extract_path(auto, sat, *goal), gens)
+def _first_collision(gens: GeneratorSet):
+    """(freeness automaton, relation, goal) of the least pair i < j, in
+    lexicographic order, such that some product starting with generator i
+    equals one starting with j; or None.
 
-
-def _colliding_pair(gens: GeneratorSet):
-    """The least pair i < j, in lexicographic order, such that some product
-    starting with generator i equals one starting with j; or None.
-
-    One complete saturation of the freeness automaton decides every pair.
+    One saturation, stopped at pair (1, 2)'s goal, decides every pair: if
+    (1, 2) collides it is the least pair, and if it does not, the goal is
+    outside the relation and the saturation runs to the full fixpoint.
     """
     auto, goals = am.build_freeness_automaton(gens)
     if not goals:
         return None
-    triples = am.saturate(auto).triples
-    return next((pair for pair, goal in goals if goal in triples), None)
+    sat = am.saturate(auto, goals[0][1])
+    goal = next((goal for _, goal in goals if goal in sat.triples), None)
+    return None if goal is None else (auto, sat, goal)
 
 
 def is_free(gens: GeneratorSet) -> Verdict:
@@ -153,30 +146,21 @@ def is_free(gens: GeneratorSet) -> Verdict:
     Exact.  Two distinct equal-product sequences either strip (dropping the
     common prefix) to a nonempty product equal to I, or to sequences
     starting with different generators i != j, which is precisely a positive
-    trivial path through the pattern automaton M_i G* (G^-1)* M_j^-1.  Pair
-    (1, 2) is tried first on its own pattern automaton, stopped at its goal.
-    With more generators, one saturation of the shared freeness automaton
-    then gives the least colliding pair in lexicographic order, and that
-    pair's witness comes from its own pattern automaton, stopped at its goal.
+    trivial path initial_i -> final_j through the freeness automaton, whose
+    paths there spell M_i G* (G^-1)* M_j^-1.  Without I, the witness is the
+    path of the least colliding pair in lexicographic order
+    (`_first_collision`), read off the same relation.
     """
     seq = _trivial_path_witness(gens, am.build_loop_automaton(gens), 1, _ID,
                                 "identity")
     if seq is not None:
-        alpha, beta = [1], [1] + seq
-        _check_product(gens, alpha, gens.matrix(1), "freeness")
-        _check_product(gens, beta, gens.matrix(1), "freeness")
-        return Verdict("freeness", NO, _sequences_witness(alpha, beta))
-    n = len(gens)
-    witness = _pattern_witness(gens, 1, 2) if n > 1 else None
-    if witness is None and n > 2:
-        pair = _colliding_pair(gens)
-        if pair is not None:
-            witness = _pattern_witness(gens, *pair)
-            if witness is None:
-                raise DecisionError(f"pair {pair} collides in the freeness "
-                                    "automaton but not in its pattern automaton")
-    if witness is None:
+        # seq multiplies to I, so [1] + seq multiplies to M_1
+        return Verdict("freeness", NO, _sequences_witness([1], [1] + seq))
+    collision = _first_collision(gens)
+    if collision is None:
         return Verdict("freeness", YES)
+    auto, sat, goal = collision
+    witness = am.decode_pattern_witness(auto, am.extract_path(auto, sat, *goal), gens)
     return Verdict("freeness", NO, _sequences_witness(*witness))
 
 
@@ -211,20 +195,21 @@ class FactorizationCounter:
 
         The sequences are every factorization, shortest first, when the
         count is exact; one re-multiplied factorization when it is not; and
-        empty when m is not a product.
+        empty when m is not a product.  Distinct paths decode to distinct
+        factorizations, so two paths decoding to one raise.
         """
         auto, sat, root, grammar = self._paths(m)
         enum = gr.enumerate_words(grammar, cap=cap)
         if enum.exact:
-            sequences = set()
-            for path in enum.words:
-                seq = tuple(am.path_sequence(auto, list(path)))
+            sequences = sorted((am.path_sequence(auto, list(path)) for path in enum.words),
+                               key=lambda s: (len(s), s))
+            for k, seq in enumerate(sequences):
                 _check_product(self.gens, seq, m, "factorization")
-                sequences.add(seq)
-            ordered = sorted(sequences, key=lambda s: (len(s), s))
-            return Count("exact", len(ordered)), [list(s) for s in ordered]
+                if k and seq == sequences[k - 1]:
+                    raise DecisionError(f"two paths decode to the factorization {seq}")
+            return Count("exact", len(sequences)), sequences
         cnt = Count("more_than", cap) if enum.cycle is None else Count("infinite")
-        seq = am.extract_witness(auto, sat, *root, self.gens)
+        seq = am.extract_witness(auto, sat, *root)
         _check_product(self.gens, seq, m, "membership")
         return cnt, [seq]
 
@@ -301,8 +286,9 @@ def finite_freeness(gens: GeneratorSet, depth: int = 4) -> Verdict:
     cycle at any other state would say no more: one at a shared state q
     spells v X u, X whole loops and u v = w_g for a loop g through q, so
     X * M_g = +-I.  Without I, a set in which no pair of generators
-    collides is free (see `is_free`): every element factors uniquely, so
-    none is recurrent and no candidate is looked at.
+    collides (`_first_collision`, the freeness automaton's one saturation)
+    is free: every element factors uniquely, so none is recurrent and no
+    candidate is looked at.
     Otherwise branch (b), `recurrent_product_sweep`, exact per candidate: a
     recurrent product of <= depth generators (a recurrent matrix can exist
     without I, so branch (a) alone is not a complete criterion).  With
@@ -314,7 +300,7 @@ def finite_freeness(gens: GeneratorSet, depth: int = 4) -> Verdict:
                                 "finite freeness")
     if seq is not None:
         return Verdict("finite_freeness", NO, _sequences_witness(seq))
-    if _colliding_pair(gens) is None:
+    if _first_collision(gens) is None:
         return Verdict("finite_freeness", UNKNOWN, depth_bound=depth)
     return recurrent_product_sweep(gens, depth)
 

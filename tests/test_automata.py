@@ -13,7 +13,7 @@ from sl2z_semigroups.algebra import (
     IDENTITY, R, S, GeneratorSet, SignedWord, evaluate, inv, reduce,
 )
 from sl2z_semigroups.automata import (
-    AutomatonError, WitnessError, build_loop_automaton,
+    AutomatonError, WitnessError, build_freeness_automaton, build_loop_automaton,
     build_membership_automaton, build_pattern_automaton, decode_pattern_witness,
     extract_path, extract_witness, path_sequence, saturate,
 )
@@ -123,13 +123,13 @@ class TestWitnesses:
         gens = GeneratorSet.from_matrices([S])
         auto = build_loop_automaton(gens)
         sat = saturate(auto)
-        assert extract_witness(auto, sat, 0, 0, 1, gens) == [1, 1, 1, 1]
+        assert extract_witness(auto, sat, 0, 0, 1) == [1, 1, 1, 1]
 
     def test_neg_identity_witness(self):
         gens = GeneratorSet.from_matrices([-IDENTITY])
         auto = build_loop_automaton(gens)
         sat = saturate(auto)
-        assert extract_witness(auto, sat, 0, 0, 1, gens) == [1, 1]
+        assert extract_witness(auto, sat, 0, 0, 1) == [1, 1]
 
     def test_deep_derivation_needs_no_call_stack(self):
         # the witness of {150, 250}, x = 400 has a derivation ~1700 levels
@@ -196,7 +196,7 @@ class TestMembershipAutomaton:
         auto = build_membership_automaton(gens, decompose(target))
         sat = saturate(auto)
         assert sat.has(auto.initial, auto.final, 1)
-        assert extract_witness(auto, sat, auto.initial, auto.final, 1, gens) == [1, 2]
+        assert extract_witness(auto, sat, auto.initial, auto.final, 1) == [1, 2]
 
     def test_non_member(self):
         gens = GeneratorSet.from_matrices([F_A, F_B])
@@ -213,8 +213,9 @@ class TestMembershipAutomaton:
 class TestWitnessDecodingRejects:
     """Decoding accepts only paths in the shape of the automaton's witnesses:
     one joined path of whole loops from the hub, closed on a membership
-    automaton by the target chain, or one joined path from tap to tap on a
-    pattern automaton.  Every other edge path raises instead of decoding."""
+    automaton by the target chain, or one joined path from an initial tap
+    to a final tap on a pattern or freeness automaton.  Every other edge
+    path raises instead of decoding."""
 
     def loop_pair(self):
         """The loops of F_A and -F_A, found by their structure.  Both spell
@@ -313,6 +314,34 @@ class TestWitnessDecodingRejects:
         gens, auto, entry, bridge, exit_, loop = self.s_twice()
         with pytest.raises(WitnessError):
             decode_pattern_witness(auto, [entry, exit_], gens)
+
+    def freeness_witness(self):
+        """{S, R} on the freeness automaton: pair (1, 2)'s witness path."""
+        gens = GeneratorSet.from_matrices([S, R])
+        auto, goals = build_freeness_automaton(gens)
+        (pair, goal), = goals
+        sat = saturate(auto, goal)
+        path = extract_path(auto, sat, *goal)
+        alpha, beta = decode_pattern_witness(auto, path, gens)
+        assert (alpha[0], beta[0]) == pair
+        return gens, auto, path
+
+    def test_freeness_single_final_tap(self):
+        gens, auto, _ = self.freeness_witness()
+        for tap in auto.tails:
+            with pytest.raises(WitnessError):
+                decode_pattern_witness(auto, [tap], gens)
+
+    def test_freeness_path_cut_after_its_initial_tap(self):
+        gens, auto, path = self.freeness_witness()
+        for cut in (path[:1], path[1:]):
+            with pytest.raises(WitnessError):
+                decode_pattern_witness(auto, cut, gens)
+
+    def test_freeness_path_ending_before_its_final_tap(self):
+        gens, auto, path = self.freeness_witness()
+        with pytest.raises(WitnessError):
+            decode_pattern_witness(auto, path[:-1], gens)
 
 
 class TestRecurrentFixtureAutomaton:

@@ -7,7 +7,7 @@ import pytest
 from sl2z_semigroups.algebra import (
     IDENTITY, R, S, GeneratorSet, Mat2, SignedWord, evaluate,
 )
-from sl2z_semigroups import oracle
+from sl2z_semigroups import automata, oracle
 from sl2z_semigroups import decisions
 from sl2z_semigroups.decisions import (
     NO, UNKNOWN, YES, DecisionError, Verdict, count_factorizations, finite_freeness,
@@ -53,6 +53,38 @@ class TestIdentity:
         assert v.answer == YES
         seq = v.witness["sequences"][0]
         assert fx.generators.product(seq) == IDENTITY
+
+
+class TestWrongWitnessRefused:
+    """Each witness is multiplied once, by the decision procedure: a decoder
+    that returns a wrong sequence is caught there."""
+
+    @pytest.fixture
+    def short_decoder(self, monkeypatch):
+        decode = automata.path_sequence
+        monkeypatch.setattr(automata, "path_sequence",
+                            lambda auto, path: decode(auto, path)[:-1])
+
+    def test_identity_refuses(self, short_decoder):
+        with pytest.raises(DecisionError):
+            identity_in_semigroup(GeneratorSet.from_matrices([S]))
+
+    def test_membership_refuses(self, short_decoder):
+        gens = GeneratorSet.from_matrices([F_A, F_B])
+        with pytest.raises(DecisionError):
+            membership(gens, F_A * F_B)
+
+    def test_products_per_identity_witness(self, monkeypatch):
+        products = []
+        product = GeneratorSet.product
+
+        def counted(self, seq):
+            products.append(list(seq))
+            return product(self, seq)
+        monkeypatch.setattr(GeneratorSet, "product", counted)
+        fx = encode_subset_sum([1, 2, 4], 5)
+        v = identity_in_semigroup(fx.generators)
+        assert products == v.witness["sequences"]
 
 
 class TestMembership:
@@ -164,6 +196,20 @@ class TestCounting:
         monkeypatch.setattr(grammars, "find_growth_cycle", counted)
         assert count_factorizations(gens, m, cap=5).count.kind == kind
         assert len(calls) == 1
+
+    def test_two_paths_decoding_to_one_factorization_raise(self, monkeypatch):
+        # F_A^2 over {F_A, F_A^2} has the factorizations [1, 1] and [2]; a
+        # decoder that maps both paths to one sequence must not merge them
+        gens = GeneratorSet.from_matrices([F_A, F_A * F_A])
+        assert count_factorizations(gens, F_A * F_A).count.value == 2
+        decode, first = automata.path_sequence, []
+
+        def one_sequence(auto, path):
+            first.append(decode(auto, path))
+            return first[0]
+        monkeypatch.setattr(automata, "path_sequence", one_sequence)
+        with pytest.raises(DecisionError):
+            count_factorizations(gens, F_A * F_A)
 
     def test_count_monotone_in_generators(self):
         small = GeneratorSet.from_matrices([S])
@@ -305,6 +351,51 @@ class TestFiniteFreeness:
                          is_free(gens).answer))
         assert answers == {(NO, "sequences", NO), (NO, "recurrent_matrix", NO),
                            (UNKNOWN, None, NO), (UNKNOWN, None, YES)}
+
+
+class TestOneFreenessSaturation:
+    """`is_free` saturates the loop automaton, then at most the freeness
+    automaton once; `finite_freeness` runs the same two before any
+    candidate."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        saturate = automata.saturate
+
+        def counted(auto, goal=None):
+            calls.append(auto.kind)
+            return saturate(auto, goal)
+        monkeypatch.setattr(automata, "saturate", counted)
+        certificate = decisions.FactorizationCounter.recurrence_certificate
+
+        def candidate(self, *args, **kwargs):
+            calls.append("candidate")
+            return certificate(self, *args, **kwargs)
+        monkeypatch.setattr(decisions.FactorizationCounter, "recurrence_certificate",
+                            candidate)
+        return calls
+
+    @pytest.mark.parametrize("values, answer", [
+        ([1, 2, 4], YES), ([1, 2, 4, 8], YES), ([1, 2, 3], NO), ([3, 5, 8, 13], NO),
+        ([1, 2, 4, 7], NO), ([2, 3, 5, 9], NO), ([1, 1, 4, 4], NO),
+    ])
+    def test_is_free(self, calls, values, answer):
+        assert is_free(encode_equal_subset_sum(values).generators).answer == answer
+        assert calls == ["loop", "freeness"]
+
+    @pytest.mark.parametrize("mats, kinds", [
+        ([S], ["loop"]), ([S, R], ["loop"]), ([F_A], ["loop"]),
+        ([F_A, F_A], ["loop", "freeness"]),
+    ])
+    def test_is_free_small_sets(self, calls, mats, kinds):
+        is_free(GeneratorSet.from_matrices(mats))
+        assert calls == kinds
+
+    def test_finite_freeness_before_any_candidate(self, calls):
+        fx = recurrent_without_identity_fixture()
+        assert finite_freeness(fx.generators, 2).answer == NO
+        assert calls[:3] == ["loop", "freeness", "candidate"]
 
 
 class TestPinnedWitnesses:

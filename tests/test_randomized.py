@@ -284,7 +284,7 @@ def random_reduced_word(rng, length):
 def test_freeness_automaton_matches_pattern_automata():
     rng = random.Random(1729)
     seen = {"one generator": 0, "+-I": 0, "one letter": 0, "duplicate": 0,
-            "colliding pair": 0, "free pair": 0}
+            "colliding pair": 0, "free pair": 0, "collision without I": 0}
     for _ in range(320):
         words = []
         for _ in range(rng.randint(1, 4)):
@@ -315,6 +315,15 @@ def test_freeness_automaton_matches_pattern_automata():
                 alpha, beta = decode_pattern_witness(
                     pattern, extract_path(pattern, sat, *goal), gens)
                 assert (alpha[0], beta[0]) == pair
+        # without I, is_free's witness comes from the least colliding pair
+        verdict = is_free(gens)
+        if identity_in_semigroup(gens).answer == NO:
+            assert (verdict.answer == NO) == bool(collisions)
+            if collisions:
+                alpha, beta = verdict.witness["sequences"]
+                assert (alpha[0], beta[0]) == collisions[0]
+                assert alpha != beta and gens.product(alpha) == gens.product(beta)
+                seen["collision without I"] += 1
         seen["one generator"] += n == 1
         seen["+-I"] += any(not w.word for w in words)
         seen["one letter"] += any(len(w.word) == 1 for w in words)
