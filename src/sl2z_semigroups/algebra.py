@@ -247,11 +247,10 @@ def decompose(m: Mat2) -> SignedWord:
 class Generator:
     matrix: Mat2
     word: SignedWord
-    marker: str
 
 
 class GeneratorSet:
-    """Ordered generators, each carrying its matrix, reduced word and marker.
+    """Ordered generators, each carrying its matrix and reduced word.
 
     Indices are 1-based everywhere (witness sequences use them directly).
     """
@@ -260,29 +259,21 @@ class GeneratorSet:
         entries = list(entries)
         if not entries:
             raise AlgebraError("generator set must be nonempty")
-        markers = [g.marker for g in entries]
-        if len(set(markers)) != len(markers):
-            raise AlgebraError("generator markers must be pairwise distinct")
-        for g in entries:
+        for i, g in enumerate(entries, start=1):
             if not g.word.is_reduced():
                 raise AlgebraError(f"generator word not reduced: {g.word}")
             if evaluate(g.word) != g.matrix:
-                raise AlgebraError(f"word/matrix mismatch for generator {g.marker}")
+                raise AlgebraError(f"word/matrix mismatch for generator {i}")
         self._entries = entries
 
     @classmethod
     def from_matrices(cls, matrices) -> "GeneratorSet":
-        return cls(
-            Generator(m, decompose(m), f"#{i}")
-            for i, m in enumerate(matrices, start=1)
-        )
+        return cls(Generator(m, decompose(m)) for m in matrices)
 
     @classmethod
     def from_words(cls, words) -> "GeneratorSet":
         words = [reduce(w.word, w.sign) for w in words]
-        return cls(
-            Generator(evaluate(w), w, f"#{i}") for i, w in enumerate(words, start=1)
-        )
+        return cls(Generator(evaluate(w), w) for w in words)
 
     def __len__(self):
         return len(self._entries)
@@ -290,18 +281,11 @@ class GeneratorSet:
     def __iter__(self):
         return iter(self._entries)
 
-    def generator(self, i: int) -> Generator:
-        """1-based access."""
-        return self._entries[i - 1]
-
     def matrix(self, i: int) -> Mat2:
         return self._entries[i - 1].matrix
 
     def word(self, i: int) -> SignedWord:
         return self._entries[i - 1].word
-
-    def markers(self) -> list:
-        return [g.marker for g in self._entries]
 
     def sequence_word(self, sequence) -> SignedWord:
         """Reduced signed word of the product of a 1-based index sequence:

@@ -557,8 +557,7 @@ def extract_witness(auto: CancellationAutomaton, sat: SaturationRelation,
     return path_sequence(auto, extract_path(auto, sat, frm, to, sigma))
 
 
-def decode_pattern_witness(auto: CancellationAutomaton, path: list,
-                           gens: GeneratorSet) -> tuple:
+def decode_pattern_witness(auto: CancellationAutomaton, path: list) -> tuple:
     """Two distinct equal-product sequences from a tap-to-tap path of a
     pattern or freeness automaton.
 
@@ -566,8 +565,8 @@ def decode_pattern_witness(auto: CancellationAutomaton, path: list,
     (`heads`) to a final tap (`tails`); the tap states are its ends.  It
     spells w_i u inv(v) inv(w_j), and decodes to alpha = [i] + the
     generators whose loops its own first edges open, and beta = [j] + those
-    whose loops its own last edges close, reversed.  The two must differ
-    and are re-multiplied to equal products.
+    whose loops its own last edges close, reversed.  The two must differ;
+    the caller multiplies them.
     """
     if not (path and path[0] in auto.heads and path[-1] in auto.tails
             and _joined(auto.edges, path)):
@@ -577,6 +576,4 @@ def decode_pattern_witness(auto: CancellationAutomaton, path: list,
                                      if e in auto.closes]
     if alpha == beta:
         raise WitnessError("pattern decode produced identical sequences")
-    if gens.product(alpha) != gens.product(beta):
-        raise WitnessError("pattern witness products disagree")
     return alpha, beta

@@ -160,8 +160,9 @@ def is_free(gens: GeneratorSet) -> Verdict:
     if collision is None:
         return Verdict("freeness", YES)
     auto, sat, goal = collision
-    witness = am.decode_pattern_witness(auto, am.extract_path(auto, sat, *goal), gens)
-    return Verdict("freeness", NO, _sequences_witness(*witness))
+    alpha, beta = am.decode_pattern_witness(auto, am.extract_path(auto, sat, *goal))
+    _check_product(gens, beta, gens.product(alpha), "freeness")
+    return Verdict("freeness", NO, _sequences_witness(alpha, beta))
 
 
 # ---------------------------------------------------------------------------

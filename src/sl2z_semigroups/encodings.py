@@ -142,9 +142,9 @@ def _generator_set(words, z_index: dict) -> GeneratorSet:
     """Generators f(alpha(w)) of the symbolic words, each word from `f_word`,
     not `decompose`; `GeneratorSet` checks that it evaluates to the matrix."""
     gens = []
-    for i, w in enumerate(words, start=1):
+    for w in words:
         letters = _merged_alpha(tuple((z_index[sym], inv) for sym, inv in w))
-        gens.append(Generator(f_matrix(letters), f_word(letters), f"#{i}"))
+        gens.append(Generator(f_matrix(letters), f_word(letters)))
     return GeneratorSet(gens)
 
 
@@ -381,6 +381,13 @@ def encode_dfa_intersection(dfas) -> Fixture:
     borders = []
     for i, d in enumerate(dfas):
         borders.extend(f"d{i}_{q}" for q in range(d.n_states))
+    # a symbol named like one of the encoding's own letters would share its
+    # z index, and # w # would no longer telescope along the DFA runs only
+    own = set(borders) | {"#"}
+    clashes = [sym for sym in alphabet if sym in own]
+    if clashes:
+        raise EncodingError(f"alphabet: symbols {clashes} are letters of the encoding "
+                            f"itself ('#' and the border letters d<i>_<q>)")
     z = _z_index(borders + list(alphabet) + ["#"])
     specs = []
     for i, d in enumerate(dfas):

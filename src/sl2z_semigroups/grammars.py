@@ -176,11 +176,12 @@ class MarkedDfa:
 def build_marked_semigroup_dfa(gens: GeneratorSet, sign_parity=None) -> MarkedDfa:
     """DFA for (#1 w_1 | ... | #n w_n)+ over the generators' reduced words.
 
-    Generator signs are not spelled; accepted words biject with nonempty
-    index sequences.  sign_parity refines acceptance by the product of the
-    generators' signs (used to count true factorizations exactly).
+    Generator i opens its block with the marker "#i".  Generator signs are
+    not spelled; accepted words biject with nonempty index sequences.
+    sign_parity refines acceptance by the product of the generators' signs
+    (used to count true factorizations exactly).
     """
-    markers = tuple(g.marker for g in gens)
+    markers = tuple(f"#{i}" for i in range(1, len(gens) + 1))
     parities = (1,) if sign_parity is None else (1, -1)
     states = {}
 
@@ -196,13 +197,13 @@ def build_marked_semigroup_dfa(gens: GeneratorSet, sign_parity=None) -> MarkedDf
     for p in parities:
         for src_kind in ("start", "hub"):
             src = intern((src_kind, p))
-            for i, g in enumerate(gens, start=1):
+            for i, (g, marker) in enumerate(zip(gens, markers), start=1):
                 p2 = p * g.word.sign if sign_parity is not None else p
                 word = g.word.word
                 if not word:
-                    trans[(src, g.marker)] = intern(("hub", p2))
+                    trans[(src, marker)] = intern(("hub", p2))
                     continue
-                trans[(src, g.marker)] = intern(("chain", i, 0, p2))
+                trans[(src, marker)] = intern(("chain", i, 0, p2))
                 for pos in range(len(word)):
                     cur = intern(("chain", i, pos, p2))
                     nxt = (intern(("hub", p2)) if pos == len(word) - 1
@@ -222,6 +223,19 @@ def build_marked_semigroup_dfa(gens: GeneratorSet, sign_parity=None) -> MarkedDf
 # ---------------------------------------------------------------------------
 
 
+def _binarize(productions) -> list:
+    """Bodies of length <= 2.  Each continuation symbol ("cat", k) is named
+    by the number k of rules before it, so equal inputs get equal names."""
+    prods = []
+    for head, body in productions:
+        while len(body) > 2:
+            sym = ("cat", len(prods))
+            prods.append((head, (body[0], sym)))
+            head, body = sym, body[1:]
+        prods.append((head, body))
+    return prods
+
+
 def _nullable_symbols(prods):
     nullable = set()
     changed = True
@@ -238,40 +252,25 @@ class IntersectionEngine:
     """Agenda-based derivability of (state, symbol, state) items over a DFA.
 
     An item (p, X, q) means X derives some word driving the DFA from p to q.
-    Rules can be added in stages; existing items are replayed against new
-    rules, so a closed lower stratum (the N+/N- core, which never mentions a
-    target chain) can be computed once and reused for many targets via
-    clone().
+    `add_rules` runs once per engine: it seeds the DFA's transitions and the
+    nullable symbols' empty items, then runs the agenda to the fixpoint.
     """
 
     def __init__(self, dfa: MarkedDfa):
         self.dfa = dfa
         self.from_idx = {}   # sym -> {p: set(q)}
         self.to_idx = {}     # sym -> {q: set(p)}
-        self.unit_prods = {}
-        self.left_prods = {}
-        self.right_prods = {}
-        self.nullable = set()
-        self.rules = []
-        self._seeded_terminals = set()
+        self.rules = None    # binarized productions, once added
         self._agenda = deque()
-        self._n_cat = 0
 
     def clone(self) -> "IntersectionEngine":
-        eng = IntersectionEngine.__new__(IntersectionEngine)
-        eng.dfa = self.dfa
+        """An independent copy of the engine's items and rules."""
+        eng = IntersectionEngine(self.dfa)
         eng.from_idx = {s: {p: set(qs) for p, qs in idx.items()}
                         for s, idx in self.from_idx.items()}
         eng.to_idx = {s: {q: set(ps) for q, ps in idx.items()}
                       for s, idx in self.to_idx.items()}
-        eng.unit_prods = {s: list(v) for s, v in self.unit_prods.items()}
-        eng.left_prods = {s: list(v) for s, v in self.left_prods.items()}
-        eng.right_prods = {s: list(v) for s, v in self.right_prods.items()}
-        eng.nullable = set(self.nullable)
-        eng.rules = list(self.rules)
-        eng._seeded_terminals = set(self._seeded_terminals)
-        eng._agenda = deque()
-        eng._n_cat = self._n_cat
+        eng.rules = self.rules
         return eng
 
     # -- item bookkeeping ------------------------------------------------------
@@ -288,72 +287,28 @@ class IntersectionEngine:
         self.to_idx.setdefault(sym, {}).setdefault(q, set()).add(p)
         self._agenda.append((p, sym, q))
 
-    def _seed_if_terminal(self, x):
-        if x in self._seeded_terminals or x not in self.dfa.alphabet:
-            return
-        self._seeded_terminals.add(x)
-        for (q, sym), q2 in self.dfa.transitions.items():
-            if sym == x:
-                self._add(q, x, q2)
-
-    # -- staged rule addition ----------------------------------------------------
-
-    def _binarize(self, productions) -> list:
-        """Bodies of length <= 2.  Continuation symbols ("cat", k) are
-        numbered per engine, and a clone continues its parent's numbering,
-        so staged additions never collide and equal inputs get equal names.
-        """
-        prods = []
-        for head, body in productions:
-            while len(body) > 2:
-                sym = ("cat", self._n_cat)
-                self._n_cat += 1
-                prods.append((head, (body[0], sym)))
-                head, body = sym, body[1:]
-            prods.append((head, body))
-        return prods
+    # -- the fixpoint ------------------------------------------------------------
 
     def add_rules(self, productions):
-        """Add productions, replay the database, run to fixpoint."""
-        productions = self._binarize(productions)
-        new_nullable = _nullable_symbols(self.rules + productions)
-        grew = new_nullable - self.nullable
-        self.nullable = new_nullable
-        for a in grew:
-            for p in range(self.dfa.n_states):
-                self._add(p, a, p)
-        for head, body in productions:
-            self.rules.append((head, body))
-            if len(body) == 0:
-                continue
+        """Binarize the productions, seed and run to the fixpoint; once."""
+        if self.rules is not None:
+            raise GrammarError("an intersection engine takes its rules once")
+        self.rules = _binarize(productions)
+        unit_prods, left_prods, right_prods = {}, {}, {}
+        for head, body in self.rules:
             if len(body) == 1:
-                x = body[0]
-                self._seed_if_terminal(x)
-                self.unit_prods.setdefault(x, []).append(head)
-                for p, qs in list(self.from_idx.get(x, {}).items()):
-                    for q in list(qs):
-                        self._add(p, head, q)
-            else:
+                unit_prods.setdefault(body[0], []).append(head)
+            elif len(body) == 2:
                 x, y = body
-                self._seed_if_terminal(x)
-                self._seed_if_terminal(y)
-                self.left_prods.setdefault(x, []).append((head, y))
-                self.right_prods.setdefault(y, []).append((head, x))
-                y_from = self.from_idx.get(y, {})
-                for p, qs in list(self.from_idx.get(x, {}).items()):
-                    for q in list(qs):
-                        for r in list(y_from.get(q, ())):
-                            self._add(p, head, r)
-        self._run()
-
-    def _run(self):
-        agenda = self._agenda
-        from_idx = self.from_idx
-        to_idx = self.to_idx
+                left_prods.setdefault(x, []).append((head, y))
+                right_prods.setdefault(y, []).append((head, x))
         add = self._add
-        unit_prods = self.unit_prods
-        left_prods = self.left_prods
-        right_prods = self.right_prods
+        for (q, sym), q2 in self.dfa.transitions.items():
+            add(q, sym, q2)
+        for a in _nullable_symbols(self.rules):
+            for p in range(self.dfa.n_states):
+                add(p, a, p)
+        agenda, from_idx, to_idx = self._agenda, self.from_idx, self.to_idx
         while agenda:
             p, x, q = agenda.popleft()
             for a in unit_prods.get(x, ()):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sl2z_semigroups.algebra import (
-    IDENTITY, R, S, T, AlgebraError, GeneratorSet, Mat2, SignedWord,
+    IDENTITY, R, S, T, AlgebraError, Generator, GeneratorSet, Mat2, SignedWord,
     decimal_int, decimal_str, decompose, evaluate, inv, mul, reduce,
 )
 
@@ -234,7 +234,6 @@ class TestGeneratorSet:
         g = GeneratorSet.from_matrices([S, R])
         assert len(g) == 2
         assert g.word(1) == SignedWord(1, "s")
-        assert g.markers() == ["#1", "#2"]
         assert g.product([1, 2]) == S * R
 
     def test_from_words_normalizes(self):
@@ -245,6 +244,11 @@ class TestGeneratorSet:
     def test_rejects_empty(self):
         with pytest.raises(AlgebraError):
             GeneratorSet.from_matrices([])
+
+    def test_mismatch_names_the_generator_index(self):
+        entries = [Generator(S, SignedWord(1, "s")), Generator(R, SignedWord(1, "s"))]
+        with pytest.raises(AlgebraError, match="mismatch for generator 2$"):
+            GeneratorSet(entries)
 
     def test_rejects_empty_product(self):
         g = GeneratorSet.from_matrices([S])

@@ -169,8 +169,9 @@ class TestPatternAutomaton:
         sat = saturate(auto)
         assert sat.has(auto.initial, auto.final, 1)
         path = extract_path(auto, sat, auto.initial, auto.final, 1)
-        alpha, beta = decode_pattern_witness(auto, path, gens)
+        alpha, beta = decode_pattern_witness(auto, path)
         assert (alpha, beta) == ([1], [2])
+        assert gens.product(alpha) == gens.product(beta)
 
     def test_free_pair_has_no_collision_path(self):
         gens = GeneratorSet.from_matrices([F_A, F_B])
@@ -183,7 +184,7 @@ class TestPatternAutomaton:
         auto = build_pattern_automaton(1, 2, gens)
         sat = saturate(auto)
         path = extract_path(auto, sat, auto.initial, auto.final, 1)
-        alpha, beta = decode_pattern_witness(auto, path, gens)
+        alpha, beta = decode_pattern_witness(auto, path)
         assert alpha != beta
         assert alpha[0] == 1 and beta[0] == 2
         assert gens.product(alpha) == gens.product(beta)
@@ -277,12 +278,12 @@ class TestWitnessDecodingRejects:
         auto = build_pattern_automaton(1, 2, gens)
         sat = saturate(auto)
         path = extract_path(auto, sat, auto.initial, auto.final, 1)
-        decode_pattern_witness(auto, path, gens)
+        decode_pattern_witness(auto, path)
         entry = len(gens.word(1).word)
         exit_ = len(inv(gens.word(2)).word)
         for cut in (path[entry:], path[:-exit_]):
             with pytest.raises(WitnessError):
-                decode_pattern_witness(auto, cut, gens)
+                decode_pattern_witness(auto, cut)
 
     def s_twice(self):
         """Pattern (1, 2) of {S, S} and its edges, found by their ends: the
@@ -305,15 +306,15 @@ class TestWitnessDecodingRejects:
         # decode to the equal products [1] and [2], but it skips the
         # initial tap
         gens, auto, entry, bridge, exit_, loop = self.s_twice()
-        assert decode_pattern_witness(auto, [entry, bridge, exit_], gens) == ([1], [2])
+        assert decode_pattern_witness(auto, [entry, bridge, exit_]) == ([1], [2])
         with pytest.raises(WitnessError):
-            decode_pattern_witness(auto, [loop, bridge, exit_], gens)
+            decode_pattern_witness(auto, [loop, bridge, exit_])
 
     def test_pattern_path_that_breaks_off(self):
         # both taps, and [1] and [2] multiply alike, but no edge joins them
         gens, auto, entry, bridge, exit_, loop = self.s_twice()
         with pytest.raises(WitnessError):
-            decode_pattern_witness(auto, [entry, exit_], gens)
+            decode_pattern_witness(auto, [entry, exit_])
 
     def freeness_witness(self):
         """{S, R} on the freeness automaton: pair (1, 2)'s witness path."""
@@ -322,26 +323,27 @@ class TestWitnessDecodingRejects:
         (pair, goal), = goals
         sat = saturate(auto, goal)
         path = extract_path(auto, sat, *goal)
-        alpha, beta = decode_pattern_witness(auto, path, gens)
+        alpha, beta = decode_pattern_witness(auto, path)
         assert (alpha[0], beta[0]) == pair
+        assert gens.product(alpha) == gens.product(beta)
         return gens, auto, path
 
     def test_freeness_single_final_tap(self):
         gens, auto, _ = self.freeness_witness()
         for tap in auto.tails:
             with pytest.raises(WitnessError):
-                decode_pattern_witness(auto, [tap], gens)
+                decode_pattern_witness(auto, [tap])
 
     def test_freeness_path_cut_after_its_initial_tap(self):
         gens, auto, path = self.freeness_witness()
         for cut in (path[:1], path[1:]):
             with pytest.raises(WitnessError):
-                decode_pattern_witness(auto, cut, gens)
+                decode_pattern_witness(auto, cut)
 
     def test_freeness_path_ending_before_its_final_tap(self):
         gens, auto, path = self.freeness_witness()
         with pytest.raises(WitnessError):
-            decode_pattern_witness(auto, path[:-1], gens)
+            decode_pattern_witness(auto, path[:-1])
 
 
 class TestRecurrentFixtureAutomaton:

@@ -497,6 +497,21 @@ class TestEncodeCommands:
             "is too large: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("dfa", [
+        {"states": 2, "alphabet": ["#"], "transitions": {"0": {"#": 1}, "1": {"#": 1}},
+         "finals": [0]},
+        {"states": 2, "alphabet": ["d0_0"],
+         "transitions": {"0": {"d0_0": 0}, "1": {"d0_0": 0}}, "finals": [1]},
+    ], ids=["hash", "border-letter"])
+    def test_alphabet_of_the_encodings_own_letters_exits_3(self, tmp_path, capsys, dfa):
+        dfa_path = tmp_path / "dfas.json"
+        dfa_path.write_text(json.dumps([dfa]))
+        assert main(["encode-dfa", "--dfas", str(dfa_path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: alphabet: ")
+        assert "Traceback" not in captured.err
+
     def test_encode_bad_set(self, capsys):
         assert main(["encode-essp", "--set", "1,x"]) == EXIT_INPUT
         assert "comma-separated" in capsys.readouterr().err

@@ -74,6 +74,19 @@ class TestWrongWitnessRefused:
         with pytest.raises(DecisionError):
             membership(gens, F_A * F_B)
 
+    def test_is_free_refuses_unequal_products(self, monkeypatch):
+        # {a, b, ab} has no identity, so the witness is the freeness path's
+        decode = automata.decode_pattern_witness
+
+        def unequal(auto, path):
+            alpha, beta = decode(auto, path)
+            return alpha, beta + [1]
+        gens = GeneratorSet.from_matrices([F_A, F_B, F_A * F_B])
+        assert is_free(gens).answer == NO
+        monkeypatch.setattr(automata, "decode_pattern_witness", unequal)
+        with pytest.raises(DecisionError):
+            is_free(gens)
+
     def test_products_per_identity_witness(self, monkeypatch):
         products = []
         product = GeneratorSet.product

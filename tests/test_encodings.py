@@ -359,6 +359,17 @@ class TestDfaIntersection:
         with pytest.raises(EncodingError):
             encode_dfa_intersection([d1, d2])
 
+    @pytest.mark.parametrize("d", [
+        DfaSpec(2, ("#",), ((0, "#", 1), (1, "#", 1)), frozenset({0})),
+        DfaSpec(2, ("d0_0",), ((0, "d0_0", 0), (1, "d0_0", 0)), frozenset({1})),
+    ], ids=["hash", "border-letter"])
+    def test_alphabet_of_the_encodings_own_letters_refused(self, d):
+        # with such a symbol "# w # is a member iff some DFA accepts w" fails:
+        # the first accepts only the empty word and the second nothing, yet
+        # "# # # #" and "# #" were members
+        with pytest.raises(EncodingError, match=r"^alphabet: symbols \['"):
+            encode_dfa_intersection([d])
+
     def test_word_outside_both_languages_rejected(self):
         from sl2z_semigroups.decisions import membership
         only_a = DfaSpec(1, ("a", "b"), ((0, "a", 0),), frozenset({0}))

@@ -14,9 +14,9 @@ from sl2z_semigroups.algebra import (
     IDENTITY, R, S, GeneratorSet, SignedWord, evaluate, reduce,
 )
 from sl2z_semigroups.grammars import (
-    Grammar, GrammarError, build_marked_semigroup_dfa, build_target_grammar,
-    enumerate_words, find_growth_cycle, intersect, lift_over_markers,
-    words_up_to,
+    Grammar, GrammarError, IntersectionEngine, build_marked_semigroup_dfa,
+    build_target_grammar, enumerate_words, find_growth_cycle, intersect,
+    lift_over_markers, words_up_to,
 )
 
 from grammar_referee import classic_is_finite, proper_form, trim
@@ -148,11 +148,17 @@ class TestMarkedDfa:
             for seq in itertools.product((1, 2, 3), repeat=length):
                 w = ()
                 for i in seq:
-                    w += (gens.generator(i).marker,) + tuple(gens.word(i).word)
+                    w += (d.markers[i - 1],) + tuple(gens.word(i).word)
                 assert d.run(w)
                 assert tuple(d.decode(w)) == seq
                 assert w not in seen
                 seen[w] = seq
+
+    def test_markers_are_numbered_from_one(self):
+        gens = GeneratorSet.from_matrices([S, -IDENTITY, F_A])
+        d = build_marked_semigroup_dfa(gens)
+        assert d.markers == ("#1", "#2", "#3")
+        assert d.alphabet == ("#1", "#2", "#3", "s", "r")
 
     def test_sign_parity_refinement(self):
         gens = GeneratorSet.from_matrices([-S])  # sign -1 generator
@@ -195,6 +201,33 @@ class TestIntersect:
         gi = intersect(g, d)
         expected = {w for w in words_up_to(g, bound) if d.run(w)}
         assert words_up_to(gi, bound) == expected
+
+
+class TestIntersectionEngine:
+    def filled(self):
+        gens = GeneratorSet.from_matrices([S, R])
+        d = build_marked_semigroup_dfa(gens)
+        g = lift_over_markers(build_target_grammar(SignedWord(-1, "")), d.markers)
+        eng = IntersectionEngine(d)
+        eng.add_rules(g.productions)
+        return g, eng
+
+    def test_rules_are_added_once(self):
+        g, eng = self.filled()
+        with pytest.raises(GrammarError):
+            eng.add_rules(g.productions)
+
+    def test_clone_keeps_items_and_grammar(self):
+        g, eng = self.filled()
+        twin = eng.clone()
+        assert twin.from_idx == eng.from_idx and twin.to_idx == eng.to_idx
+        assert twin.from_idx is not eng.from_idx
+        ours, theirs = (e.extract_grammar(g.start, g.terminals) for e in (eng, twin))
+        assert ours.productions
+        assert (ours.nonterminals, ours.start) == (theirs.nonterminals, theirs.start)
+        assert sorted(ours.productions, key=repr) == sorted(theirs.productions, key=repr)
+        with pytest.raises(GrammarError):
+            twin.add_rules(g.productions)
 
 
 class TestAnalyses:

@@ -313,8 +313,9 @@ def test_freeness_automaton_matches_pattern_automata():
             assert (goal in sat.triples) == (pair in collisions)
             if pair in collisions:
                 alpha, beta = decode_pattern_witness(
-                    pattern, extract_path(pattern, sat, *goal), gens)
+                    pattern, extract_path(pattern, sat, *goal))
                 assert (alpha[0], beta[0]) == pair
+                assert gens.product(alpha) == gens.product(beta)
         # without I, is_free's witness comes from the least colliding pair
         verdict = is_free(gens)
         if identity_in_semigroup(gens).answer == NO:
