@@ -83,6 +83,11 @@ class Mat2:
         return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
 
 
+def matrix_json(m: Mat2) -> list:
+    """The rows of m as decimal strings, as problem files and reports hold them."""
+    return [[decimal_str(m.a), decimal_str(m.b)], [decimal_str(m.c), decimal_str(m.d)]]
+
+
 IDENTITY = Mat2(1, 0, 0, 1)
 S = Mat2(0, -1, 1, 0)
 R = Mat2(0, -1, 1, 1)
@@ -182,16 +187,18 @@ T_WORD = SignedWord(-1, "sr")
 T_INV_WORD = SignedWord(-1, "rrs")
 
 
-# the reduced word of T^q has ~2|q| letters, so a shear by a huge exponent
-# has no materializable normal form even though its entries are fine
+# the reduced word of T^q has 2q letters for q > 0 and 3|q| for q < 0, so a
+# shear by a huge exponent has no materializable normal form even though its
+# entries are fine
 MAX_WORD_LETTERS = 5_000_000
 
 
 def _t_power(q: int) -> SignedWord:
+    # q may have more digits than an int converts to str, so it is not printed
     if 3 * abs(q) > MAX_WORD_LETTERS:
         raise AlgebraError(
-            f"normal form needs about {2 * abs(q)} letters; "
-            f"limit is {MAX_WORD_LETTERS}")
+            f"shear T^q past the word limit: 3|q| > {MAX_WORD_LETTERS} "
+            f"(its normal form needs up to 3|q| letters)")
     if q >= 0:
         return SignedWord(1 if q % 2 == 0 else -1, "sr" * q)
     q = -q
@@ -286,16 +293,6 @@ class GeneratorSet:
 
     def word(self, i: int) -> SignedWord:
         return self._entries[i - 1].word
-
-    def sequence_word(self, sequence) -> SignedWord:
-        """Reduced signed word of the product of a 1-based index sequence:
-        its generators' words joined and reduced once.  The normal form is
-        unique, so this equals `decompose(self.product(sequence))`."""
-        words = [self._entries[i - 1].word for i in sequence]
-        sign = 1
-        for w in words:
-            sign *= w.sign
-        return reduce("".join(w.word for w in words), sign)
 
     def product(self, sequence) -> Mat2:
         """Product of the 1-based index sequence; rejects the empty sequence."""

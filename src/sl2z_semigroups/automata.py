@@ -423,31 +423,16 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
     return rel
 
 
-def derivation_grammar(auto: CancellationAutomaton, sat: SaturationRelation,
-                       root: tuple) -> Grammar:
-    """Grammar of every edge path that realizes the root triple.
-
-    Nonterminals are the triples reachable from the root and terminals are
-    edge ids.  A triple's productions re-join every instance of a
-    `saturate` rule that yields it, so each triple (q, p, sigma) derives
-    exactly the nonempty paths q -> p of value sigma * I.  Every body holds
-    an edge or two triples, so there are no epsilon or unit productions, and
-    every triple of the relation derives a path, so the grammar is proper
-    in the sense of `grammars.find_growth_cycle`.  The gaps leaving a state
-    are read from the relation's `gaps_from` lists.
-    A root outside the relation gives the empty grammar.  The relation must
-    be complete: a goal-stopped one lacks rule instances, so it raises.
+def rule_bodies(auto: CancellationAutomaton, sat: SaturationRelation, t: tuple) -> list:
+    """The bodies of every instance of a `saturate` rule that yields the
+    triple t of a complete relation, in rule order: an epsilon edge,
+    `s gap s`, `r gap r gap r`, then compositions of two triples.  A gap is
+    the empty path or a triple, and the gaps leaving a state are read from
+    the relation's `gaps_from` lists.  Every body holds an edge or two
+    triples.
     """
-    if not sat.complete:
-        raise AutomatonError("derivation grammar needs the complete saturation, "
-                             "not one stopped at a goal")
-    edges = auto.edges
-    triples = sat.triples
-    terminals = set(range(len(edges)))
-    if root not in triples:
-        return Grammar({root}, terminals, [], root)
+    edges, triples, gaps_from = auto.edges, sat.triples, sat.gaps_from
     s_in, s_out, r_in, r_out = auto.s_in, auto.s_out, auto.r_in, auto.r_out
-    gaps_from = sat.gaps_from
 
     def gaps(x, y, sg):
         """Body pieces of the gaps x -> y of sign sg: the empty path, the triple."""
@@ -456,38 +441,60 @@ def derivation_grammar(auto: CancellationAutomaton, sat: SaturationRelation,
             pieces.append(((x, y, sg),))
         return pieces
 
+    q, p, sigma = t
+    bodies = [(e,) for e in auto.eps_edges if edges[e] == (q, p, None, sigma)]
+    for e1 in s_out[q]:
+        _, x, _, w1 = edges[e1]
+        for e2 in s_in[p]:
+            y, _, _, w2 = edges[e2]
+            for g in gaps(x, y, -sigma * w1 * w2):
+                bodies.append((e1, *g, e2))
+    for e1 in r_out[q]:
+        _, x, _, w1 = edges[e1]
+        # the empty first gap, then the triples leaving x
+        for y, sg1, g1 in chain([(x, 1, ())],
+                                ((t1[1], t1[2], (t1,)) for t1 in gaps_from[x])):
+            for e2 in r_out[y]:
+                _, z, _, w2 = edges[e2]
+                for e3 in r_in[p]:
+                    u, _, _, w3 = edges[e3]
+                    for g2 in gaps(z, u, -sigma * sg1 * w1 * w2 * w3):
+                        bodies.append((e1, *g1, e2, *g2, e3))
+    for t1 in gaps_from[q]:
+        t2 = (t1[1], p, sigma * t1[2])
+        if t2 in triples:
+            bodies.append((t1, t2))
+    return bodies
+
+
+def derivation_grammar(auto: CancellationAutomaton, sat: SaturationRelation,
+                       root: tuple = None) -> Grammar:
+    """Grammar of every edge path that realizes the root triple.
+
+    Nonterminals are the triples reachable from the root and terminals are
+    edge ids.  A triple's productions are its `rule_bodies`, so each triple
+    (q, p, sigma) derives exactly the nonempty paths q -> p of value
+    sigma * I.  There are no epsilon or unit productions, and every triple
+    of the relation derives a path, so the grammar is proper in the sense
+    of `grammars.find_growth_cycle`.  A root outside the relation gives the
+    empty grammar.  Without a root, every triple of the relation is a
+    nonterminal, in derivation order, and the grammar has no start.  The
+    relation must be complete: a goal-stopped one lacks rule instances, so
+    it raises.
+    """
+    if not sat.complete:
+        raise AutomatonError("derivation grammar needs the complete saturation, "
+                             "not one stopped at a goal")
+    triples = sat.triples
+    terminals = set(range(len(auto.edges)))
+    if root is not None and root not in triples:
+        return Grammar({root}, terminals, [], root)
+    stack = [root] if root is not None else list(reversed(triples))
     prods = []
-    seen = {root}
-    stack = [root]
+    seen = set(stack)
     while stack:
         t = stack.pop()
-        q, p, sigma = t
-        bodies = [(e,) for e in auto.eps_edges if edges[e] == (q, p, None, sigma)]
-        for e1 in s_out[q]:
-            _, x, _, w1 = edges[e1]
-            for e2 in s_in[p]:
-                y, _, _, w2 = edges[e2]
-                for g in gaps(x, y, -sigma * w1 * w2):
-                    bodies.append((e1, *g, e2))
-        for e1 in r_out[q]:
-            _, x, _, w1 = edges[e1]
-            # the empty first gap, then the triples leaving x
-            for t1 in chain((None,), gaps_from[x]):
-                if t1 is None:
-                    y, sg1, g1 = x, 1, ()
-                else:
-                    y, sg1, g1 = t1[1], t1[2], (t1,)
-                for e2 in r_out[y]:
-                    _, z, _, w2 = edges[e2]
-                    for e3 in r_in[p]:
-                        u, _, _, w3 = edges[e3]
-                        for g2 in gaps(z, u, -sigma * sg1 * w1 * w2 * w3):
-                            bodies.append((e1, *g1, e2, *g2, e3))
-        for t1 in gaps_from[q]:
-            t2 = (t1[1], p, sigma * t1[2])
-            if t2 in triples:
-                bodies.append((t1, t2))
-        for body in bodies:
+        for body in rule_bodies(auto, sat, t):
             prods.append((t, body))
             for x in body:
                 if isinstance(x, tuple) and x not in seen:

@@ -10,7 +10,7 @@ import json
 import sys
 
 from .algebra import (
-    AlgebraError, GeneratorSet, Mat2, SignedWord, decimal_int, decimal_str, evaluate,
+    AlgebraError, GeneratorSet, Mat2, SignedWord, decimal_int, evaluate, matrix_json,
     reduce,
 )
 from . import decisions
@@ -131,10 +131,6 @@ def parse_problem(path: str) -> Problem:
     if not isinstance(parameters, dict):
         raise ProblemError("parameters: expected an object")
     return Problem(generators, target, parameters)
-
-
-def matrix_json(m: Mat2) -> list:
-    return [[decimal_str(m.a), decimal_str(m.b)], [decimal_str(m.c), decimal_str(m.d)]]
 
 
 def problem_json(gens: GeneratorSet, target: Mat2 = None, parameters: dict = None) -> dict:

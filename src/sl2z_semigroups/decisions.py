@@ -6,16 +6,17 @@ saturation of the freeness automaton, stopped at pair (1, 2)'s goal,
 decides every pair of generators and gives the least colliding pair's
 witness; factorization counting and recurrence read the complete
 relation's derivation grammar, whose words are the automaton paths of the
-factorizations.  Every witness is re-multiplied once with exact arithmetic
-before being returned.
+factorizations; finite freeness looks up the identity in the loop
+automaton and otherwise searches the complete loop relation's rule
+dependencies for one cycle.  Every witness is re-multiplied once with exact
+arithmetic before being returned.
 """
 
 from dataclasses import dataclass
 
-from .algebra import GeneratorSet, Mat2, SignedWord, decimal_str, decompose
+from .algebra import GeneratorSet, Mat2, decompose, matrix_json
 from . import automata as am
 from . import grammars as gr
-from . import oracle as oracle_mod
 
 
 class DecisionError(ValueError):
@@ -71,17 +72,18 @@ def _check_product(gens: GeneratorSet, seq, expected: Mat2, what: str):
 
 
 def _trivial_path_witness(gens: GeneratorSet, auto, sigma: int, m: Mat2, what: str):
-    """Sequence of a sigma-signed trivial path initial -> final of auto,
-    re-multiplied to m, or None when there is no such path.  Saturation
-    stops once that triple is derived.
+    """(relation, sequence): the sequence of a sigma-signed trivial path
+    initial -> final of auto, re-multiplied to m, or None when there is no
+    such path.  Saturation stops once that triple is derived, so without
+    one the relation is complete.
     """
     goal = (auto.initial, auto.final, sigma)
     sat = am.saturate(auto, goal)
     if goal not in sat.triples:
-        return None
+        return sat, None
     seq = am.extract_witness(auto, sat, *goal)
     _check_product(gens, seq, m, what)
-    return seq
+    return sat, seq
 
 
 def identity_in_semigroup(gens: GeneratorSet) -> Verdict:
@@ -90,24 +92,22 @@ def identity_in_semigroup(gens: GeneratorSet) -> Verdict:
     Exact: the saturation relation of the loop automaton contains
     (hub, hub, +) iff such a product exists.
     """
-    seq = _trivial_path_witness(gens, am.build_loop_automaton(gens), 1, _ID,
-                                "identity")
+    _, seq = _trivial_path_witness(gens, am.build_loop_automaton(gens), 1, _ID,
+                                   "identity")
     if seq is None:
         return Verdict("identity", NO)
     return Verdict("identity", YES, _sequences_witness(seq))
 
 
-def _target_automaton(gens: GeneratorSet, m: Mat2, target: SignedWord = None) -> tuple:
+def _target_automaton(gens: GeneratorSet, m: Mat2) -> tuple:
     """(automaton, sigma): the sigma-signed trivial paths initial -> final
     spell the factorizations of m.
 
     For m != +-I a chain spelling inv(m) is appended to the loop automaton
     and sigma is +1; the +-I cases are (hub, hub, sign) on the loop
-    automaton itself.  `target` is m's reduced word when the caller has
-    it, else `decompose(m)`.
+    automaton itself.
     """
-    if target is None:
-        target = decompose(m)
+    target = decompose(m)
     if target.word:
         return am.build_membership_automaton(gens, target), 1
     return am.build_loop_automaton(gens), target.sign
@@ -117,27 +117,10 @@ def membership(gens: GeneratorSet, m: Mat2) -> Verdict:
     """Is m a nonempty product of generators?  Exact: one lookup of the
     root triple of the target automaton."""
     auto, sigma = _target_automaton(gens, m)
-    seq = _trivial_path_witness(gens, auto, sigma, m, "membership")
+    _, seq = _trivial_path_witness(gens, auto, sigma, m, "membership")
     if seq is None:
         return Verdict("membership", NO)
     return Verdict("membership", YES, _sequences_witness(seq))
-
-
-def _first_collision(gens: GeneratorSet):
-    """(freeness automaton, relation, goal) of the least pair i < j, in
-    lexicographic order, such that some product starting with generator i
-    equals one starting with j; or None.
-
-    One saturation, stopped at pair (1, 2)'s goal, decides every pair: if
-    (1, 2) collides it is the least pair, and if it does not, the goal is
-    outside the relation and the saturation runs to the full fixpoint.
-    """
-    auto, goals = am.build_freeness_automaton(gens)
-    if not goals:
-        return None
-    sat = am.saturate(auto, goals[0][1])
-    goal = next((goal for _, goal in goals if goal in sat.triples), None)
-    return None if goal is None else (auto, sat, goal)
 
 
 def is_free(gens: GeneratorSet) -> Verdict:
@@ -148,18 +131,21 @@ def is_free(gens: GeneratorSet) -> Verdict:
     starting with different generators i != j, which is precisely a positive
     trivial path initial_i -> final_j through the freeness automaton, whose
     paths there spell M_i G* (G^-1)* M_j^-1.  Without I, the witness is the
-    path of the least colliding pair in lexicographic order
-    (`_first_collision`), read off the same relation.
+    path of the least colliding pair i < j in lexicographic order.  One
+    saturation, stopped at pair (1, 2)'s goal, decides every pair: if (1, 2)
+    collides it is the least pair, and if it does not, the goal is outside
+    the relation and the saturation runs to the full fixpoint.
     """
-    seq = _trivial_path_witness(gens, am.build_loop_automaton(gens), 1, _ID,
-                                "identity")
+    _, seq = _trivial_path_witness(gens, am.build_loop_automaton(gens), 1, _ID,
+                                   "identity")
     if seq is not None:
         # seq multiplies to I, so [1] + seq multiplies to M_1
         return Verdict("freeness", NO, _sequences_witness([1], [1] + seq))
-    collision = _first_collision(gens)
-    if collision is None:
+    auto, goals = am.build_freeness_automaton(gens)
+    sat = am.saturate(auto, goals[0][1]) if goals else None
+    goal = next((goal for _, goal in goals if goal in sat.triples), None)
+    if goal is None:
         return Verdict("freeness", YES)
-    auto, sat, goal = collision
     alpha, beta = am.decode_pattern_witness(auto, am.extract_path(auto, sat, *goal))
     _check_product(gens, beta, gens.product(alpha), "freeness")
     return Verdict("freeness", NO, _sequences_witness(alpha, beta))
@@ -184,9 +170,9 @@ class FactorizationCounter:
     def __init__(self, gens: GeneratorSet):
         self.gens = gens
 
-    def _paths(self, m: Mat2, target: SignedWord = None):
+    def _paths(self, m: Mat2):
         """(automaton, saturation, root triple, derivation grammar) of m."""
-        auto, sigma = _target_automaton(self.gens, m, target)
+        auto, sigma = _target_automaton(self.gens, m)
         sat = am.saturate(auto)
         root = (auto.initial, auto.final, sigma)
         return auto, sat, root, am.derivation_grammar(auto, sat, root)
@@ -214,42 +200,53 @@ class FactorizationCounter:
         _check_product(self.gens, seq, m, "membership")
         return cnt, [seq]
 
-    def recurrence_certificate(self, m: Mat2, target: SignedWord = None):
-        """(growth cycle, pumped factorizations) of m, or None; `target` is
-        m's reduced word when the caller has it.
+    def recurrence_certificate(self, m: Mat2):
+        """(growth cycle, pumped factorizations) of m, or None.
 
         The derivation grammar's growth cycle runs through a triple A; the
         cycle is reported as its triples [A, ..., A].  Filling the other
-        symbols of each step's body (a triple with `extract_path`, an edge
-        with itself) splits the stem into paths u, v around A and the loop
-        into x, y around A, so with w a path of A every u x^n w y^n v
-        realizes the root triple.  The factorizations decoded for n = 1, 2,
-        3 are each re-multiplied to m and must be pairwise distinct.
+        symbols of each step's body (`_around`) splits the stem into paths
+        u, v around A and the loop into x, y around A, so with w a path of
+        A every u x^n w y^n v realizes the root triple.  The factorizations
+        decoded for n = 1, 2, 3 are each re-multiplied to m and must be
+        pairwise distinct.
         """
-        auto, sat, root, grammar = self._paths(m, target)
+        auto, sat, root, grammar = self._paths(m)
         growth = gr.find_growth_cycle(grammar)
         if growth is None:
             return None
         stem, loop = growth
-
-        def fill(symbols):
-            return [e for x in symbols for e in
-                    (am.extract_path(auto, sat, *x) if isinstance(x, tuple) else [x])]
-
-        def around(steps):
-            left, right = [], []
-            for _, body, i in steps:
-                left, right = left + fill(body[:i]), fill(body[i + 1:]) + right
-            return left, right
-
-        (u, v), (x, y), w = around(stem), around(loop), fill([loop[0][0]])
+        (u, v), (x, y), w = (_around(auto, sat, stem), _around(auto, sat, loop),
+                             _fill(auto, sat, [loop[0][0]]))
         sequences = [am.path_sequence(auto, u + x * n + w + y * n + v) for n in (1, 2, 3)]
-        for seq in sequences:
-            _check_product(self.gens, seq, m, "recurrence")
-        if len({tuple(seq) for seq in sequences}) != 3:
-            raise DecisionError(f"pumped factorizations {sequences} are not distinct")
+        _check_pumped(self.gens, sequences, m)
         cycle = [list(head) for head, _, _ in loop] + [list(loop[0][0])]
         return cycle, sequences
+
+
+def _fill(auto, sat, symbols) -> list:
+    """The edge path that a body's symbols spell: a triple's `extract_path`,
+    an edge itself."""
+    return [e for x in symbols for e in
+            (am.extract_path(auto, sat, *x) if isinstance(x, tuple) else [x])]
+
+
+def _around(auto, sat, steps) -> tuple:
+    """(left, right): the paths that the steps of a growth cycle put before
+    and after their last step's child, the other symbols of each body
+    filled by `_fill`."""
+    left, right = [], []
+    for _, body, i in steps:
+        left, right = left + _fill(auto, sat, body[:i]), _fill(auto, sat, body[i + 1:]) + right
+    return left, right
+
+
+def _check_pumped(gens: GeneratorSet, sequences, m: Mat2):
+    """Re-multiply pumped factorizations to m; they must be pairwise distinct."""
+    for seq in sequences:
+        _check_product(gens, seq, m, "recurrence")
+    if len({tuple(seq) for seq in sequences}) != len(sequences):
+        raise DecisionError(f"pumped factorizations {sequences} are not distinct")
 
 
 def count_factorizations(gens: GeneratorSet, m: Mat2, cap: int = 8) -> Verdict:
@@ -281,58 +278,84 @@ def is_recurrent(gens: GeneratorSet, m: Mat2) -> Verdict:
 def finite_freeness(gens: GeneratorSet, depth: int = 4) -> Verdict:
     """Does some semigroup element have infinitely many factorizations?
 
-    Branch (a), exact: I in the semigroup, i.e. the (hub, hub, +1) triple
-    of the loop automaton, which pumps every element.  -I needs no lookup
-    of its own: if -I is a nonempty product P then P * P = I.  A trivial
-    cycle at any other state would say no more: one at a shared state q
-    spells v X u, X whole loops and u v = w_g for a loop g through q, so
-    X * M_g = +-I.  Without I, a set in which no pair of generators
-    collides (`_first_collision`, the freeness automaton's one saturation)
-    is free: every element factors uniquely, so none is recurrent and no
-    candidate is looked at.
-    Otherwise branch (b), `recurrent_product_sweep`, exact per candidate: a
-    recurrent product of <= depth generators (a recurrent matrix can exist
-    without I, so branch (a) alone is not a complete criterion).  With
-    neither, the honest answer is UNKNOWN_UP_TO(depth).
+    One saturation of the loop automaton, and NO is exact at any depth.
+    Branch (a): I in the semigroup, i.e. the (hub, hub, +1) triple, which
+    pumps every element.  -I needs no lookup of its own: if -I is a
+    nonempty product P then P * P = I.  A trivial cycle at any other state
+    would say no more: one at a shared state q spells v X u, X whole loops
+    and u v = w_g for a loop g through q, so X * M_g = +-I.
+
+    Without I the saturation ran to the complete relation, and some element
+    is recurrent iff the rule dependencies of its triples (each triple
+    depends on the triples of its `automata.rule_bodies`) have a cycle
+    A =>+ x A y.  Such a cycle pumps: x y is nonempty and val(x) val(y) = I,
+    and every state lies on a hub loop, so the closed hub paths through
+    x^n w y^n (w a path of A) are distinct factorizations of one element.
+    Conversely a recurrent element's membership grammar has a growth cycle
+    A =>+ x A y, x and y closed paths at A's ends.  Without I neither is
+    empty, since the other would be a trivial cycle; target-chain states
+    lie on no cycle, so the cycle lies among the loop states, whose triples
+    and bodies are the loop relation's.  One `find_growth_cycle` over every
+    triple finds a cycle, and `_recurrent_matrix` reads the witness off it.
+    An acyclic relation answers UNKNOWN_UP_TO(depth), the answer of a
+    bounded search, though then no element is recurrent at any depth.
     """
     if depth < 1:
         raise DecisionError("depth must be >= 1")
-    seq = _trivial_path_witness(gens, am.build_loop_automaton(gens), 1, _ID,
-                                "finite freeness")
+    auto = am.build_loop_automaton(gens)
+    sat, seq = _trivial_path_witness(gens, auto, 1, _ID, "finite freeness")
     if seq is not None:
         return Verdict("finite_freeness", NO, _sequences_witness(seq))
-    if _first_collision(gens) is None:
+    growth = gr.find_growth_cycle(am.derivation_grammar(auto, sat), sat.triples)
+    if growth is None:
         return Verdict("finite_freeness", UNKNOWN, depth_bound=depth)
-    return recurrent_product_sweep(gens, depth)
+    return Verdict("finite_freeness", NO, _recurrent_matrix(gens, auto, sat, growth[1]))
 
 
-def recurrent_product_sweep(gens: GeneratorSet, depth: int) -> Verdict:
-    """Branch (b) of `finite_freeness` on its own: NO with the first
-    recurrent product of <= depth generators, in the oracle table's order,
-    else UNKNOWN_UP_TO(depth).
+def _walk(auto, src: int, dst: int) -> list:
+    """A shortest path of s and r edges src -> dst, found breadth first."""
+    paths = {src: []}
+    queue = [src]
+    for x in queue:
+        for e in auto.s_out[x] + auto.r_out[x]:
+            y = auto.edges[e][1]
+            if y not in paths:
+                paths[y] = paths[x] + [e]
+                queue.append(y)
+    return paths[dst]
 
-    Every product is a candidate, so the oracle's sequence budget applies
-    (`oracle.OracleBudgetError`).  A candidate's target word is the reduced
-    join of the generator words of its first sequence.
+
+def _past_hub(auto, path: list) -> int:
+    """The length of the path's prefix up to its first edge into the hub."""
+    return next((k + 1 for k, e in enumerate(path) if auto.edges[e][1] == auto.initial), 0)
+
+
+def _recurrent_matrix(gens: GeneratorSet, auto, sat, loop) -> dict:
+    """The witness of a growth cycle A =>+ x A y of the loop relation.
+
+    A = (q, p, sigma), x is closed at q and y at p, and every cycle of the
+    loop automaton runs through the hub, so x = x1 x2 and y = y1 y2 split
+    there (`_past_hub`).  Then alpha = seq(x2 x1), sigma = seq(x2 w y1) and
+    gamma = seq(y2 y1), with w a path of A, and alpha^n sigma gamma^n is
+    seq(x2 x^n w y^n y1), one element for every n.  An empty x gives an
+    empty alpha and a walk hub -> q for x2; an empty y gives an empty gamma
+    and a walk p -> hub for y1.  Without I neither side is empty, and the
+    walks keep the witness defined for any cycle: one whose sides are both
+    empty pumps nothing, and the distinctness check refuses it.  The pumped
+    sequences for n = 1, 2, 3 are re-multiplied and must be pairwise
+    distinct.
     """
-    counter = FactorizationCounter(gens)
-    table = oracle_mod.enumerate_products(gens, depth)
-    for m in table.matrices():
-        sequence = table.first_sequence(m)
-        certificate = counter.recurrence_certificate(m, gens.sequence_word(sequence))
-        if certificate is None:
-            continue
-        witness = {
-            "kind": "recurrent_matrix",
-            "matrix": [[decimal_str(m.a), decimal_str(m.b)],
-                       [decimal_str(m.c), decimal_str(m.d)]],
-            "sequence": sequence,
-            "sequences": certificate[1],
-        }
-        pumping = table.pumping(m)
-        if pumping is not None:
-            alpha, sigma, gamma = pumping
-            _check_product(gens, alpha + sigma + gamma, m, "pumping")
-            witness["pumping"] = {"alpha": alpha, "sigma": sigma, "gamma": gamma}
-        return Verdict("finite_freeness", NO, witness)
-    return Verdict("finite_freeness", UNKNOWN, depth_bound=depth)
+    hub, (q, p, _) = auto.initial, loop[0][0]
+    (x, y), w = _around(auto, sat, loop), _fill(auto, sat, [loop[0][0]])
+    i, j = _past_hub(auto, x), _past_hub(auto, y)
+    x2 = x[i:] if x else _walk(auto, hub, q)
+    y1 = y[:j] if y else _walk(auto, p, hub)
+    alpha = am.path_sequence(auto, x[i:] + x[:i]) if x else []
+    gamma = am.path_sequence(auto, y[j:] + y[:j]) if y else []
+    sigma = am.path_sequence(auto, x2 + w + y1)
+    m = gens.product(sigma)
+    sequences = [alpha * n + sigma + gamma * n for n in (1, 2, 3)]
+    _check_pumped(gens, sequences, m)
+    return {"kind": "recurrent_matrix", "matrix": matrix_json(m), "sequence": sigma,
+            "sequences": sequences,
+            "pumping": {"alpha": alpha, "sigma": sigma, "gamma": gamma}}

@@ -401,7 +401,7 @@ def _bodies(g: Grammar) -> dict:
     return bodies
 
 
-def find_growth_cycle(g: Grammar):
+def find_growth_cycle(g: Grammar, starts=None):
     """Certificate (stem, loop) that L(g) is infinite, or None.
 
     g must be proper: no body is empty, no body is a single nonterminal, and
@@ -409,12 +409,14 @@ def find_growth_cycle(g: Grammar):
     for the empty language), as in `automata.derivation_grammar`.  Then a
     body that holds a nonterminal also holds a nonempty word beside it, so
     every dependency edge pumps, and L(g) is infinite iff a dependency cycle
-    is reachable from the start.  One depth-first search from the start,
-    through the productions in order, stops at the first back edge.
+    is reachable from the start.  One depth-first search, through the
+    productions in order, stops at the first back edge.  It runs from each
+    of `starts` in turn (by default the start alone), and a nonterminal
+    finished from one is not searched again from the next.
 
     A step (head, body, i) is a production of head whose body[i] is the
-    head of the next step.  The stem leads from the start to the cycle's
-    first head A, and the loop from A back to A.
+    head of the next step.  The stem leads from the start it ran from to
+    the cycle's first head A, and the loop from A back to A.
     """
     nts = g.nonterminals
     bodies = _bodies(g)
@@ -424,27 +426,30 @@ def find_growth_cycle(g: Grammar):
                 for i, x in enumerate(body) if x in nts)
 
     path = []                  # steps from the start to the open frame
-    depth = {g.start: 0}       # open nonterminal -> number of steps to it
+    depth = {}                 # open nonterminal -> number of steps to it
     done = set()
-    frames = [(g.start, steps(g.start))]
-    while frames:
-        head, todo = frames[-1]
-        for step in todo:
-            child = step[1][step[2]]
-            if child in depth:
-                k = depth[child]
-                return path[:k], path[k:] + [step]
-            if child not in done:
-                depth[child] = len(path) + 1
-                path.append(step)
-                frames.append((child, steps(child)))
-                break
-        else:
-            frames.pop()
-            del depth[head]
-            done.add(head)
-            if path:
-                path.pop()
+    starts = (g.start,) if starts is None else starts
+    for start in (s for s in starts if s not in done):
+        depth[start] = 0
+        frames = [(start, steps(start))]
+        while frames:
+            head, todo = frames[-1]
+            for step in todo:
+                child = step[1][step[2]]
+                if child in depth:
+                    k = depth[child]
+                    return path[:k], path[k:] + [step]
+                if child not in done:
+                    depth[child] = len(path) + 1
+                    path.append(step)
+                    frames.append((child, steps(child)))
+                    break
+            else:
+                frames.pop()
+                del depth[head]
+                done.add(head)
+                if path:
+                    path.pop()
     return None
 
 

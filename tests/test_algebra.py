@@ -255,11 +255,6 @@ class TestGeneratorSet:
         with pytest.raises(AlgebraError):
             g.product([])
 
-    def test_sequence_word_is_the_normal_form_of_the_product(self):
-        g = GeneratorSet.from_matrices([S, R, T])
-        for seq in ([1], [1, 1], [2, 2, 2], [3, 1, 2, 3], [1, 3, 3, 2, 1]):
-            assert g.sequence_word(seq) == decompose(g.product(seq))
-
 
 class TestDecimalStrings:
     """Entries past the interpreter's limit on int/str conversion digits

@@ -316,6 +316,21 @@ class TestWitnessDecodingRejects:
         with pytest.raises(WitnessError):
             decode_pattern_witness(auto, [entry, exit_])
 
+    def test_freeness_path_from_initial_i_to_final_i(self):
+        # with S twice, initial_1 --s--> A --eps--> B --(-s)--> final_1 runs
+        # from a tap to a tap, but it decodes to [1] twice: no collision
+        gens = GeneratorSet.from_matrices([S, S])
+        auto, _ = build_freeness_automaton(gens)
+        edges = auto.edges
+        entry = {g: e for e, g in auto.heads.items()}
+        exit_ = {g: e for e, g in auto.tails.items()}
+        (bridge,) = auto.eps_edges
+        a, b = edges[bridge][:2]
+        assert [edges[entry[1]][1], edges[exit_[1]][0], edges[exit_[2]][0]] == [a, b, b]
+        assert decode_pattern_witness(auto, [entry[1], bridge, exit_[2]]) == ([1], [2])
+        with pytest.raises(WitnessError, match="identical"):
+            decode_pattern_witness(auto, [entry[1], bridge, exit_[1]])
+
     def freeness_witness(self):
         """{S, R} on the freeness automaton: pair (1, 2)'s witness path."""
         gens = GeneratorSet.from_matrices([S, R])

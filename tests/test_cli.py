@@ -127,6 +127,18 @@ class TestEntriesPastTheDigitLimit:
         assert parsed.generators.matrix(1) == m
         assert emit_problem(problem_json(parsed.generators)) == text
 
+    @pytest.mark.parametrize("digits", [4200, 5000])
+    def test_shear_past_the_word_limit_exits_3(self, tmp_path, capsys, digits):
+        # T^q with q = 10^(digits - 1): its normal form is too long to build,
+        # and q itself has too many digits to print
+        path = write(tmp_path, "p.json", {"generators": [
+            {"matrix": [["1", "0"], ["1" + "0" * (digits - 1), "1"]]}]})
+        assert main(["identity", path]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert len(captured.err) < 200
+
     def test_json_number_entry(self, tmp_path):
         m = fibonacci_power(10587)
         rows = problem_json(GeneratorSet.from_matrices([m]))["generators"][0]["matrix"]
@@ -273,13 +285,13 @@ class TestCommands:
         assert main(["check-finite-free", path, "--depth", "25"]) == EXIT_UNKNOWN
         assert json.loads(capsys.readouterr().out)["depth_bound"] == 25
 
-    def test_non_free_set_past_the_oracle_budget_exits_3(self, tmp_path, capsys):
-        # the same generator twice: not free, and no product is the identity
+    def test_non_free_set_past_the_oracle_budget_is_unknown(self, tmp_path, capsys):
+        # the same generator twice: not free, no product is the identity and
+        # none is recurrent; no product is enumerated, so the depth costs nothing
         path = write(tmp_path, "p.json", {
             "generators": [{"word": {"sign": 1, "sr": "srsr"}}] * 2})
-        assert main(["check-finite-free", path, "--depth", "25"]) == EXIT_INPUT
-        captured = capsys.readouterr()
-        assert captured.out == "" and "exceeds budget" in captured.err
+        assert main(["check-finite-free", path, "--depth", "25"]) == EXIT_UNKNOWN
+        assert json.loads(capsys.readouterr().out)["depth_bound"] == 25
 
     def test_count_command(self, tmp_path, capsys):
         path = write(tmp_path, "p.json", {

@@ -7,11 +7,11 @@ import pytest
 from sl2z_semigroups.algebra import (
     IDENTITY, R, S, GeneratorSet, Mat2, SignedWord, evaluate,
 )
-from sl2z_semigroups import automata, oracle
+from sl2z_semigroups import automata, grammars, oracle
 from sl2z_semigroups import decisions
 from sl2z_semigroups.decisions import (
     NO, UNKNOWN, YES, DecisionError, Verdict, count_factorizations, finite_freeness,
-    identity_in_semigroup, is_free, is_recurrent, membership, recurrent_product_sweep,
+    identity_in_semigroup, is_free, is_recurrent, membership,
 )
 from sl2z_semigroups.encodings import (
     encode_equal_subset_sum, encode_subset_sum,
@@ -86,6 +86,25 @@ class TestWrongWitnessRefused:
         monkeypatch.setattr(automata, "decode_pattern_witness", unequal)
         with pytest.raises(DecisionError):
             is_free(gens)
+
+    @pytest.fixture
+    def degenerate_cycle(self, monkeypatch):
+        # a growth cycle A => A at the first start pumps nothing: the paths
+        # around A are empty, so the three pumped sequences are one
+        def degenerate(g, starts=None):
+            a = g.start if starts is None else next(iter(starts))
+            return [], [(a, (a,), 0)]
+        monkeypatch.setattr(grammars, "find_growth_cycle", degenerate)
+
+    def test_recurrence_refuses_equal_pumped_sequences(self, degenerate_cycle):
+        fx = recurrent_without_identity_fixture()
+        with pytest.raises(DecisionError, match="not distinct"):
+            is_recurrent(fx.generators, fx.expected["recurrent_target"])
+
+    def test_finite_freeness_refuses_equal_pumped_sequences(self, degenerate_cycle):
+        fx = recurrent_without_identity_fixture()
+        with pytest.raises(DecisionError, match="not distinct"):
+            finite_freeness(fx.generators, 2)
 
     def test_products_per_identity_witness(self, monkeypatch):
         products = []
@@ -311,11 +330,11 @@ class TestFiniteFreeness:
             v = finite_freeness(fx.generators, depth)
             assert v.witness == {
                 "kind": "recurrent_matrix",
-                "matrix": [["-239", "1056"], ["-98", "433"]],
-                "sequence": [2],
-                "sequences": [[1, 1, 2, 3, 3], [1, 1, 1, 2, 3, 3, 3],
-                              [1, 1, 1, 1, 2, 3, 3, 3, 3]],
-                "pumping": {"alpha": [1], "sigma": [2], "gamma": [3]},
+                "matrix": [["-19", "88"], ["-8", "37"]],
+                "sequence": [1, 2],
+                "sequences": [[1, 1, 2, 3], [1, 1, 1, 2, 3, 3],
+                              [1, 1, 1, 1, 2, 3, 3, 3]],
+                "pumping": {"alpha": [1], "sigma": [1, 2], "gamma": [3]},
             }
 
     @pytest.mark.parametrize("gens, depth", [
@@ -335,41 +354,63 @@ class TestFiniteFreeness:
 
     def test_random_sets_agree_with_the_candidate_loop(self):
         # random sets, and sets {X A X^-1, X A^-1 Y^-1, Y A^-1 Y^-1} over the
-        # free pair, in which X Y^-1 = w1^n w2 w3^(n-1) for every n >= 1;
-        # the reference runs branch (b) on every set, free or not
+        # free pair, in which X Y^-1 = w1^n w2 w3^(n-1) for every n >= 1; the
+        # referee asks `is_recurrent` of every product of <= 3 generators
         rng = random.Random(8128)
-
-        def free_pair_product():
-            m = IDENTITY
-            for _ in range(rng.randint(1, 2)):
-                m = m * rng.choice((Mat2(1, 2, 0, 1), Mat2(1, 0, 2, 1)))
-            return m
-
         answers = set()
-        for k in range(80):
-            if k % 2:
-                gens = random_generators(rng)
+        for k in range(400):
+            gens = random_generators(rng) if k % 2 else conjugate_set(rng)
+            v = finite_freeness(gens, 3)
+            table = oracle.enumerate_products(gens, 3)
+            recurrent = any(is_recurrent(gens, m).answer == YES for m in table.matrices())
+            if recurrent:
+                assert v.answer == NO
+            if v.answer == NO:
+                check_finite_freeness_no(gens, v.witness)
             else:
-                x, y, a = free_pair_product(), free_pair_product(), free_pair_product()
-                gens = GeneratorSet.from_matrices([
-                    x * a * x.inverse(), x * a.inverse() * y.inverse(),
-                    y * a.inverse() * y.inverse()])
-            ident = identity_in_semigroup(gens)
-            if ident.answer == YES:
-                reference = Verdict("finite_freeness", NO, ident.witness)
-            else:
-                reference = recurrent_product_sweep(gens, 3)
-            assert finite_freeness(gens, 3) == reference
-            answers.add((reference.answer, (reference.witness or {}).get("kind"),
-                         is_free(gens).answer))
+                assert v == Verdict("finite_freeness", UNKNOWN, depth_bound=3)
+            identity = identity_in_semigroup(gens).answer == YES
+            assert ((v.witness or {}).get("kind") == "sequences") == identity
+            answers.add((v.answer, (v.witness or {}).get("kind"), is_free(gens).answer))
         assert answers == {(NO, "sequences", NO), (NO, "recurrent_matrix", NO),
                            (UNKNOWN, None, NO), (UNKNOWN, None, YES)}
 
 
+def conjugate_set(rng):
+    """{X A X^-1, X A^-1 Y^-1, Y A^-1 Y^-1} for products X, Y, A of one or
+    two matrices of the free pair."""
+    def free_pair_product():
+        m = IDENTITY
+        for _ in range(rng.randint(1, 2)):
+            m = m * rng.choice((Mat2(1, 2, 0, 1), Mat2(1, 0, 2, 1)))
+        return m
+    x, y, a = free_pair_product(), free_pair_product(), free_pair_product()
+    return GeneratorSet.from_matrices([x * a * x.inverse(), x * a.inverse() * y.inverse(),
+                                       y * a.inverse() * y.inverse()])
+
+
+def check_finite_freeness_no(gens, witness):
+    """A finite-freeness NO witness: a product equal to I, or a recurrent
+    matrix whose pumping triple is not degenerate and whose pumped
+    sequences for n = 1, 2, 3 are distinct and multiply to it."""
+    if witness["kind"] == "sequences":
+        (seq,) = witness["sequences"]
+        assert gens.product(seq) == IDENTITY
+        return
+    assert witness["kind"] == "recurrent_matrix"
+    m = gens.product(witness["sequence"])
+    assert witness["matrix"] == [[str(m.a), str(m.b)], [str(m.c), str(m.d)]]
+    p = witness["pumping"]
+    assert p["sigma"] == witness["sequence"] and (p["alpha"] or p["gamma"])
+    pumped = [p["alpha"] * n + p["sigma"] + p["gamma"] * n for n in (1, 2, 3)]
+    assert witness["sequences"] == pumped
+    assert len({tuple(seq) for seq in pumped}) == 3
+    assert all(gens.product(seq) == m for seq in pumped)
+
+
 class TestOneFreenessSaturation:
     """`is_free` saturates the loop automaton, then at most the freeness
-    automaton once; `finite_freeness` runs the same two before any
-    candidate."""
+    automaton once; `finite_freeness` saturates the loop automaton alone."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -405,10 +446,23 @@ class TestOneFreenessSaturation:
         is_free(GeneratorSet.from_matrices(mats))
         assert calls == kinds
 
-    def test_finite_freeness_before_any_candidate(self, calls):
-        fx = recurrent_without_identity_fixture()
-        assert finite_freeness(fx.generators, 2).answer == NO
-        assert calls[:3] == ["loop", "freeness", "candidate"]
+    def test_finite_freeness_before_any_candidate(self, calls, monkeypatch):
+        # no candidate product, no oracle and no freeness automaton: one
+        # saturation of the loop automaton answers, on a recurrent set, an
+        # identity set and a free set
+        def refuse(*args, **kwargs):
+            raise AssertionError("finite freeness needs one saturation only")
+        for name in ("enumerate_products", "find_collision", "find_pumping",
+                     "oracle_count", "max_exhaustive_depth"):
+            monkeypatch.setattr(oracle, name, refuse)
+        monkeypatch.setattr(oracle.ProductTable, "pumping", refuse)
+        monkeypatch.setattr(automata, "build_freeness_automaton", refuse)
+        for gens, answer in ((recurrent_without_identity_fixture().generators, NO),
+                             (GeneratorSet.from_matrices([S, R]), NO),
+                             (GeneratorSet.from_matrices([F_A, F_B]), UNKNOWN)):
+            del calls[:]
+            assert finite_freeness(gens, 25).answer == answer
+            assert calls == ["loop"]
 
 
 class TestPinnedWitnesses:

@@ -600,39 +600,3 @@ def test_counter_matches_bar_hillel_referee():
             if kind == "exact":
                 assert seqs == sequences
             assert (counter.recurrence_certificate(m) is not None) == recurrent
-
-
-def test_sequence_words_are_normal_forms_of_products():
-    """`finite_freeness` takes a candidate's target word from its first
-    sequence's generator words instead of decomposing the matrix."""
-    rng = random.Random(31337)
-    checked = 0
-    for _ in range(40):
-        gens = GeneratorSet.from_words([
-            SignedWord(rng.choice((1, -1)),
-                       "".join(rng.choice("sr") for _ in range(rng.randint(0, 6))))
-            for _ in range(rng.randint(1, 3))])
-        table = enumerate_products(gens, 3)
-        for m in table.matrices():
-            seq = table.first_sequence(m)
-            words = [gens.word(i) for i in seq]
-            sign = 1
-            for w in words:
-                sign *= w.sign
-            word = reduce("".join(w.word for w in words), sign)
-            assert word == decompose(m)
-            assert gens.sequence_word(seq) == word
-            checked += 1
-    assert checked > 200
-
-
-def test_recurrence_certificate_with_the_sequence_word():
-    for gens, targets in referee_cases():
-        counter = FactorizationCounter(gens)
-        table = enumerate_products(gens, 3)
-        for m in targets:
-            seq = table.first_sequence(m)
-            if seq is None:
-                continue
-            assert counter.recurrence_certificate(m, gens.sequence_word(seq)) == \
-                counter.recurrence_certificate(m)
