@@ -2,7 +2,8 @@
 """Stress the decision procedures against brute force on random inputs.
 
 Draws random generator sets (reduced words up to --max-len, up to --gens
-generators), runs freeness / membership / counting, and compares with the
+generators) on even trials and conjugate sets over the free pair on odd
+ones, runs freeness / membership / counting, and compares with the
 exhaustive product table wherever the table is conclusive.  Every
 `check-free` NO witness is re-multiplied, and no collision in the table
 strips to a pair of first generators below the witness's.  Every identity
@@ -12,7 +13,11 @@ at depth 3 is checked against a referee that asks `is_recurrent` of every
 product of at most 3 generators: a set with a recurrent product must
 answer NO, a free set must answer UNKNOWN_UP_TO, and every NO witness is
 re-multiplied, its pumped sequences distinct and its pumping triple not
-degenerate.
+degenerate.  Random sets seldom reach that cycle witness without an
+identity; the conjugate sets {X A X^-1, X A^-1 Y^-1, Y A^-1 Y^-1} always
+hold the recurrent X Y^-1, and often no identity.  Cycle NOs are counted
+apart from identity NOs, and a run of at least 50 trials that checks no
+cycle witness fails.
 """
 
 import argparse
@@ -20,7 +25,7 @@ import random
 import time
 from itertools import combinations
 
-from sl2z_semigroups.algebra import IDENTITY, GeneratorSet, SignedWord
+from sl2z_semigroups.algebra import IDENTITY, GeneratorSet, Mat2, SignedWord
 from sl2z_semigroups import oracle
 from sl2z_semigroups.encodings import encode_equal_subset_sum
 from sl2z_semigroups.decisions import (
@@ -33,6 +38,9 @@ FINITE_FREENESS_DEPTH = 3
 # generators, which random sets seldom reach without an identity
 ESSP_COLLIDING = ([1, 2, 3], [3, 5, 8, 13], [1, 2, 4, 7], [2, 3, 5, 9], [1, 1, 4, 4])
 ESSP_DEPTH = 4
+# a run this long must check at least one cycle witness
+MIN_TRIALS_FOR_CYCLES = 50
+FREE_PAIR = (Mat2(1, 2, 0, 1), Mat2(1, 0, 2, 1))
 
 
 def random_generator_set(rng, max_gens, max_len):
@@ -47,6 +55,20 @@ def random_generator_set(rng, max_gens, max_len):
             w += ch
         words.append(SignedWord(rng.choice((1, -1)), w))
     return GeneratorSet.from_words(words)
+
+
+def conjugate_set(rng):
+    """{X A X^-1, X A^-1 Y^-1, Y A^-1 Y^-1} for products X, Y, A of one or
+    two matrices of the free pair: w1^n w2 w3^(n-1) = X Y^-1 for every
+    n >= 1, so X Y^-1 is recurrent."""
+    def free_pair_product():
+        m = IDENTITY
+        for _ in range(rng.randint(1, 2)):
+            m = m * rng.choice(FREE_PAIR)
+        return m
+    x, y, a = free_pair_product(), free_pair_product(), free_pair_product()
+    return GeneratorSet.from_matrices([x * a * x.inverse(), x * a.inverse() * y.inverse(),
+                                       y * a.inverse() * y.inverse()])
 
 
 def candidate_loop(gens, depth):
@@ -111,9 +133,13 @@ def main():
     rng = random.Random(args.seed)
     t0 = time.monotonic()
     stats = {"free": 0, "not_free": 0, "pair_witnesses": 0, "checked_counts": 0,
-             "finite_free_no": 0, "identity": 0, "member_witnesses": 0}
+             "finite_free_identity_no": 0, "finite_free_cycle_no": 0, "identity": 0,
+             "member_witnesses": 0}
     for trial in range(args.trials):
-        gens = random_generator_set(rng, args.gens, args.max_len)
+        if trial % 2:
+            gens = conjugate_set(rng)
+        else:
+            gens = random_generator_set(rng, args.gens, args.max_len)
         if oracle.max_exhaustive_depth(len(gens)) < args.depth:
             continue
         table = oracle.enumerate_products(gens, args.depth)
@@ -143,7 +169,9 @@ def main():
         if verdict.answer == YES and finite.answer != UNKNOWN:
             raise SystemExit(f"trial {trial}: free set but finite freeness said {finite.answer}")
         if finite.answer == NO:
-            stats["finite_free_no"] += 1
+            kind = finite.witness["kind"]
+            stats["finite_free_cycle_no" if kind == "recurrent_matrix"
+                  else "finite_free_identity_no"] += 1
             if not check_finite_freeness_no(gens, finite.witness):
                 raise SystemExit(f"trial {trial}: finite-freeness witness "
                                  f"{finite.witness} does not multiply out")
@@ -176,6 +204,8 @@ def main():
             raise SystemExit(f"essp {values}: freeness witness: {fault}")
         stats["pair_witnesses"] += 1
     print(f"{args.trials} trials in {time.monotonic() - t0:.1f}s: {stats}")
+    if args.trials >= MIN_TRIALS_FOR_CYCLES and not stats["finite_free_cycle_no"]:
+        raise SystemExit(f"{args.trials} trials checked no finite-freeness cycle witness")
 
 
 if __name__ == "__main__":

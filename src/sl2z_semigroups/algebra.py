@@ -193,16 +193,17 @@ T_INV_WORD = SignedWord(-1, "rrs")
 MAX_WORD_LETTERS = 5_000_000
 
 
-def _t_power(q: int) -> SignedWord:
+def _check_shear(q: int) -> None:
     # q may have more digits than an int converts to str, so it is not printed
     if 3 * abs(q) > MAX_WORD_LETTERS:
         raise AlgebraError(
             f"shear T^q past the word limit: 3|q| > {MAX_WORD_LETTERS} "
             f"(its normal form needs up to 3|q| letters)")
-    if q >= 0:
-        return SignedWord(1 if q % 2 == 0 else -1, "sr" * q)
-    q = -q
-    return SignedWord(1 if q % 2 == 0 else -1, "rrs" * q)
+
+
+def _t_letters(q: int) -> str:
+    """Letters of T^q, whose sign is (-1)^q: T and T^-1 have sign -1."""
+    return T_WORD.word * q if q >= 0 else T_INV_WORD.word * -q
 
 
 def _nearest_toward_zero(a: int, c: int) -> int:
@@ -223,31 +224,40 @@ def decompose(m: Mat2) -> SignedWord:
 
     Euclidean reduction on the first column: while c != 0, left-multiply by
     T^-q (q the nearest integer to a/c, ties toward zero) and then by S,
-    which at least halves |c| per round.  What remains is +-T^b; the word is
-    rebuilt from the inverses of the applied operations.
+    which at least halves |c| per round.  What remains is +-T^b.  Every
+    exponent is checked against the word limit before any letter is built;
+    then the letters of T^q1 s T^q2 s ... T^qk s T^rest are joined and
+    reduced in one stack pass, and the result is checked by `evaluate`.
     """
     quotients = []
     a, b, c, d = m.a, m.b, m.c, m.d
     while c != 0:
         q = _nearest_toward_zero(a, c)
+        _check_shear(q)
         # T^-q then S, applied on the left
         a, b, c, d = -c, -d, a - q * c, b - q * d
         quotients.append(q)
     # [[a, b], [0, d]] with a = d = +-1, i.e. a * T^(a*b)
-    rest = _t_power(a * b)
-    # m = (T^q1 S^-1)(T^q2 S^-1)...(remainder) with S^-1 = (-, "s"): join
-    # the pieces right to left and reduce once
-    pieces = [rest.word]
-    sign = a * rest.sign
-    for q in reversed(quotients):
-        tq = _t_power(q)
+    rest = a * b
+    _check_shear(rest)
+    # m = a (T^q1 S^-1)(T^q2 S^-1)...(T^qk S^-1) T^rest with S^-1 = -s and
+    # T^q of sign (-1)^q
+    pieces = []
+    for q in quotients:
+        pieces.append(_t_letters(q))
         pieces.append("s")
-        pieces.append(tq.word)
-        sign *= -tq.sign
-    word = reduce("".join(reversed(pieces)), sign)
+    pieces.append(_t_letters(rest))
+    odd = (len(quotients) + sum(quotients) + rest) % 2
+    word = reduce("".join(pieces), -a if odd else a)
     if evaluate(word) != m:
         raise AlgebraError(f"decomposition self-check failed for {m}")
     return word
+
+
+def _nonempty(entries: list) -> list:
+    if not entries:
+        raise AlgebraError("generator set must be nonempty")
+    return entries
 
 
 @dataclass(frozen=True)
@@ -264,23 +274,29 @@ class GeneratorSet:
 
     def __init__(self, entries):
         entries = list(entries)
-        if not entries:
-            raise AlgebraError("generator set must be nonempty")
         for i, g in enumerate(entries, start=1):
             if not g.word.is_reduced():
                 raise AlgebraError(f"generator word not reduced: {g.word}")
             if evaluate(g.word) != g.matrix:
                 raise AlgebraError(f"word/matrix mismatch for generator {i}")
-        self._entries = entries
+        self._entries = _nonempty(entries)
+
+    @classmethod
+    def _of_checked(cls, entries) -> "GeneratorSet":
+        """Entries whose words are reduced and evaluate to their matrices."""
+        gens = cls.__new__(cls)
+        gens._entries = _nonempty(list(entries))
+        return gens
 
     @classmethod
     def from_matrices(cls, matrices) -> "GeneratorSet":
-        return cls(Generator(m, decompose(m)) for m in matrices)
+        # decompose checks each word against its matrix
+        return cls._of_checked(Generator(m, decompose(m)) for m in matrices)
 
     @classmethod
     def from_words(cls, words) -> "GeneratorSet":
         words = [reduce(w.word, w.sign) for w in words]
-        return cls(Generator(evaluate(w), w) for w in words)
+        return cls._of_checked(Generator(evaluate(w), w) for w in words)
 
     def __len__(self):
         return len(self._entries)

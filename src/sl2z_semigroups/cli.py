@@ -29,7 +29,8 @@ EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
 
-def _parse_int(value, path: str) -> int:
+def _int_value(value):
+    """The integer that a JSON int or decimal string denotes, else None."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
@@ -38,23 +39,35 @@ def _parse_int(value, path: str) -> int:
         digits = text[1:] if text[:1] in ("+", "-") else text
         if digits.isascii() and digits.isdigit():  # int() rejects "²"
             return sign * decimal_int(digits)
-    raise ProblemError(f"{path}: not an integer: {value!r}")
+    return None
+
+
+def _parse_int(value, path: str) -> int:
+    n = _int_value(value)
+    if n is None:
+        raise ProblemError(f"{path}: not an integer: {value!r}")
+    return n
 
 
 def _parse_matrix(value, path: str) -> Mat2:
+    """The `matrix` field of the element at `path`; the field paths of the
+    error messages are built only when one is raised."""
     if (not isinstance(value, list) or len(value) != 2
             or any(not isinstance(row, list) or len(row) != 2 for row in value)):
-        raise ProblemError(f"{path}: expected a 2x2 array")
-    a = _parse_int(value[0][0], f"{path}[0][0]")
-    b = _parse_int(value[0][1], f"{path}[0][1]")
-    c = _parse_int(value[1][0], f"{path}[1][0]")
-    d = _parse_int(value[1][1], f"{path}[1][1]")
+        raise ProblemError(f"{path}.matrix: expected a 2x2 array")
+    entries = [_int_value(x) for row in value for x in row]
+    if None in entries:
+        i, j = divmod(entries.index(None), 2)
+        raise ProblemError(f"{path}.matrix[{i}][{j}]: not an integer: {value[i][j]!r}")
+    a, b, c, d = entries
     if a * d - b * c != 1:
-        raise ProblemError(f"{path}: determinant must be 1")
+        raise ProblemError(f"{path}.matrix: determinant must be 1")
     return Mat2(a, b, c, d)
 
 
 def _parse_word(value, path: str) -> SignedWord:
+    """The `word` field of the element at `path`."""
+    path = f"{path}.word"
     if not isinstance(value, dict):
         raise ProblemError(f"{path}: expected an object with sign and sr")
     unknown = set(value) - {"sign", "sr"}
@@ -79,14 +92,14 @@ def _parse_element(value, path: str) -> Mat2:
     """A generator or target: an object with one of matrix / word."""
     if not isinstance(value, dict):
         raise ProblemError(f"{path}: expected an object")
+    if len(value) == 1 and "matrix" in value:
+        return _parse_matrix(value["matrix"], path)
+    if len(value) == 1 and "word" in value:
+        return evaluate(_parse_word(value["word"], path))
     unknown = set(value) - {"matrix", "word"}
     if unknown:
         raise ProblemError(f"{path}: unknown keys {sorted(unknown)}")
-    if ("matrix" in value) == ("word" in value):
-        raise ProblemError(f"{path}: give exactly one of matrix / word")
-    if "matrix" in value:
-        return _parse_matrix(value["matrix"], f"{path}.matrix")
-    return evaluate(_parse_word(value["word"], f"{path}.word"))
+    raise ProblemError(f"{path}: give exactly one of matrix / word")
 
 
 class Problem:
@@ -97,10 +110,10 @@ class Problem:
 
 
 def _load_json(path: str):
-    # JSON text is UTF-8 whatever the locale says
+    # JSON text is UTF-8 whatever the locale says; the bytes are decoded once
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_int=decimal_int)
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode("utf-8"), parse_int=decimal_int)
     except OSError as exc:
         raise ProblemError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
@@ -303,14 +316,20 @@ def _run_encode(args) -> int:
     return EXIT_YES
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple:
+    """(top-level parser, {command name: its subparser})."""
     parser = argparse.ArgumentParser(
         prog="sl2z",
         description="Decision procedures for matrix semigroups in SL(2,Z)")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+
+    def add_command(name, **kwargs):
+        commands[name] = sub.add_parser(name, **kwargs)
+        return commands[name]
 
     def add_problem_command(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+        p = add_command(name, help=help_text)
         p.add_argument("problem", help="problem JSON file")
         p.add_argument("--format", choices=("json", "text"), default="json")
         return p
@@ -325,33 +344,46 @@ def build_parser() -> argparse.ArgumentParser:
                             "does every element have finitely many factorizations?")
     p.add_argument("--depth", type=int, default=None)
 
-    p = sub.add_parser("oracle", help="brute-force product table report")
+    p = add_command("oracle", help="brute-force product table report")
     p.add_argument("problem")
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--budget", type=int, default=oracle_mod.DEFAULT_BUDGET)
 
-    p = sub.add_parser("encode-essp", help="equal-subset-sum instance generators")
+    p = add_command("encode-essp", help="equal-subset-sum instance generators")
     p.add_argument("--set", dest="values", required=True,
                    help="comma-separated positive integers")
-    p = sub.add_parser("encode-ssp", help="subset-sum instance generators")
+    p = add_command("encode-ssp", help="subset-sum instance generators")
     p.add_argument("--set", dest="values", required=True)
     p.add_argument("--x", type=int, required=True, help="target sum")
-    p = sub.add_parser("encode-dfa", help="DFA-intersection instance generators")
+    p = add_command("encode-dfa", help="DFA-intersection instance generators")
     p.add_argument("--dfas", required=True, help="JSON array of DFAs")
-    return parser
+    return parser, commands
 
 
 _parser = None
+_commands = None
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """A known command's arguments go straight to its subparser, in one
+    argparse pass; the top-level parser handles the rest (help, no command,
+    an unknown command)."""
+    command = _commands.get(argv[0]) if argv else None
+    if command is None:
+        return _parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    # argparse parsers keep no state between parse_args calls, so one is
-    # built per process, on the first call
-    global _parser
+    # argparse parsers keep no state between parse_args calls, so they are
+    # built once per process, on the first call
+    global _parser, _commands
     if _parser is None:
-        _parser = build_parser()
+        _parser, _commands = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error, which would read as UNKNOWN_UP_TO
         if exc.code == 0:

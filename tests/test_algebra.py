@@ -53,6 +53,29 @@ def all_reduced_words(max_len):
     return out
 
 
+def joined_decompose(m):
+    """Referee for `decompose`: the same Euclidean quotients, but one signed
+    word per shear power T^q = (-sr)^q or (-rrs)^-q, and one per S^-1 = -s,
+    joined right to left and then reduced."""
+    from sl2z_semigroups.algebra import _nearest_toward_zero
+    quotients = []
+    a, b, c, d = m.entries()
+    while c != 0:
+        q = _nearest_toward_zero(a, c)
+        a, b, c, d = -c, -d, a - q * c, b - q * d
+        quotients.append(q)
+
+    def t_power(q):
+        return SignedWord((-1) ** abs(q), ("sr" if q > 0 else "rrs") * abs(q))
+    pieces = [t_power(a * b)]
+    for q in reversed(quotients):
+        pieces += [SignedWord(-1, "s"), t_power(q)]
+    sign = a
+    for piece in pieces:
+        sign *= piece.sign
+    return reduce("".join(piece.word for piece in reversed(pieces)), sign)
+
+
 class TestMat2:
     def test_generator_orders(self):
         assert S * S == -IDENTITY
@@ -193,6 +216,35 @@ class TestDecompose:
         for word in all_reduced_words(6):
             got = decompose(evaluate(SignedWord(1, word)))
             assert got.is_reduced()
+
+    def test_equals_the_joined_referee_on_random_matrices(self):
+        # +-1 times up to 14 factors S or T^k, -6 <= k <= 6
+        rng = random.Random(1729)
+        for _ in range(6000):
+            m = IDENTITY if rng.random() < 0.5 else -IDENTITY
+            for _ in range(rng.randint(0, 14)):
+                m = m * (S if rng.random() < 0.4 else Mat2(1, rng.randint(-6, 6), 0, 1))
+            assert decompose(m) == joined_decompose(m)
+
+    def test_self_check_fires_on_the_from_matrices_path(self, monkeypatch):
+        # GeneratorSet.from_matrices does not evaluate the words again, so
+        # a corrupt reduction must be caught inside decompose
+        from sl2z_semigroups import algebra
+        honest = algebra.reduce
+        monkeypatch.setattr(algebra, "reduce", lambda raw, sign=1: honest(raw, -sign))
+        with pytest.raises(AlgebraError, match="self-check failed"):
+            GeneratorSet.from_matrices([S * R * S])
+        with pytest.raises(AlgebraError, match="self-check failed"):
+            decompose(Mat2(1, 2, 0, 1))
+
+    def test_word_limit_fires_before_any_letter_is_built(self, monkeypatch):
+        # lower shear by 10^7: quotients 0, then -10^7 past the limit
+        from sl2z_semigroups import algebra
+        built = []
+        monkeypatch.setattr(algebra, "_t_letters", built.append)
+        with pytest.raises(AlgebraError, match="past the word limit"):
+            decompose(Mat2(1, 0, 10 ** 7, 1))
+        assert built == []
 
 
 class TestQuotientRounding:

@@ -393,7 +393,8 @@ class TestCommands:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [["identity"],
-                                      ["check-finite-free", "p.json", "--depth", "x"]])
+                                      ["check-finite-free", "p.json", "--depth", "x"],
+                                      [], ["bogus"], ["identity", "p.json", "--bogus"]])
     def test_usage_error_exits_3(self, argv, capsys):
         assert main(argv) == EXIT_INPUT
         captured = capsys.readouterr()
@@ -405,6 +406,27 @@ class TestCommands:
             main(["--help"])
         assert exc.value.code == 0
         assert "usage: sl2z" in capsys.readouterr().out
+
+    def test_command_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-finite-free", "--help"])
+        assert exc.value.code == 0
+        assert "usage: sl2z check-finite-free" in capsys.readouterr().out
+
+    def test_known_command_skips_the_top_level_parser(self, tmp_path, capsys,
+                                                      monkeypatch):
+        from sl2z_semigroups import cli
+        path = write(tmp_path, "p.json", {"generators": [{"matrix": S_MATRIX}],
+                                          "target": {"matrix": S_MATRIX}})
+        assert main(["identity", path]) == EXIT_YES  # builds the parsers
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a known command")
+        monkeypatch.setattr(cli._parser, "parse_args", refuse)
+        assert main(["identity", path, "--format", "text"]) == EXIT_YES
+        assert main(["count", path, "--cap", "2"]) == EXIT_YES
+        assert main(["check-finite-free", path, "--depth", "2"]) == EXIT_NO
+        assert main(["check-finite-free", path, "--depth", "x"]) == EXIT_INPUT
 
     @pytest.mark.parametrize("argv, parameters, field", [
         (["check-finite-free", "--depth", "0"], {}, "--depth"),
