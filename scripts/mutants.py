@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Mutation gate for the exactness guards.
+
+    python3 scripts/mutants.py
+
+Each entry of `MUTANTS` names a file, a text in it that must occur exactly
+once, the text that replaces it, and the tests that must fail with the
+change.  The script first runs every named test on an unmutated copy, where
+all must pass.  Then each mutant gets a fresh temporary copy of `src/`,
+`tests/` and `pyproject.toml`, and pytest runs only its named tests there,
+with `-x`.  A mutant is killed when pytest reports a failed test (exit 1).
+The script exits 1 if a mutant survives, and 2 if an entry does not apply
+or its tests do not run cleanly on the unmutated copy.
+
+The list only grows.  A survivor gets a test that kills it, or a recorded
+reason why it is equivalent; removing an entry is listed in CHANGES.md.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple
+
+
+MUTANTS = (
+    Mutant("saturate seeds no empty gap between r edges",
+           "src/sl2z_semigroups/automata.py",
+           "if s_in[x] and s_out[x] or r_in[x] and r_out[x]:",
+           "if s_in[x] and s_out[x]:",
+           ("tests/test_randomized.py::"
+            "test_saturation_derivations_match_reference_on_random_automata",)),
+    Mutant("report writer formats tuples as scalars",
+           "src/sl2z_semigroups/cli.py",
+           "elif isinstance(value, (list, tuple)):",
+           "elif isinstance(value, list):",
+           ("tests/test_cli.py::TestReports::test_writer_formats_tuples_as_lists",
+            "tests/test_cli.py::TestReports::test_writer_equals_json_dumps",
+            "tests/test_cli.py::TestCommands::test_oracle_command")),
+    Mutant("decompose without the whole-word limit",
+           "src/sl2z_semigroups/algebra.py",
+           "    if letters > MAX_WORD_LETTERS:",
+           "    if False:",
+           ("tests/test_algebra.py::TestDecompose::"
+            "test_whole_word_limit_counts_shears_and_separators",
+            "tests/test_algebra.py::TestDecompose::"
+            "test_whole_word_limit_fires_before_any_letter_is_built")),
+    Mutant("rule_bodies without its rrr bodies",
+           "src/sl2z_semigroups/automata.py",
+           "bodies.append((e1, *g1, e2, *g2, e3))",
+           "pass",
+           ("tests/test_randomized.py::test_derivation_grammar_on_random_automata",)),
+    Mutant("rule_bodies without its compose bodies",
+           "src/sl2z_semigroups/automata.py",
+           "bodies.append((t1, t2))",
+           "pass",
+           ("tests/test_randomized.py::test_derivation_grammar_on_random_automata",)),
+    Mutant("_check_pumped accepts equal sequences",
+           "src/sl2z_semigroups/decisions.py",
+           "if len({tuple(seq) for seq in sequences}) != len(sequences):",
+           "if False:",
+           ("tests/test_decisions.py::TestWrongWitnessRefused::"
+            "test_recurrence_refuses_equal_pumped_sequences",
+            "tests/test_decisions.py::TestWrongWitnessRefused::"
+            "test_finite_freeness_refuses_equal_pumped_sequences")),
+    Mutant("decode_pattern_witness accepts alpha == beta",
+           "src/sl2z_semigroups/automata.py",
+           "if alpha == beta:",
+           "if False:",
+           ("tests/test_automata.py::TestWitnessDecodingRejects::"
+            "test_freeness_path_from_initial_i_to_final_i",)),
+)
+
+
+def make_copy(workdir: str) -> str:
+    copy = os.path.join(workdir, "repo")
+    os.mkdir(copy)
+    for name in COPIED:
+        src = os.path.join(ROOT, name)
+        if os.path.isdir(src):
+            shutil.copytree(src, os.path.join(copy, name),
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        else:
+            shutil.copy(src, copy)
+    return copy
+
+
+def apply(copy: str, mutant: Mutant) -> None:
+    path = os.path.join(copy, mutant.file)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    found = text.count(mutant.old)
+    if found != 1:
+        raise ValueError(f"{mutant.name}: {mutant.old!r} occurs {found} times "
+                         f"in {mutant.file}, not once")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(mutant.old, mutant.new))
+
+
+def run_tests(copy: str, tests) -> int:
+    """pytest's exit code for the tests, run from the copy on its own src/."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def main() -> int:
+    every_test = sorted({t for m in MUTANTS for t in m.tests})
+    with tempfile.TemporaryDirectory(prefix="mutants-") as workdir:
+        code = run_tests(make_copy(workdir), every_test)
+    if code != 0:
+        print(f"the named tests exit {code} on the unmutated copy")
+        return 2
+    survivors = 0
+    for mutant in MUTANTS:
+        start = time.monotonic()
+        with tempfile.TemporaryDirectory(prefix="mutants-") as workdir:
+            copy = make_copy(workdir)
+            try:
+                apply(copy, mutant)
+            except ValueError as exc:
+                print(exc)
+                return 2
+            code = run_tests(copy, mutant.tests)
+        took = time.monotonic() - start
+        if code == 1:
+            print(f"killed    {mutant.name} ({took:.1f} s)")
+        elif code == 0:
+            print(f"SURVIVED  {mutant.name} ({took:.1f} s)")
+            survivors += 1
+        else:
+            print(f"pytest exited {code} on {mutant.name}: its tests did not run cleanly")
+            return 2
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -206,6 +206,11 @@ def _t_letters(q: int) -> str:
     return T_WORD.word * q if q >= 0 else T_INV_WORD.word * -q
 
 
+def _t_length(q: int) -> int:
+    """len(_t_letters(q)), without building the letters."""
+    return len(T_WORD.word) * q if q >= 0 else len(T_INV_WORD.word) * -q
+
+
 def _nearest_toward_zero(a: int, c: int) -> int:
     """Nearest integer to a/c, ties rounded toward zero."""
     if c < 0:
@@ -225,21 +230,30 @@ def decompose(m: Mat2) -> SignedWord:
     Euclidean reduction on the first column: while c != 0, left-multiply by
     T^-q (q the nearest integer to a/c, ties toward zero) and then by S,
     which at least halves |c| per round.  What remains is +-T^b.  Every
-    exponent is checked against the word limit before any letter is built;
-    then the letters of T^q1 s T^q2 s ... T^qk s T^rest are joined and
-    reduced in one stack pass, and the result is checked by `evaluate`.
+    exponent, and then the total of the letters that the shears and
+    separators will take, is checked against the word limit before any
+    letter is built; then the letters of T^q1 s T^q2 s ... T^qk s T^rest are
+    joined and reduced in one stack pass, and the result is checked by
+    `evaluate`.
     """
     quotients = []
+    letters = 0
     a, b, c, d = m.a, m.b, m.c, m.d
     while c != 0:
         q = _nearest_toward_zero(a, c)
         _check_shear(q)
+        letters += _t_length(q) + 1
         # T^-q then S, applied on the left
         a, b, c, d = -c, -d, a - q * c, b - q * d
         quotients.append(q)
     # [[a, b], [0, d]] with a = d = +-1, i.e. a * T^(a*b)
     rest = a * b
     _check_shear(rest)
+    letters += _t_length(rest)
+    if letters > MAX_WORD_LETTERS:
+        raise AlgebraError(
+            f"normal form past the word limit: its shears and separators "
+            f"need more than {MAX_WORD_LETTERS} letters")
     # m = a (T^q1 S^-1)(T^q2 S^-1)...(T^qk S^-1) T^rest with S^-1 = -s and
     # T^q of sign (-1)^q
     pieces = []

@@ -27,12 +27,14 @@ class WitnessError(RuntimeError):
 class CancellationAutomaton:
     """Finite automaton over {s,r} with sign-weighted base epsilon edges.
 
-    States are ints and edges are ids into `edges`.  `s_in`/`s_out`/`r_in`/
-    `r_out` hold per state a tuple of the s/r edges entering / leaving it,
-    in id order, as `eps_edges` lists the base epsilon edges.  Paths decode
-    by the loops' own edges and the taps, named in `opens`, `closes`,
-    `heads` and `tails` (see `_hub_loops` and `_shared_loops`).  Immutable
-    once built (builders below do all mutation).
+    States are ints and edges are ids into `edges`.  A builder counts the
+    states in `n_states`, appends each edge to `edges` as a tuple, and calls
+    `index` once at the end.  `s_in`/`s_out`/`r_in`/`r_out` then hold per
+    state a tuple of the s/r edges entering / leaving it, in id order, as
+    `eps_edges` lists the base epsilon edges.  Paths decode by the loops'
+    own edges and the taps, named in `opens`, `closes`, `heads` and `tails`
+    (see `_hub_loops` and `_shared_loops`).  Immutable once built (builders
+    below do all mutation).
     """
 
     def __init__(self, kind: str):
@@ -44,32 +46,27 @@ class CancellationAutomaton:
         # edge id -> the 1-based generator whose loop at the hub (A) it opens,
         # whose loop at B it closes, or whose initial / final tap it is
         self.opens, self.closes, self.heads, self.tails = {}, {}, {}, {}
-        self.s_in, self.s_out, self.r_in, self.r_out = [], [], [], []
-        self.eps_edges = []
+        self.s_in = self.s_out = self.r_in = self.r_out = None
+        self.eps_edges = None
 
-    # -- construction helpers -------------------------------------------------
-
-    def _new_state(self) -> int:
+    def index(self) -> None:
+        """Index the finished edge list per state and label, in one pass."""
         # per-state edge lists are tuples without spare room, and most states
         # of a loop have one edge in and one out, so most share the empty one
-        s = self.n_states
-        self.n_states += 1
-        for lists in (self.s_in, self.s_out, self.r_in, self.r_out):
-            lists.append(())
-        return s
-
-    def _add_edge(self, src, dst, label, weight) -> int:
-        e = len(self.edges)
-        self.edges.append((src, dst, label, weight))
-        if label == "s":
-            self.s_in[dst] += (e,)
-            self.s_out[src] += (e,)
-        elif label == "r":
-            self.r_in[dst] += (e,)
-            self.r_out[src] += (e,)
-        else:
-            self.eps_edges.append(e)
-        return e
+        n = self.n_states
+        s_in, s_out, r_in, r_out = [()] * n, [()] * n, [()] * n, [()] * n
+        eps_edges = []
+        for e, (src, dst, label, _) in enumerate(self.edges):
+            if label == "s":
+                s_in[dst] += (e,)
+                s_out[src] += (e,)
+            elif label == "r":
+                r_in[dst] += (e,)
+                r_out[src] += (e,)
+            else:
+                eps_edges.append(e)
+        self.s_in, self.s_out, self.r_in, self.r_out = s_in, s_out, r_in, r_out
+        self.eps_edges = eps_edges
 
     # -- views -----------------------------------------------------------------
 
@@ -95,18 +92,24 @@ def _hub_loops(auto: CancellationAutomaton, hub: int, gens: GeneratorSet) -> lis
     Each loop's own edge carries its sign, is recorded in `auto.opens`, and
     enters a tree of +1 edges shared by the loops' suffixes, which leads
     each of its states to the hub one way only."""
+    edges = auto.edges
+    n = auto.n_states
     firsts = []
     into = {}   # (state, letter) -> the state whose edge of that letter enters it
     for g in range(1, len(gens) + 1):
         w = gens.word(g)
         node = hub
         for ch in reversed(w.word[1:]):
-            if (node, ch) not in into:
-                into[node, ch] = auto._new_state()
-                auto._add_edge(into[node, ch], node, ch, 1)
-            node = into[node, ch]
-        firsts.append(auto._add_edge(hub, node, w.word[:1] or None, w.sign))
-        auto.opens[firsts[-1]] = g
+            src = into.get((node, ch))
+            if src is None:
+                src = into[node, ch] = n
+                n += 1
+                edges.append((src, node, ch, 1))
+            node = src
+        auto.opens[len(edges)] = g
+        firsts.append(len(edges))
+        edges.append((hub, node, w.word[:1] or None, w.sign))
+    auto.n_states = n
     return firsts
 
 
@@ -118,8 +121,10 @@ def build_loop_automaton(gens: GeneratorSet) -> CancellationAutomaton:
     relation says exactly that sigma * I is a nonempty product.
     """
     auto = CancellationAutomaton("loop")
-    auto.initial = auto.final = auto._new_state()
-    _hub_loops(auto, auto.initial, gens)
+    auto.initial = auto.final = 0
+    auto.n_states = 1
+    _hub_loops(auto, 0, gens)
+    auto.index()
     return auto
 
 
@@ -137,32 +142,43 @@ def _shared_loops(kind: str, gens: GeneratorSet, heads, tails) -> tuple:
     (`heads`) or final (`tails`) tap each tap is.
     """
     auto = CancellationAutomaton(kind)
-    a = auto._new_state()
-    b = auto._new_state()
+    edges = auto.edges
+    a, b = 0, 1
+    auto.n_states = 2
     firsts = _hub_loops(auto, a, gens)
-    auto._add_edge(a, b, None, 1)
+    edges.append((a, b, None, 1))
+    n = auto.n_states
     lasts = []
     out = {}    # (state, letter) -> the state its edge of that letter enters
     for g in range(1, len(gens) + 1):
         w = inv(gens.word(g))
         node = b
         for ch in w.word[:-1]:
-            if (node, ch) not in out:
-                out[node, ch] = auto._new_state()
-                auto._add_edge(node, out[node, ch], ch, 1)
-            node = out[node, ch]
-        lasts.append(auto._add_edge(node, b, w.word[-1:] or None, w.sign))
-        auto.closes[lasts[-1]] = g
+            dst = out.get((node, ch))
+            if dst is None:
+                dst = out[node, ch] = n
+                n += 1
+                edges.append((node, dst, ch, 1))
+            node = dst
+        auto.closes[len(edges)] = g
+        lasts.append(len(edges))
+        edges.append((node, b, w.word[-1:] or None, w.sign))
     initials = []
     for g in heads:
-        _, dst, label, weight = auto.edges[firsts[g - 1]]
-        initials.append(auto._new_state())
-        auto.heads[auto._add_edge(initials[-1], dst, label, weight)] = g
+        _, dst, label, weight = edges[firsts[g - 1]]
+        initials.append(n)
+        auto.heads[len(edges)] = g
+        edges.append((n, dst, label, weight))
+        n += 1
     finals = []
     for g in tails:
-        src, _, label, weight = auto.edges[lasts[g - 1]]
-        finals.append(auto._new_state())
-        auto.tails[auto._add_edge(src, finals[-1], label, weight)] = g
+        src, _, label, weight = edges[lasts[g - 1]]
+        finals.append(n)
+        auto.tails[len(edges)] = g
+        edges.append((src, n, label, weight))
+        n += 1
+    auto.n_states = n
+    auto.index()
     return auto, initials, finals
 
 
@@ -211,13 +227,19 @@ def build_membership_automaton(gens: GeneratorSet, target_word: SignedWord) -> C
         raise AutomatonError("membership chain for +-I is degenerate; "
                              "query the loop automaton instead")
     auto = CancellationAutomaton("membership")
-    prev = auto.initial = auto._new_state()
-    _hub_loops(auto, auto.initial, gens)
-    auto.final = auto._new_state()
-    for pos, ch in enumerate(w.word):
-        nxt = auto.final if pos == len(w.word) - 1 else auto._new_state()
-        auto._add_edge(prev, nxt, ch, w.sign if pos == 0 else 1)
-        prev = nxt
+    auto.initial = 0
+    auto.n_states = 1
+    _hub_loops(auto, 0, gens)
+    # the chain hub -> final: final, then the chain's inner states in order
+    n = auto.final = auto.n_states
+    ends = list(range(n + 1, n + len(w.word))) + [n]
+    auto.n_states = n + len(w.word)
+    prev = 0
+    weight = w.sign
+    for ch, nxt in zip(w.word, ends):
+        auto.edges.append((prev, nxt, ch, weight))
+        prev, weight = nxt, 1
+    auto.index()
     return auto
 
 
@@ -270,10 +292,13 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
     matching letters with trivial gaps in between, which is exactly the rule
     shape below.
 
-    Every gap is optional.  The agenda takes each state's empty gap (x, x, +)
-    through rules (i) and (ii) before any derived triple, which yields the
-    adjacent ss / rrr cancellations; the epsilon-edge triples are already in
-    the relation then.  An empty gap needs no turn as the second gap of rule
+    Every gap is optional.  The agenda takes the empty gap (x, x, +) of each
+    state with an s edge in and an s edge out, or an r edge in and an r edge
+    out, through rules (i) and (ii) before any derived triple, which yields
+    the adjacent ss / rrr cancellations; the epsilon-edge triples are
+    already in the relation then.  At any other state the empty gap fires no
+    rule instance, so skipping it leaves every triple and derivation, and
+    their order, as they were.  An empty gap needs no turn as the second gap of rule
     (ii): each first gap already meets it ahead of the triples it scans.
 
     Each state's gap lists hold the triples leaving / entering it in
@@ -375,8 +400,11 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
         t = (src, dst, weight)
         if t not in parents:
             add(t, ("eps", e))
+    # only a state with an s edge in and out, or an r edge in and out, has a
+    # rule instance around its empty gap
     for x in range(n):
-        first_gap(x, x, 1, None)
+        if s_in[x] and s_out[x] or r_in[x] and r_out[x]:
+            first_gap(x, x, 1, None)
 
     while work and goal not in parents:
         t = work.popleft()

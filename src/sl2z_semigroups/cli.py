@@ -146,6 +146,60 @@ def parse_problem(path: str) -> Problem:
     return Problem(generators, target, parameters)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value, newline: str, parts: list) -> None:
+    """Append the indent-2 JSON text of value, nested at `newline`."""
+    if isinstance(value, str):
+        parts.append(_encode_str(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            parts.append(sep)
+            parts.append(_encode_str(key))
+            parts.append(": ")
+            _write_json(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _write_json(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        # a float, or a value json refuses as well
+        parts.append(json.dumps(value))
+
+
+def dump_json(value) -> str:
+    """`json.dumps(value, indent=2)`, byte for byte, for the values a report
+    holds: dicts with string keys, lists, tuples (written as lists),
+    strings, ints, bools, None and floats.  With an indent, `json` takes its
+    pure-Python encoder, which is several times slower."""
+    parts = []
+    _write_json(value, "\n", parts)
+    return "".join(parts)
+
+
 def problem_json(gens: GeneratorSet, target: Mat2 = None, parameters: dict = None) -> dict:
     doc = {"generators": [{"matrix": matrix_json(g.matrix)} for g in gens]}
     if target is not None:
@@ -157,7 +211,7 @@ def problem_json(gens: GeneratorSet, target: Mat2 = None, parameters: dict = Non
 
 def emit_problem(doc: dict) -> str:
     """Canonical serialization; parsing and re-emitting is byte-identical."""
-    return json.dumps(doc, indent=2) + "\n"
+    return dump_json(doc) + "\n"
 
 
 def _count_json(count: decisions.Count):
@@ -184,7 +238,7 @@ def emit_report(verdict: decisions.Verdict, fmt: str) -> tuple:
     else:
         code = EXIT_NO
     if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n", code
+        return dump_json(doc) + "\n", code
     lines = [f"{verdict.problem}: {verdict.answer}"]
     if verdict.depth_bound is not None:
         lines.append(f"  searched depth: {verdict.depth_bound}")
@@ -252,7 +306,7 @@ def _run_oracle(args) -> int:
         doc["target_count"] = table.count(problem.target)
         doc["target_sequences"] = [list(s) for s in
                                    table.sequences(problem.target)[:10]]
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(dump_json(doc) + "\n")
     return EXIT_YES
 
 

@@ -6,13 +6,19 @@
 problem or DFA file it names: determinant-1 generators and targets built
 from random words, malformed entries and files, bad `parameters` and
 flags, shears whose entries have more than 4,300 digits, `oracle` runs and
-`encode-*` arguments.  Sizes stay small, so every case runs in
-milliseconds.  `check_case` runs a case twice in this process and names
-the first broken property, if any:
+`encode-*` arguments, and products of T^q S factors whose shears each
+pass the word limit of `algebra.decompose` but together do not.  Sizes
+stay small, so every case runs in milliseconds.  A case is its argument
+list and the exit code it must give, if the draw fixes one.
+`check_case` runs a case twice in this process and names the first broken
+property, if any:
 
 - the exit code is one of 0, 1, 2 and 3 (4 is an internal error);
+- a product past the word limit exits 3 within `LONG_PRODUCT_S`;
 - exit 1 (NO) comes only with a NO report on stdout;
 - exit 3 (input error) comes with an `error:` line on stderr;
+- a JSON report or problem on stdout is what `json.dumps(..., indent=2)`
+  writes for it;
 - the second run prints byte-identical stdout with the same exit code.
 
 `tests/test_cli_fuzz.py` runs a fixed seed and case count; the script runs
@@ -28,8 +34,11 @@ import random
 import sys
 import tempfile
 import time
+from typing import NamedTuple
 
-from sl2z_semigroups.algebra import SignedWord, evaluate, reduce
+from sl2z_semigroups.algebra import (
+    IDENTITY, MAX_WORD_LETTERS, S, Mat2, SignedWord, evaluate, reduce,
+)
 from sl2z_semigroups.cli import main
 
 PROBLEM_COMMANDS = ("identity", "member", "count", "recurrent", "check-free",
@@ -55,6 +64,13 @@ MALFORMED_ELEMENTS = (
 )
 BAD_SETTINGS = (0, -1, "3", 1.5, True, None, [2], {"depth": 2})
 BAD_FLAGS = ("0", "-2", "x", "1.5", "")
+# a product past the word limit is refused before any letter is built
+LONG_PRODUCT_S = 1.0
+
+
+class Case(NamedTuple):
+    argv: list
+    expect: int = None   # the exit code the draw fixes, if any
 
 
 def random_word(rng, max_len=6) -> SignedWord:
@@ -71,6 +87,18 @@ def shear_doc(rng) -> dict:
     q = rng.choice(("", "-")) + "1" + "0" * rng.randint(4300, 5000)
     rows = [["1", "0"], [q, "1"]] if rng.random() < 0.5 else [["1", q], ["0", "1"]]
     return {"matrix": rows}
+
+
+def long_product_doc(rng) -> dict:
+    """(T^q1 S)...(T^qk S) with each 3|q| within `MAX_WORD_LETTERS` and
+    k (2|q| + 1) past it: the normal form T^q1 s ... T^qk s is too long."""
+    k = rng.randint(2, 4)
+    low = MAX_WORD_LETTERS // (2 * k) + 1
+    m = IDENTITY
+    for _ in range(k):
+        q = rng.choice((1, -1)) * rng.randint(low, min(2 * low, MAX_WORD_LETTERS // 3))
+        m = m * Mat2(1, q, 0, 1) * S
+    return matrix_doc(m)
 
 
 def random_problem(rng) -> object:
@@ -140,11 +168,18 @@ def random_values(rng) -> str:
     return rng.choice(("", ",", "1,,2", "a,b", "1.5", "10000000", " 3 "))
 
 
-def random_case(rng, workdir: str) -> list:
-    """Argument list of a case; the file it names is written into workdir,
-    over the previous case's."""
+def random_case(rng, workdir: str) -> Case:
+    """A case; the file its arguments name is written into workdir, over
+    the previous case's."""
     path = os.path.join(workdir, "case.json")
     roll = rng.random()
+    if roll < 0.03:
+        gens = [long_product_doc(rng)]
+        if rng.random() < 0.5:
+            gens.insert(rng.randint(0, 1), matrix_doc(evaluate(random_word(rng))))
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"generators": gens}, fh)
+        return Case([rng.choice(PROBLEM_COMMANDS + ("oracle",)), path], 3)
     if roll < 0.75:
         cmd = rng.choice(PROBLEM_COMMANDS)
         argv = [cmd, path]
@@ -156,24 +191,24 @@ def random_case(rng, workdir: str) -> list:
         if flag and rng.random() < 0.4:
             value = str(rng.randint(1, 5)) if rng.random() < 0.7 else rng.choice(BAD_FLAGS)
             argv += [flag, value]
-        return argv
+        return Case(argv)
     if roll < 0.85:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(random_problem(rng), fh)
         argv = ["oracle", path, "--depth", str(rng.randint(0, 4))]
         if rng.random() < 0.3:
             argv += ["--budget", str(rng.choice((5, 50, 1000)))]
-        return argv
+        return Case(argv)
     if roll < 0.93:
         argv = [rng.choice(("encode-ssp", "encode-essp")), "--set", random_values(rng)]
         if argv[0] == "encode-ssp" and rng.random() < 0.95:
             argv += ["--x", str(rng.randint(-2, 30))]
-        return argv
+        return Case(argv)
     if roll < 0.99:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(random_dfas(rng), fh)
-        return ["encode-dfa", "--dfas", path]
-    return [rng.choice(PROBLEM_COMMANDS), os.path.join(workdir, "missing.json")]
+        return Case(["encode-dfa", "--dfas", path])
+    return Case([rng.choice(PROBLEM_COMMANDS), os.path.join(workdir, "missing.json")])
 
 
 def run(argv) -> tuple:
@@ -190,15 +225,25 @@ def _is_no_report(text: str) -> bool:
     return text.split("\n", 1)[0].endswith(": NO")
 
 
-def check_case(argv) -> tuple:
+def check_case(case: Case) -> tuple:
     """(exit code, the first property the case breaks as a message, or None)."""
+    argv = case.argv
+    start = time.perf_counter()
     code, out, err = run(argv)
+    elapsed = time.perf_counter() - start
     if code not in (0, 1, 2, 3):
         return code, f"exit {code}: {err[-400:]}"
+    if case.expect is not None and code != case.expect:
+        return code, f"exit {code}, expected {case.expect}: {err[-400:]}"
+    if case.expect is not None and elapsed > LONG_PRODUCT_S:
+        return code, f"exit {code} after {elapsed:.2f} s"
     if code == 1 and not _is_no_report(out):
         return code, f"exit 1 without a NO report: {out[:200]!r}"
     if code == 3 and not any("error:" in line for line in err.splitlines()):
         return code, f"exit 3 without an error line: {err[:200]!r}"
+    # stdout holds a JSON document unless it is empty or a text report
+    if out and "text" not in argv and out != json.dumps(json.loads(out), indent=2) + "\n":
+        return code, f"stdout is not json.dumps(..., indent=2) of itself: {out[:200]!r}"
     if run(argv)[:2] != (code, out):
         return code, "a second run printed another report"
     return code, None

@@ -32,12 +32,20 @@ class ChainAutomaton(CancellationAutomaton):
         add_chain(self, src, dst, word)
 
 
-def build_chain_loop_automaton(gens: GeneratorSet) -> ChainAutomaton:
-    """Hub state 0 with one LOOP chain per generator."""
-    auto = ChainAutomaton("loop")
-    auto.initial = auto.final = auto._new_state()
+def _chain_loops(kind: str, gens: GeneratorSet) -> ChainAutomaton:
+    """Hub state 0 with one LOOP chain per generator, not yet indexed."""
+    auto = ChainAutomaton(kind)
+    auto.initial = auto.final = 0
+    auto.n_states = 1
     for g in range(1, len(gens) + 1):
         auto.record_chain(auto.initial, auto.initial, gens.word(g), LOOP, g)
+    return auto
+
+
+def build_chain_loop_automaton(gens: GeneratorSet) -> ChainAutomaton:
+    """Hub state 0 with one LOOP chain per generator."""
+    auto = _chain_loops("loop", gens)
+    auto.index()
     return auto
 
 
@@ -46,9 +54,11 @@ def build_chain_membership_automaton(gens: GeneratorSet, target_word: SignedWord
     spelling inv(target); the target is not +-I."""
     w = inv(target_word)
     assert w.word
-    auto = build_chain_loop_automaton(gens)
-    auto.final = auto._new_state()
+    auto = _chain_loops("membership", gens)
+    auto.final = auto.n_states
+    auto.n_states += 1
     auto.record_chain(auto.initial, auto.final, w, TARGET_INV, 0)
+    auto.index()
     return auto
 
 

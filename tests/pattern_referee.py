@@ -15,16 +15,21 @@ from sl2z_semigroups.automata import CancellationAutomaton, saturate
 def add_chain(auto: CancellationAutomaton, src, dst, word: SignedWord):
     """Simple path src -> dst spelling word, its sign on the first edge.
 
-    An empty word becomes a base epsilon edge carrying the sign.
+    An empty word becomes a base epsilon edge carrying the sign.  The
+    caller indexes the automaton after its last chain.
     """
     letters = word.word
     if not letters:
-        auto._add_edge(src, dst, None, word.sign)
+        auto.edges.append((src, dst, None, word.sign))
         return
     prev = src
     for pos, ch in enumerate(letters):
-        nxt = dst if pos == len(letters) - 1 else auto._new_state()
-        auto._add_edge(prev, nxt, ch, word.sign if pos == 0 else 1)
+        if pos == len(letters) - 1:
+            nxt = dst
+        else:
+            nxt = auto.n_states
+            auto.n_states += 1
+        auto.edges.append((prev, nxt, ch, word.sign if pos == 0 else 1))
         prev = nxt
 
 
@@ -39,10 +44,8 @@ def build_chain_pattern_automaton(i: int, j: int, gens: GeneratorSet) -> Cancell
     assert i != j
     n = len(gens)
     auto = CancellationAutomaton("pattern")
-    initial = auto._new_state()
-    a = auto._new_state()
-    b = auto._new_state()
-    final = auto._new_state()
+    initial, a, b, final = range(4)
+    auto.n_states = 4
     auto.initial, auto.final = initial, final
     add_chain(auto, initial, a, gens.word(i))
     for g in range(1, n + 1):
@@ -54,6 +57,7 @@ def build_chain_pattern_automaton(i: int, j: int, gens: GeneratorSet) -> Cancell
     exit_word = inv(gens.word(j))
     add_chain(auto, a, final, exit_word)
     add_chain(auto, b, final, exit_word)
+    auto.index()
     return auto
 
 

@@ -246,6 +246,31 @@ class TestDecompose:
             decompose(Mat2(1, 0, 10 ** 7, 1))
         assert built == []
 
+    def test_whole_word_limit_fires_before_any_letter_is_built(self, monkeypatch):
+        # (T^1000000 S)^4 has 24-digit entries and every shear is within the
+        # limit, but its normal form needs about 8,000,000 letters
+        from sl2z_semigroups import algebra
+        built = []
+        monkeypatch.setattr(algebra, "_t_letters", built.append)
+        m = IDENTITY
+        for _ in range(4):
+            m = m * Mat2(1, 10 ** 6, 0, 1) * S
+        with pytest.raises(AlgebraError, match="past the word limit"):
+            decompose(m)
+        assert built == []
+
+    def test_whole_word_limit_counts_shears_and_separators(self, monkeypatch):
+        # T^5 S^-1 T^-7 S^-1 T^4: 10 + 1 + 21 + 1 + 8 = 41 letters before the
+        # reduction, which leaves 39
+        from sl2z_semigroups import algebra
+        s_inv = Mat2(0, 1, -1, 0)
+        m = Mat2(1, 5, 0, 1) * s_inv * Mat2(1, -7, 0, 1) * s_inv * Mat2(1, 4, 0, 1)
+        monkeypatch.setattr(algebra, "MAX_WORD_LETTERS", 41)
+        assert len(decompose(m).word) == 39
+        monkeypatch.setattr(algebra, "MAX_WORD_LETTERS", 40)
+        with pytest.raises(AlgebraError, match="past the word limit"):
+            decompose(m)
+
 
 class TestQuotientRounding:
     def test_nearest_with_ties_toward_zero(self):

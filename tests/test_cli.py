@@ -8,10 +8,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl2z_semigroups.cli import (
     EXIT_INPUT, EXIT_INTERNAL, EXIT_NO, EXIT_UNKNOWN, EXIT_YES, ProblemError,
-    emit_problem, emit_report, main, parse_problem, problem_json,
+    dump_json, emit_problem, emit_report, main, parse_problem, problem_json,
 )
 from sl2z_semigroups.algebra import GeneratorSet
 from sl2z_semigroups.decisions import Count, Verdict
@@ -139,6 +140,20 @@ class TestEntriesPastTheDigitLimit:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert len(captured.err) < 200
 
+    def test_product_past_the_word_limit_exits_3(self, tmp_path, capsys):
+        # (T^1000000 S)^4: each shear is within the word limit, the whole
+        # normal form (about 8,000,000 letters) is not
+        path = write(tmp_path, "p.json", {"generators": [{"matrix": [
+            ["999999999997000000000001", "-999999999998000000"],
+            ["999999999998000000", "-999999999999"]]}]})
+        start = time.perf_counter()
+        assert main(["identity", path]) == EXIT_INPUT
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "past the word limit" in captured.err
+
     def test_json_number_entry(self, tmp_path):
         m = fibonacci_power(10587)
         rows = problem_json(GeneratorSet.from_matrices([m]))["generators"][0]["matrix"]
@@ -218,7 +233,28 @@ class TestCachedParser:
         assert outputs[0] == outputs[1] and outputs[0]
 
 
+# what a report may hold: nested dicts, lists and tuples, empty ones too,
+# strings with non-ASCII characters, quotes and control characters, negative
+# and large ints, bools and None
+report_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10 ** 40, 10 ** 40)
+    | st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é€😀", "\ud800"]),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=25)
+
+
 class TestReports:
+    def test_writer_formats_tuples_as_lists(self):
+        value = {"collision": ([1], (2, 3)), "empty": ((), {}, []), "none": None}
+        assert dump_json(value) == json.dumps(value, indent=2)
+        assert dump_json((1, "a")) == '[\n  1,\n  "a"\n]'
+
+    @settings(max_examples=300, deadline=None)
+    @given(report_values)
+    def test_writer_equals_json_dumps(self, value):
+        assert dump_json(value) == json.dumps(value, indent=2)
+
     def test_exit_codes(self):
         assert emit_report(Verdict("identity", "YES"), "json")[1] == EXIT_YES
         assert emit_report(Verdict("identity", "NO"), "json")[1] == EXIT_NO
@@ -345,9 +381,12 @@ class TestCommands:
     def test_oracle_command(self, tmp_path, capsys):
         path = write(tmp_path, "p.json", {"generators": [{"matrix": S_MATRIX}]})
         code = main(["oracle", path, "--depth", "5"])
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        doc = json.loads(out)
         assert code == EXIT_YES
         assert doc["collision"] == [[1], [1, 1, 1, 1, 1]]
+        # the collision is a tuple, which the report writes as `json` does
+        assert out == json.dumps(doc, indent=2) + "\n"
         assert doc["distinct_products"] == 4
 
     def test_oracle_depth_zero_exits_3(self, tmp_path, capsys):

@@ -53,14 +53,13 @@ from pattern_referee import pattern_collisions
 
 def random_automaton(rng, max_edges=10):
     auto = CancellationAutomaton("random")
-    n = rng.randint(1, 6)
-    for _ in range(n):
-        auto._new_state()
+    n = auto.n_states = rng.randint(1, 6)
     auto.initial, auto.final = 0, n - 1
     for _ in range(rng.randint(1, max_edges)):
-        auto._add_edge(rng.randrange(n), rng.randrange(n),
-                       rng.choice(["s", "r", "s", "r", None]),
-                       rng.choice([1, 1, 1, -1]))
+        auto.edges.append((rng.randrange(n), rng.randrange(n),
+                           rng.choice(["s", "r", "s", "r", None]),
+                           rng.choice([1, 1, 1, -1])))
+    auto.index()
     return auto
 
 
