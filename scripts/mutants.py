@@ -43,6 +43,57 @@ MUTANTS = (
            "if s_in[x] and s_out[x]:",
            ("tests/test_randomized.py::"
             "test_saturation_derivations_match_reference_on_random_automata",)),
+    Mutant("saturate pops in offer order only, the FIFO order",
+           "src/sl2z_semigroups/automata.py",
+           """queue = buckets.get(w)
+        if queue is None:
+            buckets[w] = queue = []
+            heappush(weights, w)""",
+           """queue = buckets.get((0, ()))
+        if queue is None:
+            buckets[0, ()] = queue = []
+            heappush(weights, (0, ()))""",
+           ("tests/test_randomized.py::"
+            "test_saturation_derivations_match_reference_on_subset_sum_ladder",
+            "tests/test_randomized.py::test_saturation_witnesses_are_the_lightest_paths",
+            "tests/test_decisions.py::TestPinnedWitnesses")),
+    Mutant("saturate finalizes a superseded agenda entry",
+           "src/sl2z_semigroups/automata.py",
+           """if t in parents:
+                continue    # superseded by a lighter offer, which popped first
+            (_, gm), parents[t] = best.pop(t)""",
+           "(_, gm), parents[t] = best[t]",
+           ("tests/test_randomized.py::"
+            "test_saturation_derivations_match_reference_on_marked_random_automata",)),
+    Mutant("saturate's goal bound compares lengths only",
+           "src/sl2z_semigroups/automata.py",
+           "bound is not None and w >= bound",
+           "bound is not None and w[0] >= bound[0]",
+           ("tests/test_randomized.py::test_goal_stop_is_a_prefix_on_marked_random_automata",)),
+    Mutant("saturate lets an offer as heavy as the pending one replace it",
+           "src/sl2z_semigroups/automata.py",
+           "old is not None and w >= old[0]",
+           "old is not None and w > old[0]",
+           ("tests/test_randomized.py::"
+            "test_saturation_derivations_match_reference_on_marked_random_automata",)),
+    Mutant("saturate without rule (i)",
+           "src/sl2z_semigroups/automata.py",
+           """offer(t3, head + marks[e2], ("ss", e1, t, e2))""",
+           "pass",
+           ("tests/test_randomized.py::test_closure_referee_certifies_random_saturations",
+            "tests/test_randomized.py::test_closure_referee_certifies_ladder_saturations")),
+    Mutant("saturate without rule (ii) around a final second gap",
+           "src/sl2z_semigroups/automata.py",
+           """offer(t3, marks[e1] + m1, ("rrr", e1, t1, e2, t, e3))""",
+           "pass",
+           ("tests/test_randomized.py::test_closure_referee_certifies_random_saturations",
+            "tests/test_randomized.py::test_closure_referee_certifies_ladder_saturations")),
+    Mutant("saturate composes a popped triple only as the left part",
+           "src/sl2z_semigroups/automata.py",
+           """offer(t3, final[t0] + gm, ("compose", t0, t))""",
+           "pass",
+           ("tests/test_randomized.py::test_closure_referee_certifies_random_saturations",
+            "tests/test_randomized.py::test_closure_referee_certifies_ladder_saturations")),
     Mutant("report writer formats tuples as scalars",
            "src/sl2z_semigroups/cli.py",
            "elif isinstance(value, (list, tuple)):",

@@ -7,7 +7,9 @@ ones, runs freeness / membership / counting, and compares with the
 exhaustive product table wherever the table is conclusive.  Every
 `check-free` NO witness is re-multiplied, and no collision in the table
 strips to a pair of first generators below the witness's.  Every identity
-and membership YES witness is re-multiplied, and a set whose table holds I
+and membership YES witness is re-multiplied and must be the least
+factorization in (length, lexicographic) order, the table's
+`first_sequence`, wherever the table holds one; a set whose table holds I
 must answer YES to identity.  Finite freeness
 at depth 3 is checked against a referee that asks `is_recurrent` of every
 product of at most 3 generators: a set with a recurrent product must
@@ -134,7 +136,7 @@ def main():
     t0 = time.monotonic()
     stats = {"free": 0, "not_free": 0, "pair_witnesses": 0, "checked_counts": 0,
              "finite_free_identity_no": 0, "finite_free_cycle_no": 0, "identity": 0,
-             "member_witnesses": 0}
+             "least_identity": 0, "member_witnesses": 0}
     for trial in range(args.trials):
         if trial % 2:
             gens = conjugate_set(rng)
@@ -163,6 +165,13 @@ def main():
             seq = ident.witness["sequences"][0]
             if gens.product(seq) != IDENTITY:
                 raise SystemExit(f"trial {trial}: identity witness {seq} does not multiply to I")
+            least = table.first_sequence(IDENTITY)
+            if least is not None and seq != least:
+                raise SystemExit(f"trial {trial}: identity witness {seq} is not the least "
+                                 f"factorization {least}")
+            if least is None and len(seq) <= args.depth:
+                raise SystemExit(f"trial {trial}: identity witness {seq} is missing from the table")
+            stats["least_identity"] += least is not None
         elif IDENTITY in table:
             raise SystemExit(f"trial {trial}: the table holds I but identity said {ident.answer}")
         finite = finite_freeness(gens, FINITE_FREENESS_DEPTH)
@@ -187,6 +196,9 @@ def main():
             if gens.product(seq) != m:
                 raise SystemExit(f"trial {trial}: membership witness {seq} does not "
                                  f"multiply to {m}")
+            if seq != table.first_sequence(m):
+                raise SystemExit(f"trial {trial}: membership witness {seq} is not the least "
+                                 f"factorization {table.first_sequence(m)}")
             stats["member_witnesses"] += 1
         m = mats[0]
         counted = count_factorizations(gens, m, cap=5)

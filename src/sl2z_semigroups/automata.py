@@ -4,13 +4,15 @@ An automaton edge carries a label in {s, r, eps} and a weight in {+1,-1};
 the value of a path is the product of weight * phi(label) over its edges.
 Saturation computes every triple (q, p, sigma) such that some nonempty path
 q -> p has value sigma * I, i.e. its letter word reduces to the empty word
-with accumulated sign sigma.  Derivations are recorded so any triple can be
-expanded back into a concrete edge path (and hence a generator sequence);
-re-joining every derivation of a triple gives the grammar of all its paths.
+with accumulated sign sigma.  It derives the triples lightest first, a path
+weighing the generators its edges name, so the derivation recorded for a
+triple expands into its least path (and hence, on a loop or membership
+automaton, the least generator sequence); re-joining every derivation of a
+triple gives the grammar of all its paths.
 """
 
-from collections import deque
-from itertools import chain, islice
+from heapq import heappop, heappush
+from itertools import chain
 
 from .algebra import GeneratorSet, SignedWord, inv, reduce
 from .grammars import Grammar
@@ -33,8 +35,10 @@ class CancellationAutomaton:
     state a tuple of the s/r edges entering / leaving it, in id order, as
     `eps_edges` lists the base epsilon edges.  Paths decode by the loops'
     own edges and the taps, named in `opens`, `closes`, `heads` and `tails`
-    (see `_hub_loops` and `_shared_loops`).  Immutable once built (builders
-    below do all mutation).
+    (see `_hub_loops` and `_shared_loops`), and `marks` holds per edge the
+    generator it names there, as a tuple of none or one, which `saturate`
+    weighs paths by.  Immutable once built (builders below do all
+    mutation).
     """
 
     def __init__(self, kind: str):
@@ -47,7 +51,7 @@ class CancellationAutomaton:
         # whose loop at B it closes, or whose initial / final tap it is
         self.opens, self.closes, self.heads, self.tails = {}, {}, {}, {}
         self.s_in = self.s_out = self.r_in = self.r_out = None
-        self.eps_edges = None
+        self.eps_edges = self.marks = None
 
     def index(self) -> None:
         """Index the finished edge list per state and label, in one pass."""
@@ -67,6 +71,11 @@ class CancellationAutomaton:
                 eps_edges.append(e)
         self.s_in, self.s_out, self.r_in, self.r_out = s_in, s_out, r_in, r_out
         self.eps_edges = eps_edges
+        marks = [()] * len(self.edges)
+        for named in (self.opens, self.closes, self.heads, self.tails):
+            for e, g in named.items():
+                marks[e] = (g,)
+        self.marks = marks
 
     # -- views -----------------------------------------------------------------
 
@@ -247,20 +256,26 @@ class SaturationRelation:
     """Triples (q, p, sigma) with a nonempty trivial path q -> p.
 
     `parents` is the relation itself: it maps each triple, in the order the
-    triples were derived, to the one derivation recorded for it, which
-    witness extraction expands:
+    triples became final, to its lightest derivation, which witness
+    extraction expands:
       ("eps", edge)                           base epsilon edge
       ("ss", e1, gap, e2)                     s (gap) s cancellation
       ("rrr", e1, gap1, e2, gap2, e3)         r (gap1) r (gap2) r
       ("compose", t1, t2)                     transitive composition
-    where a gap is a triple, or None for the empty path.  `triples` is its
-    key view, and `gaps_from[q]` lists the triples leaving state q, in
-    derivation order.
+    where a gap is a triple, or None for the empty path.  A triple weighs
+    (number of marks, the marks in path order) of the path its derivation
+    expands into, a mark being the generator an edge names in `opens`,
+    `heads`, `closes` or `tails`; no path of the triple weighs less.  On a
+    loop or membership automaton the marks are the path's index sequence,
+    so the witness of a triple is its least factorization in (length,
+    lexicographic) order.  `triples` is the key view, and `gaps_from[q]`
+    lists the triples leaving state q, in the same order.
 
-    `complete` is False when `saturate` stopped at its goal with work left:
-    `parents` is then a prefix of the full relation's, holding the goal and
-    every triple its derivation expands into, which is all a lookup or a
-    witness needs.  Counting and recurrence read the complete relation.
+    `complete` is False when `saturate` stopped at its goal: `parents` is
+    then a prefix of the full relation's, holding the goal and every triple
+    that became final before it, every lighter triple among them, which is
+    all a lookup or a witness needs.  Counting and recurrence read the
+    complete relation.
     """
 
     def __init__(self, n_states: int):
@@ -283,7 +298,8 @@ class SaturationRelation:
 
 
 def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelation:
-    """Least fixpoint of the cancellation rules, or its prefix up to a goal.
+    """Least fixpoint of the cancellation rules, lightest triple first, or
+    its prefix up to a goal.
 
     (q,p,sigma) enters the relation iff some nonempty edge path q -> p spells
     a word reducing to the empty word with total sign sigma (edge weights
@@ -292,162 +308,171 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
     matching letters with trivial gaps in between, which is exactly the rule
     shape below.
 
-    Every gap is optional.  The agenda takes the empty gap (x, x, +) of each
-    state with an s edge in and an s edge out, or an r edge in and an r edge
-    out, through rules (i) and (ii) before any derived triple, which yields
-    the adjacent ss / rrr cancellations; the epsilon-edge triples are
-    already in the relation then.  At any other state the empty gap fires no
-    rule instance, so skipping it leaves every triple and derivation, and
-    their order, as they were.  An empty gap needs no turn as the second gap of rule
-    (ii): each first gap already meets it ahead of the triples it scans.
+    The agenda is Knuth's lightest derivation (Knuth, "A generalization of
+    Dijkstra's algorithm", IPL 1977; Felzenszwalb and McAllester, "The
+    generalized A* architecture", JAIR 2007).  A rule instance weighs
+    (number of marks, the marks in path order) of its edges and gaps
+    (`SaturationRelation`), and its conclusion is offered with that
+    weight.  Concatenation is monotone in (length, lexicographic) order and
+    no lighter than either part, so the least offered weight is final.  The
+    agenda is a heap of the weights offered and not yet taken, each with
+    the triples offered at it in offer order: triples pop by (weight, offer
+    order), as from a heap of (length, marks, counter, triple), and an
+    offer of the weight being taken joins the end of its list.  An offer
+    replaces a triple's pending one only when it is strictly lighter; the
+    superseded entry comes up after the triple became final and is
+    skipped.  A popped triple is final with its least weight and its first
+    derivation of that weight.  Rules pair it only with final triples,
+    through each state's lists of the final triples leaving / entering it,
+    so each instance fires once its last gap is final; an instance whose
+    conclusion is final offers nothing.
 
-    Each state's gap lists hold the triples leaving / entering it in
-    derivation order, and every gap list a rule scans is cut to its length
-    when the scan starts.  A rule instance tests its conclusion before
-    building the derivation, so rederiving a triple costs one lookup.
-    Composition (iii) first asks, per sign, whether the far ends of the
-    triples it would join all have their conclusion already; those ends are
-    kept in sets per state and sign, each made with its first element.  Only
-    when some end is new does it scan the gap list, in order, so triples and
-    derivations are the same as with a scan of every instance.
+    Every gap is optional.  The empty gap (x, x, +) of each state with an s
+    edge in and an s edge out, or an r edge in and an r edge out, fires its
+    instances of rules (i) and (ii) once at the start, after the
+    epsilon-edge offers; at any other state it fires none.  An instance
+    with one empty gap of rule (ii) fires when its other gap becomes final.
 
-    With a goal triple the agenda stops as soon as the goal is derived.  The
-    agenda is FIFO and the relation only grows, so the stopped relation is a
-    prefix of the full one, in order, with the same derivations; identity,
-    membership and freeness stop at the triple they look up.  A goal
-    outside the relation gives the full fixpoint.  The relation records
-    whether work was left (`complete`).
+    With a goal triple the agenda stops once the goal is final.  An offer
+    no lighter than the goal's best offer would pop after the goal, so it
+    is dropped; the stopped relation is a prefix of the full one, in
+    order, with the same derivations, and the goal's witness is its least
+    path.  A goal outside the relation is never offered, so its run is the
+    full fixpoint.  The relation records whether it is complete.
     """
     n = auto.n_states
     edges = auto.edges
     s_in, s_out, r_in, r_out = auto.s_in, auto.s_out, auto.r_in, auto.r_out
+    marks = auto.marks
 
     rel = SaturationRelation(n)
     parents = rel.parents
-    # the triples leaving / entering each state, in derivation order
+    # the final triples leaving / entering each state, in the order they
+    # became final, and the marks of each final triple
     gaps_from = rel.gaps_from
     gaps_to = [[] for _ in range(n)]
-    # succ[sign][x] / pred[sign][x]: far ends of the triples of that sign
-    # leaving / entering x, or None before the first one
-    succ = {1: [None] * n, -1: [None] * n}
-    pred = {1: [None] * n, -1: [None] * n}
-    work = deque()
+    final = {}
+    # triple -> ((length, marks), derivation) of its lightest offer
+    best = {}
+    weights = []    # heap of the weights offered and not yet popped
+    buckets = {}    # weight -> the triples offered at it, in offer order
+    bound = None    # the weight of the goal's lightest offer
 
-    def add(t, parent):
-        """Record a triple not yet in the relation."""
-        q, p, sigma = t
-        parents[t] = parent
-        gaps_from[q].append(t)
-        gaps_to[p].append(t)
-        work.append(t)
-        ends = succ[sigma]
-        if ends[q] is None:
-            ends[q] = {p}
-        else:
-            ends[q].add(p)
-        ends = pred[sigma]
-        if ends[p] is None:
-            ends[p] = {q}
-        else:
-            ends[p].add(q)
+    def offer(t, ms, parent):
+        """Queue a derivation of a triple not yet final, if it is the
+        lightest offer yet and lighter than the goal's."""
+        nonlocal bound
+        w = (len(ms), ms)
+        old = best.get(t)
+        if old is not None and w >= old[0] or bound is not None and w >= bound:
+            return
+        best[t] = (w, parent)
+        queue = buckets.get(w)
+        if queue is None:
+            buckets[w] = queue = []
+            heappush(weights, w)
+        queue.append(t)
+        if t == goal:
+            bound = w
 
-    def covered(index, far, near, sg):
-        """Whether every end index[s][far] is in index[sg * s][near]."""
-        for s in (1, -1):
-            have = index[s][far]
-            if have is None:
-                continue
-            need = index[sg * s][near]
-            if need is None or not have <= need:
-                return False
-        return True
-
-    def first_gap(x, y, sg, t):
-        """Rules (i) and (ii) with the gap x -> y (t, None if empty) first."""
+    def first_gap(x, y, sg, gm, t):
+        """Rules (i) and (ii) with the gap x -> y (t, None if empty; marks
+        gm) first."""
         # rule (i): the gap between two s edges
         for e1 in s_in[x]:
             q, _, _, w1 = edges[e1]
             base = -sg * w1
+            head = marks[e1] + gm
             for e2 in s_out[y]:
                 _, p, _, w2 = edges[e2]
                 t3 = (q, p, base * w2)
                 if t3 not in parents:
-                    add(t3, ("ss", e1, t, e2))
+                    offer(t3, head + marks[e2], ("ss", e1, t, e2))
         # rule (ii): the first gap of r (gap) r (gap) r
         for e1 in r_in[x]:
             q, _, _, w1 = edges[e1]
+            head = marks[e1] + gm
             for e2 in r_out[y]:
                 _, z, _, w2 = edges[e2]
                 base = -sg * w1 * w2
-                gaps = gaps_from[z]
-                k = len(gaps)
-                # the empty second gap, then the triples leaving z
+                mid = head + marks[e2]
+                # the empty second gap, then the final triples leaving z
                 for e3 in r_out[z]:
                     _, p, _, w3 = edges[e3]
                     t3 = (q, p, base * w3)
                     if t3 not in parents:
-                        add(t3, ("rrr", e1, t, e2, None, e3))
-                for t2 in islice(gaps, k):
+                        offer(t3, mid + marks[e3], ("rrr", e1, t, e2, None, e3))
+                for t2 in gaps_from[z]:
                     _, u, sg2 = t2
+                    m2 = mid + final[t2]
                     for e3 in r_out[u]:
                         _, p, _, w3 = edges[e3]
                         t3 = (q, p, base * sg2 * w3)
                         if t3 not in parents:
-                            add(t3, ("rrr", e1, t, e2, t2, e3))
+                            offer(t3, m2 + marks[e3], ("rrr", e1, t, e2, t2, e3))
 
     for e in auto.eps_edges:
         src, dst, _, weight = edges[e]
-        t = (src, dst, weight)
-        if t not in parents:
-            add(t, ("eps", e))
+        offer((src, dst, weight), marks[e], ("eps", e))
     # only a state with an s edge in and out, or an r edge in and out, has a
     # rule instance around its empty gap
     for x in range(n):
         if s_in[x] and s_out[x] or r_in[x] and r_out[x]:
-            first_gap(x, x, 1, None)
+            first_gap(x, x, 1, (), None)
 
-    while work and goal not in parents:
-        t = work.popleft()
-        x, y, sg = t
-        first_gap(x, y, sg, t)
+    while weights and goal not in parents:
+        # the triples offered at the least weight, in offer order; offers of
+        # the same weight made meanwhile join the end of the list
+        w = heappop(weights)
+        for t in buckets[w]:
+            if t in parents:
+                continue    # superseded by a lighter offer, which popped first
+            (_, gm), parents[t] = best.pop(t)
+            final[t] = gm
+            x, y, sg = t
+            gaps_from[x].append(t)
+            gaps_to[y].append(t)
+            if t == goal:
+                break
+            first_gap(x, y, sg, gm, t)
 
-        # rule (ii): the second gap
-        for e3 in r_out[y]:
-            _, p, _, w3 = edges[e3]
-            for e2 in r_in[x]:
-                y1, _, _, w2 = edges[e2]
-                base = -sg * w2 * w3
-                gaps = gaps_to[y1]
-                k = len(gaps)
-                # the empty first gap, then the triples entering y1
-                for e1 in r_in[y1]:
-                    q, _, _, w1 = edges[e1]
-                    t3 = (q, p, base * w1)
-                    if t3 not in parents:
-                        add(t3, ("rrr", e1, None, e2, t, e3))
-                for t1 in islice(gaps, k):
-                    q1, _, sg1 = t1
-                    for e1 in r_in[q1]:
+            # rule (ii): the second gap
+            for e3 in r_out[y]:
+                _, p, _, w3 = edges[e3]
+                tail = gm + marks[e3]
+                for e2 in r_in[x]:
+                    y1, _, _, w2 = edges[e2]
+                    base = -sg * w2 * w3
+                    mid = marks[e2] + tail
+                    # the empty first gap, then the final triples entering y1
+                    for e1 in r_in[y1]:
                         q, _, _, w1 = edges[e1]
-                        t3 = (q, p, base * sg1 * w1)
+                        t3 = (q, p, base * w1)
                         if t3 not in parents:
-                            add(t3, ("rrr", e1, t1, e2, t, e3))
+                            offer(t3, marks[e1] + mid, ("rrr", e1, None, e2, t, e3))
+                    for t1 in gaps_to[y1]:
+                        q1, _, sg1 = t1
+                        m1 = final[t1] + mid
+                        for e1 in r_in[q1]:
+                            q, _, _, w1 = edges[e1]
+                            t3 = (q, p, base * sg1 * w1)
+                            if t3 not in parents:
+                                offer(t3, marks[e1] + m1, ("rrr", e1, t1, e2, t, e3))
 
-        # rule (iii): transitive composition with the triples already present
-        gaps = gaps_from[y]
-        if gaps and not covered(succ, y, x, sg):
-            for t2 in islice(gaps, len(gaps)):
+            # rule (iii): transitive composition with the final triples
+            for t2 in gaps_from[y]:
                 t3 = (x, t2[1], sg * t2[2])
                 if t3 not in parents:
-                    add(t3, ("compose", t, t2))
-        gaps = gaps_to[x]
-        if gaps and not covered(pred, x, y, sg):
-            for t0 in islice(gaps, len(gaps)):
+                    offer(t3, gm + final[t2], ("compose", t, t2))
+            for t0 in gaps_to[x]:
                 t3 = (t0[0], y, t0[2] * sg)
                 if t3 not in parents:
-                    add(t3, ("compose", t0, t))
+                    offer(t3, final[t0] + gm, ("compose", t0, t))
+        del buckets[w]
 
-    rel.complete = not work
+    # the goal's turn is the last one: once it is final the run stops, and
+    # some offers may have been dropped or left on the agenda
+    rel.complete = goal not in parents
     return rel
 
 
@@ -506,7 +531,8 @@ def derivation_grammar(auto: CancellationAutomaton, sat: SaturationRelation,
     of the relation derives a path, so the grammar is proper in the sense
     of `grammars.find_growth_cycle`.  A root outside the relation gives the
     empty grammar.  Without a root, every triple of the relation is a
-    nonterminal, in derivation order, and the grammar has no start.  The
+    nonterminal, in the order they became final, and the grammar has no
+    start.  The
     relation must be complete: a goal-stopped one lacks rule instances, so
     it raises.
     """

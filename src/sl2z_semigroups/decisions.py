@@ -1,10 +1,15 @@
 """Decision procedures over generator sets, with machine-checkable verdicts.
 
-Every procedure saturates cancellation automata.  Identity and membership
-look up one triple, and their saturation stops once it is derived; one
+Every procedure saturates cancellation automata, lightest path first
+(`automata.saturate`): a path weighs the generators its edges name, in
+path order, so the witness of a triple is its least path.  Identity and
+membership look up one triple, and their saturation stops once it is
+final; their witness is the least factorization in (length,
+lexicographic) order, the oracle's `ProductTable.first_sequence`.  One
 saturation of the freeness automaton, stopped at pair (1, 2)'s goal,
 decides every pair of generators and gives the least colliding pair's
-witness; factorization counting and recurrence read the complete
+witness, a collision of that pair with the fewest generators in all;
+factorization counting and recurrence read the complete
 relation's derivation grammar, whose words are the automaton paths of the
 factorizations; finite freeness looks up the identity in the loop
 automaton and otherwise searches the complete loop relation's rule
@@ -72,10 +77,10 @@ def _check_product(gens: GeneratorSet, seq, expected: Mat2, what: str):
 
 
 def _trivial_path_witness(gens: GeneratorSet, auto, sigma: int, m: Mat2, what: str):
-    """(relation, sequence): the sequence of a sigma-signed trivial path
-    initial -> final of auto, re-multiplied to m, or None when there is no
-    such path.  Saturation stops once that triple is derived, so without
-    one the relation is complete.
+    """(relation, sequence): the sequence of the least sigma-signed trivial
+    path initial -> final of auto, re-multiplied to m, or None when there
+    is no such path.  Saturation stops once that triple is final, so
+    without one the relation is complete.
     """
     goal = (auto.initial, auto.final, sigma)
     sat = am.saturate(auto, goal)
@@ -181,8 +186,8 @@ class FactorizationCounter:
         """(Count, sequences).
 
         The sequences are every factorization, shortest first, when the
-        count is exact; one re-multiplied factorization when it is not; and
-        empty when m is not a product.  Distinct paths decode to distinct
+        count is exact; the least factorization, re-multiplied, when it is
+        not; and empty when m is not a product.  Distinct paths decode to distinct
         factorizations, so two paths decoding to one raise.
         """
         auto, sat, root, grammar = self._paths(m)

@@ -1,5 +1,7 @@
 """Decision procedures against the brute-force oracle and the fixtures."""
 
+import functools
+import itertools
 import random
 
 import pytest
@@ -465,25 +467,62 @@ class TestOneFreenessSaturation:
             assert calls == ["loop"]
 
 
-class TestPinnedWitnesses:
-    """Witnesses fixed by the order in which `saturate` derives triples.
+def least_identity_product(gens, max_len):
+    """The least index sequence of at most max_len generators that
+    multiplies to I, in (length, lexicographic) order, or None.
 
-    A witness is read off the first derivation recorded for its triple, so
-    these fail when `saturate` derives triples in another order.
+    A sequence of length L is a head of ceil(L/2) generators and a tail of
+    the rest; heads run in lexicographic order, and the first whose
+    inverse is the product of a tail, with that product's least tail, is
+    the least sequence of length L.
+    """
+    indices = range(1, len(gens) + 1)
+    # tails[k]: product of k generators -> its least sequence
+    tails = [{IDENTITY.entries(): ()}]
+    for k in range(1, max_len // 2 + 1):
+        level = {}
+        for seq in itertools.product(indices, repeat=k):
+            level.setdefault(gens.product(seq).entries(), seq)
+        tails.append(level)
+    for length in range(1, max_len + 1):
+        head_len = (length + 1) // 2
+        for head in itertools.product(indices, repeat=head_len):
+            tail = tails[length - head_len].get(gens.product(head).inverse().entries())
+            if tail is not None:
+                return list(head + tail)
+    return None
+
+
+class TestPinnedWitnesses:
+    """Witnesses pinned to the least factorization that `saturate` reads.
+
+    The saturation is lightest first: each triple's witness is its least
+    path in (number of marks, marks in path order), and on the loop and
+    membership automata the marks of a path are its index sequence.  So an
+    identity or membership witness is the least factorization in (length,
+    lexicographic) order, `ProductTable.first_sequence`, which these pins
+    check wherever the oracle's table reaches; a freeness witness is the
+    colliding pair's collision with the fewest generators in all.  A change
+    to how the agenda weighs paths fails them.
     """
 
     def test_subset_sum_identity(self):
         fx = encode_subset_sum([1, 2, 4], 5)
         v = identity_in_semigroup(fx.generators)
-        assert v.witness["sequences"] == [[7, 10, 11, 14, 1, 4, 5, 13]]
+        assert v.witness["sequences"] == [[1, 4, 5, 13, 7, 10, 11, 14]]
+        # 14 generators: a table of depth 8 is out of reach, so halves of
+        # at most 4 generators meet in the middle
+        assert least_identity_product(fx.generators, 8) == [1, 4, 5, 13, 7, 10, 11, 14]
 
     @pytest.mark.parametrize("words, pair", [
-        ([(1, "r"), (1, "rr")], [[1], [1, 2, 1, 1, 1, 1]]),
-        ([(1, "r"), (-1, "srsr"), (1, "r")], [[1], [1, 1, 3, 1, 1, 1, 1]]),
+        ([(1, "r"), (1, "rr")], [[1], [1, 2, 2, 2]]),
+        ([(1, "r"), (-1, "srsr"), (1, "r")], [[1], [1, 1, 1, 1, 1, 1, 1]]),
     ])
     def test_freeness_collision(self, words, pair):
+        # I is a product, so the witness is [1] and [1] + the least one
         gens = GeneratorSet.from_words([SignedWord(*w) for w in words])
         assert is_free(gens).witness["sequences"] == pair
+        assert pair[1] == [1] + oracle.enumerate_products(gens, 6).first_sequence(IDENTITY)
 
     @pytest.mark.parametrize("values, pair", [
         ([1, 2, 3], [[1, 3, 6], [2, 4, 5]]),
@@ -497,17 +536,18 @@ class TestPinnedWitnesses:
         assert is_free(encode_equal_subset_sum(values).generators).witness["sequences"] == pair
 
     @pytest.mark.parametrize("words, seq", [
-        ([(1, "r"), (-1, ""), (1, "rr")], [1, 1, 2, 1]),
+        ([(1, "r"), (-1, ""), (1, "rr")], [2, 2]),
         ([(1, "sr"), (-1, ""), (1, "rs")], [2, 2]),
     ])
     def test_minus_identity_generator(self, words, seq):
         # -I is a generator, so the loop automaton has an epsilon edge
         gens = GeneratorSet.from_words([SignedWord(*w) for w in words])
         assert identity_in_semigroup(gens).witness["sequences"] == [seq]
+        assert seq == oracle.enumerate_products(gens, 4).first_sequence(IDENTITY)
 
     @pytest.mark.parametrize("mats, seq", [
         ([S], [1, 1, 1, 1]), ([-IDENTITY], [1, 1]), ([R], [1, 1, 1, 1, 1, 1]),
-        ([S, R], [2, 2, 1, 1, 2]),
+        ([S, R], [1, 1, 1, 1]),
     ])
     def test_finite_freeness_identity_branch(self, mats, seq):
         # -I is a product in each set, so I = (-I)(-I) is one too and the
@@ -516,7 +556,69 @@ class TestPinnedWitnesses:
         v = finite_freeness(gens, 1)
         assert v.answer == NO
         assert v.witness["sequences"] == [seq]
-        assert gens.product(seq) == IDENTITY
+        assert seq == oracle.enumerate_products(gens, 6).first_sequence(IDENTITY)
+
+
+class TestCanonicalWitnesses:
+    """Witnesses against the oracle's least sequences, on seeded random
+    sets: the least factorization for identity, membership and a count
+    past its cap, and the fewest generators for a collision."""
+
+    DEPTH = 5
+
+    def cases(self, seed, n_sets):
+        rng = random.Random(seed)
+        for _ in range(n_sets):
+            gens = random_generators(rng)
+            yield gens, oracle.enumerate_products(gens, self.DEPTH)
+
+    def test_identity_and_member_witnesses_are_first_sequences(self):
+        checked = {"identity": 0, "member": 0}
+        for gens, table in self.cases(31, 60):
+            v = identity_in_semigroup(gens)
+            if IDENTITY in table:
+                assert v.witness["sequences"] == [table.first_sequence(IDENTITY)]
+                checked["identity"] += 1
+            elif v.answer == YES:
+                assert len(v.witness["sequences"][0]) > self.DEPTH
+            for m in table.matrices()[:12]:
+                assert membership(gens, m).witness["sequences"] == [table.first_sequence(m)]
+                checked["member"] += 1
+        assert min(checked.values()) >= 20, checked
+
+    def test_count_past_its_cap_gives_the_first_sequence(self):
+        checked = 0
+        for gens, table in self.cases(32, 60):
+            for m in table.matrices()[:4]:
+                v = count_factorizations(gens, m, cap=2)
+                if v.count.kind != "exact":
+                    assert v.witness["sequences"] == [table.first_sequence(m)]
+                    checked += 1
+        assert checked >= 20
+
+    def test_freeness_witness_has_the_fewest_generators_of_its_pair(self):
+        # products of one to three matrices of a free pair: no product is
+        # I, and a generator that is a product of others collides
+        rng = random.Random(33)
+        pair = (Mat2(1, 2, 0, 1), Mat2(1, 0, 2, 1))
+        sets = [GeneratorSet.from_matrices([
+            functools.reduce(Mat2.__mul__, rng.choices(pair, k=rng.randint(1, 3)))
+            for _ in range(rng.randint(2, 4))]) for _ in range(40)]
+        sets += [encode_equal_subset_sum(values).generators
+                 for values in ([1, 2, 3], [3, 5, 8, 13], [1, 1, 4, 4])]
+        checked = 0
+        for gens in sets:
+            v = is_free(gens)
+            if v.answer != NO or identity_in_semigroup(gens).answer == YES:
+                continue
+            alpha, beta = v.witness["sequences"]
+            table = oracle.enumerate_products(gens, min(self.DEPTH, len(alpha) + len(beta)))
+            sizes = [len(x) + len(y) for m in table.matrices()
+                     for x in table.sequences(m) for y in table.sequences(m)
+                     if (x[0], y[0]) == (alpha[0], beta[0])]
+            assert min(sizes, default=len(alpha) + len(beta)) >= len(alpha) + len(beta)
+            checked += 1
+        assert checked >= 10, checked
 
 
 class TestOracleAgreement:

@@ -2,8 +2,10 @@
 
 Saturation and its derivation grammar run against bounded path enumeration
 on arbitrary random automata (not just the fixture shapes), the
-derivations saturation records, in order, against its plain rule loop, and
-a run stopped at a goal triple against a prefix of the full run.  The
+derivations saturation records, in order, against its plain lightest-first
+loop, each witness path against the lightest path of its triple, a run
+stopped at a goal triple against a prefix of the full run, and every
+complete relation against the closure referee (`closure_referee`).  The
 shared freeness automaton, and the pattern automata built the same way,
 run against the chain-based pattern automaton of each pair
 (`pattern_referee`); identity, membership and counting on the loop and
@@ -17,8 +19,9 @@ counting runs against the Bar-Hillel intersection of the target grammar
 with the marked semigroup DFA.
 """
 
+import heapq
+import itertools
 import random
-from collections import deque
 
 from sl2z_semigroups.algebra import (
     IDENTITY, S, GeneratorSet, Mat2, SignedWord, decompose, evaluate, inv, reduce,
@@ -47,6 +50,7 @@ from sl2z_semigroups.oracle import enumerate_products
 from grammar_referee import (
     assert_growth_cycle, assert_proper, classic_is_finite, proper_form,
 )
+from closure_referee import certify, closure_faults, grounding_faults
 from loop_referee import chain_count, chain_witness
 from pattern_referee import pattern_collisions
 
@@ -118,13 +122,16 @@ def test_saturation_on_random_automata():
 
 
 def reference_saturate(auto):
-    """Derivations of `saturate` by its plain rule loop: {triple: parent},
-    in derivation order.
+    """Derivations of `saturate` by a plain lightest-first loop: {triple:
+    parent}, in the order the triples became final.
 
-    Every rule instance builds its derivation and is deduplicated on
-    insertion, and composition joins every gap pair, so this shows the
-    order `saturate` has to keep without its shortcuts.  Its edge index is
-    rebuilt from the edge list, and the automaton's own must equal it.
+    Every rule instance is offered: its conclusion goes on the heap with
+    the marks of its edges and gaps in path order, and the first pop of a
+    triple makes it final; later pops of it are skipped.  There is no goal,
+    no bound and no pruning of offers, so this shows the order `saturate`
+    has to keep without its shortcuts.  Its edge index and edge marks are
+    rebuilt from the edge list and the named edges, and the automaton's
+    own must equal them.
     """
     edges = auto.edges
     s_in, s_out, r_in, r_out, eps_edges = edge_lists(auto)
@@ -132,48 +139,64 @@ def reference_saturate(auto):
     assert [[list(es) for es in lists]
             for lists in (auto.s_in, auto.s_out, auto.r_in, auto.r_out)] + [auto.eps_edges] == \
         [s_in, s_out, r_in, r_out, eps_edges]
+    marks = [()] * len(edges)
+    for named in (auto.opens, auto.closes, auto.heads, auto.tails):
+        for e, g in named.items():
+            assert marks[e] == ()
+            marks[e] = (g,)
+    assert auto.marks == marks
     parents = {}
-    gaps_from = [[(x, 1, None)] for x in range(auto.n_states)]
-    gaps_to = [[(x, 1, None)] for x in range(auto.n_states)]
-    work = deque((x, x, 1, None) for x in range(auto.n_states))
+    # (far end, sign, triple or None for the empty gap, marks)
+    gaps_from = [[(x, 1, None, ())] for x in range(auto.n_states)]
+    gaps_to = [[(x, 1, None, ())] for x in range(auto.n_states)]
+    heap = []
+    counter = itertools.count()
 
-    def add(q, p, sigma, parent):
-        t = (q, p, sigma)
-        if t not in parents:
-            parents[t] = parent
-            gaps_from[q].append((p, sigma, t))
-            gaps_to[p].append((q, sigma, t))
-            work.append((q, p, sigma, t))
+    def offer(q, p, sigma, ms, parent):
+        heapq.heappush(heap, (len(ms), ms, next(counter), (q, p, sigma), parent))
+
+    def fire(x, y, sg, t, gm):
+        for e1 in s_in[x]:
+            for e2 in s_out[y]:
+                offer(edges[e1][0], edges[e2][1], -sg * edges[e1][3] * edges[e2][3],
+                      marks[e1] + gm + marks[e2], ("ss", e1, t, e2))
+        for e1 in r_in[x]:
+            for e2 in r_out[y]:
+                for (u, sg2, t2, m2) in gaps_from[edges[e2][1]]:
+                    for e3 in r_out[u]:
+                        offer(edges[e1][0], edges[e3][1],
+                              -sg * sg2 * edges[e1][3] * edges[e2][3] * edges[e3][3],
+                              marks[e1] + gm + marks[e2] + m2 + marks[e3],
+                              ("rrr", e1, t, e2, t2, e3))
+        if t is None:
+            return
+        for e3 in r_out[y]:
+            for e2 in r_in[x]:
+                for (q1, sg1, t1, m1) in gaps_to[edges[e2][0]]:
+                    for e1 in r_in[q1]:
+                        offer(edges[e1][0], edges[e3][1],
+                              -sg * sg1 * edges[e1][3] * edges[e2][3] * edges[e3][3],
+                              marks[e1] + m1 + marks[e2] + gm + marks[e3],
+                              ("rrr", e1, t1, e2, t, e3))
+        for (u, sg2, t2, m2) in gaps_from[y][1:]:
+            offer(x, u, sg * sg2, gm + m2, ("compose", t, t2))
+        for (q0, sg0, t0, m0) in gaps_to[x][1:]:
+            offer(q0, y, sg0 * sg, m0 + gm, ("compose", t0, t))
 
     for e in eps_edges:
         src, dst, _, weight = edges[e]
-        add(src, dst, weight, ("eps", e))
-    while work:
-        x, y, sg, t = work.popleft()
-        for e1 in s_in[x]:
-            for e2 in s_out[y]:
-                add(edges[e1][0], edges[e2][1], -sg * edges[e1][3] * edges[e2][3],
-                    ("ss", e1, t, e2))
-        for e1 in r_in[x]:
-            for e2 in r_out[y]:
-                for (u, sg2, t2) in list(gaps_from[edges[e2][1]]):
-                    for e3 in r_out[u]:
-                        add(edges[e1][0], edges[e3][1],
-                            -sg * sg2 * edges[e1][3] * edges[e2][3] * edges[e3][3],
-                            ("rrr", e1, t, e2, t2, e3))
-        if t is None:
+        offer(src, dst, weight, marks[e], ("eps", e))
+    for x in range(auto.n_states):
+        fire(x, x, 1, None, ())
+    while heap:
+        _, ms, _, t, parent = heapq.heappop(heap)
+        if t in parents:
             continue
-        for e3 in r_out[y]:
-            for e2 in r_in[x]:
-                for (q1, sg1, t1) in list(gaps_to[edges[e2][0]]):
-                    for e1 in r_in[q1]:
-                        add(edges[e1][0], edges[e3][1],
-                            -sg * sg1 * edges[e1][3] * edges[e2][3] * edges[e3][3],
-                            ("rrr", e1, t1, e2, t, e3))
-        for (u, sg2, t2) in gaps_from[y][1:]:
-            add(x, u, sg * sg2, ("compose", t, t2))
-        for (q0, sg0, t0) in gaps_to[x][1:]:
-            add(q0, y, sg0 * sg, ("compose", t0, t))
+        parents[t] = parent
+        x, y, sg = t
+        gaps_from[x].append((y, sg, t, ms))
+        gaps_to[y].append((x, sg, t, ms))
+        fire(x, y, sg, t, ms)
     return parents
 
 
@@ -203,6 +226,99 @@ def test_saturation_derivations_match_reference_on_subset_sum_ladder():
         assert_same_derivations(build_loop_automaton(gens))
         if len(values) == 2:
             assert_same_derivations(build_pattern_automaton(1, 2, gens))
+
+
+def mark_randomly(rng, auto):
+    """Name about half the edges of a random automaton in `opens`,
+    `closes`, `heads` or `tails`, with a generator of 1-3, so that the
+    triples weigh apart; the automaton is indexed again."""
+    for e in range(len(auto.edges)):
+        if rng.random() < 0.5:
+            getattr(auto, rng.choice(("opens", "closes", "heads", "tails")))[e] = rng.randint(1, 3)
+    auto.index()
+    return auto
+
+
+def path_weight(auto, path):
+    """(number of marks, the marks in path order) of an edge path."""
+    ms = tuple(g for e in path for g in auto.marks[e])
+    return len(ms), ms
+
+
+def test_saturation_derivations_match_reference_on_marked_random_automata():
+    rng = random.Random(2468)
+    for _ in range(300):
+        auto = random_automaton(rng, max_edges=rng.choice((10, 20)))
+        assert_same_derivations(mark_randomly(rng, auto))
+
+
+def test_saturation_witnesses_are_the_lightest_paths():
+    """Each triple's witness path weighs no more than any path of the
+    triple of <= 5 edges, found by brute force."""
+    rng = random.Random(97531)
+    for _ in range(150):
+        auto = mark_randomly(rng, random_automaton(rng, max_edges=6))
+        sat = saturate(auto)
+        for t, paths in brute_trivial_paths(auto, 5).items():
+            got = path_weight(auto, extract_path(auto, sat, *t))
+            assert got <= min(path_weight(auto, p) for p in paths)
+
+
+class Relation:
+    """A relation as `closure_referee` reads it: derivations in order."""
+
+    def __init__(self, parents, complete=True):
+        self.parents, self.complete = parents, complete
+        self.triples = parents.keys()
+
+
+def test_closure_referee_certifies_random_saturations():
+    """Every complete saturation is closed and grounded; dropping any one
+    of its triples fails closure, and recording a composition's first part
+    after it fails grounding."""
+    rng = random.Random(12345)
+    dropped = 0
+    for k in range(400):
+        auto = random_automaton(rng, max_edges=rng.choice((10, 20)))
+        if k % 2:
+            mark_randomly(rng, auto)
+        sat = saturate(auto)
+        assert certify(auto, sat) == []
+        if k % 8:
+            continue
+        items = list(sat.parents.items())
+        for i in range(len(items)):
+            assert closure_faults(auto, Relation(dict(items[:i] + items[i + 1:])))
+            dropped += 1
+        # a derivation that cites a triple recorded after it is not grounded
+        for t, parent in items:
+            if parent[0] == "compose" and parent[1] != t:
+                late = dict(items)
+                late[parent[1]] = late.pop(parent[1])
+                assert grounding_faults(auto, Relation(late))
+                break
+    assert dropped >= 200
+
+
+def test_closure_referee_certifies_ladder_saturations():
+    """The loop automata of the subset-sum ladder, and the freeness
+    automata of its pairs, whose long loops hold rule instances that small
+    random automata seldom need."""
+    for values, x in [([1, 2], 3), ([1, 2], 4), ([1, 2, 4], 5), ([2, 3, 5], 7)]:
+        gens = encode_subset_sum(values, x).generators
+        autos = [build_loop_automaton(gens)]
+        if len(values) == 2:
+            autos.append(build_freeness_automaton(gens)[0])
+        for auto in autos:
+            assert certify(auto, saturate(auto)) == []
+
+
+def test_closure_referee_refuses_a_stopped_relation():
+    auto = build_loop_automaton(encode_subset_sum([1, 2], 3).generators)
+    sat = saturate(auto, (auto.initial, auto.initial, 1))
+    assert not sat.complete
+    assert certify(auto, sat)[0] == "the relation is not complete"
+    assert closure_faults(auto, sat)
 
 
 def goal_stopped_lengths(auto, goals):
@@ -238,6 +354,21 @@ def test_goal_stop_is_a_prefix_on_random_automata():
         goals = [(auto.initial, auto.final, 1), (auto.initial, auto.final, -1)]
         goals += [full[len(full) // 2]] if full else []
         goals += absent[:1]
+        lengths = goal_stopped_lengths(auto, goals)
+        stopped += any(n < len(full) for n in lengths)
+    assert stopped >= 100
+
+
+def test_goal_stop_is_a_prefix_on_marked_random_automata():
+    """Goals of each weight class: the goal's bound drops offers that
+    weigh as much as the goal, or more, and keeps the lighter ones."""
+    rng = random.Random(8642)
+    stopped = 0
+    for _ in range(300):
+        auto = mark_randomly(rng, random_automaton(rng, max_edges=rng.choice((10, 20))))
+        full = list(saturate(auto).triples)
+        goals = [(auto.initial, auto.final, 1), (auto.initial, auto.final, -1)]
+        goals += [full[len(full) // 3], full[-1]] if full else []
         lengths = goal_stopped_lengths(auto, goals)
         stopped += any(n < len(full) for n in lengths)
     assert stopped >= 100
