@@ -70,6 +70,26 @@ MUTANTS = (
            "bound is not None and w >= bound",
            "bound is not None and w[0] >= bound[0]",
            ("tests/test_randomized.py::test_goal_stop_is_a_prefix_on_marked_random_automata",)),
+    Mutant("saturate stops rule (ii)'s scan of its second gaps at a goal bound on lengths only",
+           "src/sl2z_semigroups/automata.py",
+           "(len(m2), m2) >= bound",
+           "len(m2) >= bound[0]",
+           ("tests/test_randomized.py::test_goal_stop_is_a_prefix_on_marked_random_automata",)),
+    Mutant("saturate stops rule (ii)'s scan of its first gaps at a goal bound on lengths only",
+           "src/sl2z_semigroups/automata.py",
+           "(len(m1), m1) >= bound",
+           "len(m1) >= bound[0]",
+           ("tests/test_randomized.py::test_goal_stop_is_a_prefix_on_marked_random_automata",)),
+    Mutant("saturate stops the scan of right parts to compose with at a goal bound on lengths only",
+           "src/sl2z_semigroups/automata.py",
+           "(len(right), right) >= bound",
+           "len(right) >= bound[0]",
+           ("tests/test_randomized.py::test_goal_stop_is_a_prefix_on_marked_random_automata",)),
+    Mutant("saturate stops the scan of left parts to compose with at a goal bound on lengths only",
+           "src/sl2z_semigroups/automata.py",
+           "(len(left), left) >= bound",
+           "len(left) >= bound[0]",
+           ("tests/test_randomized.py::test_goal_stop_is_a_prefix_on_marked_random_automata",)),
     Mutant("saturate lets an offer as heavy as the pending one replace it",
            "src/sl2z_semigroups/automata.py",
            "old is not None and w >= old[0]",
@@ -90,7 +110,7 @@ MUTANTS = (
             "tests/test_randomized.py::test_closure_referee_certifies_ladder_saturations")),
     Mutant("saturate composes a popped triple only as the left part",
            "src/sl2z_semigroups/automata.py",
-           """offer(t3, final[t0] + gm, ("compose", t0, t))""",
+           """offer(t3, left, ("compose", t0, t))""",
            "pass",
            ("tests/test_randomized.py::test_closure_referee_certifies_random_saturations",
             "tests/test_randomized.py::test_closure_referee_certifies_ladder_saturations")),
@@ -133,6 +153,24 @@ MUTANTS = (
            "if False:",
            ("tests/test_automata.py::TestWitnessDecodingRejects::"
             "test_freeness_path_from_initial_i_to_final_i",)),
+    Mutant("_check_product accepts any product",
+           "src/sl2z_semigroups/decisions.py",
+           "if got != expected:",
+           "if False:",
+           ("tests/test_decisions.py::TestWrongWitnessRefused::test_identity_refuses",
+            "tests/test_decisions.py::TestWrongWitnessRefused::test_membership_refuses",
+            "tests/test_decisions.py::TestWrongWitnessRefused::"
+            "test_is_free_refuses_unequal_products")),
+    Mutant("path_sequence without its joined-edges check",
+           "src/sl2z_semigroups/automata.py",
+           "and edges[path[-1]][1] == auto.final and _joined(edges, path)):",
+           "and edges[path[-1]][1] == auto.final):",
+           ("tests/test_automata.py::TestWitnessDecodingRejects::test_path_starting_mid_chain",
+            "tests/test_automata.py::TestWitnessDecodingRejects::test_path_cut_inside_a_chain",
+            "tests/test_automata.py::TestWitnessDecodingRejects::"
+            "test_first_edge_of_one_chain_then_the_rest_of_another",
+            "tests/test_automata.py::TestWitnessDecodingRejects::"
+            "test_membership_path_without_the_target_chain")),
 )
 
 

@@ -39,7 +39,8 @@ from sl2z_semigroups.decisions import (
     is_free, membership,
 )
 from sl2z_semigroups.encodings import (
-    encode_equal_subset_sum, encode_subset_sum, recurrent_without_identity_fixture,
+    DfaSpec, encode_dfa_intersection, encode_equal_subset_sum, encode_subset_sum,
+    marked_query_word, recurrent_without_identity_fixture,
 )
 from sl2z_semigroups.grammars import (
     Grammar, build_marked_semigroup_dfa, build_target_grammar, enumerate_words,
@@ -387,6 +388,45 @@ def test_goal_stop_is_a_prefix_on_subset_sum_ladder():
         if len(values) == 2:
             auto = build_pattern_automaton(1, 2, fx.generators)
             goal_stopped_lengths(auto, [(auto.initial, auto.final, 1)])
+
+
+def random_complete_dfa(rng, n_states):
+    """A complete DFA over {a, b} with one final state."""
+    transitions = tuple((q, sym, rng.randrange(n_states))
+                        for q in range(n_states) for sym in "ab")
+    return DfaSpec(n_states, ("a", "b"), transitions,
+                   frozenset({rng.randrange(n_states)}))
+
+
+def test_goal_stop_is_a_prefix_on_membership_automata():
+    """The target-chain layout with its goal (hub, final, +1): the
+    subset-sum count targets, and words that seeded one- and two-DFA
+    encodings accept or reject."""
+    cases = []    # (automaton, whether the target is a product)
+    for values in ([1, 2], [1, 2, 4], [1, 2, 3, 4]):
+        fx = encode_subset_sum(values, sum(values) + 1)
+        target = decompose(fx.expected["count_target"])
+        cases.append((build_membership_automaton(fx.generators, target), True))
+    rng = random.Random(2024)
+    words = [w for n in (1, 2) for w in itertools.product("ab", repeat=n)]
+    for n_dfas in (1, 2, 1, 2):
+        dfas = [random_complete_dfa(rng, rng.randint(1, 3)) for _ in range(n_dfas)]
+        fx = encode_dfa_intersection(dfas)
+        accepted = [w for w in words if any(d.accepts(w) for d in dfas)]
+        rejected = [w for w in words if w not in accepted]
+        for w in rng.sample(accepted, min(2, len(accepted))) + rejected[:1]:
+            target = decompose(marked_query_word(fx, w))
+            cases.append((build_membership_automaton(fx.generators, target),
+                          w in accepted))
+    assert {member for _, member in cases} == {True, False}
+    stopped = 0
+    for auto, member in cases:
+        goal = (auto.initial, auto.final, 1)
+        full = saturate(auto)
+        assert (goal in full.triples) == member
+        (length,) = goal_stopped_lengths(auto, [goal])
+        stopped += length < len(full)
+    assert stopped >= 1
 
 
 def test_derivation_grammar_refuses_a_goal_stopped_relation():
