@@ -171,6 +171,27 @@ MUTANTS = (
             "test_first_edge_of_one_chain_then_the_rest_of_another",
             "tests/test_automata.py::TestWitnessDecodingRejects::"
             "test_membership_path_without_the_target_chain")),
+    Mutant("the hub automaton's goal ignores the target's sign",
+           "src/sl2z_semigroups/automata.py",
+           "auto.goal = (0, prev, weight)",
+           "auto.goal = (0, prev, 1)",
+           ("tests/test_decisions.py::TestMembership::test_neg_identity_member",
+            "tests/test_decisions.py::TestCounting::test_infinite_for_torsion")),
+    Mutant("_recurrent_matrix without its empty-side guard",
+           "src/sl2z_semigroups/decisions.py",
+           "    if not (x and y):",
+           "    if False:",
+           ("tests/test_decisions.py::TestWrongWitnessRefused::"
+            "test_finite_freeness_refuses_equal_pumped_sequences",)),
+    Mutant("cli.main without its MemoryError branch",
+           "src/sl2z_semigroups/cli.py",
+           """    except MemoryError:
+        # a valid problem too large for this process is not a crash
+        print("error: memory ran out before a verdict", file=sys.stderr)
+        return EXIT_INPUT
+""",
+           "",
+           ("tests/test_cli.py::TestCommands::test_memory_exhaustion_exits_3",)),
 )
 
 

@@ -37,7 +37,8 @@ class CancellationAutomaton:
     own edges and the taps, named in `opens`, `closes`, `heads` and `tails`
     (see `_hub_loops` and `_shared_loops`), and `marks` holds per edge the
     generator it names there, as a tuple of none or one, which `saturate`
-    weighs paths by.  Immutable once built (builders below do all
+    weighs paths by.  An automaton that answers one question names its
+    triple in `goal`.  Immutable once built (builders below do all
     mutation).
     """
 
@@ -46,6 +47,7 @@ class CancellationAutomaton:
         self.n_states = 0
         self.initial = None
         self.final = None
+        self.goal = None      # (initial, final, sign) of a single-question automaton
         self.edges = []       # (src, dst, label in 'sr' or None, weight)
         # edge id -> the 1-based generator whose loop at the hub (A) it opens,
         # whose loop at B it closes, or whose initial / final tap it is
@@ -122,19 +124,40 @@ def _hub_loops(auto: CancellationAutomaton, hub: int, gens: GeneratorSet) -> lis
     return firsts
 
 
-def build_loop_automaton(gens: GeneratorSet) -> CancellationAutomaton:
-    """Hub state 0 with one loop per generator spelling its reduced word.
+def _hub_automaton(gens: GeneratorSet, target_word: SignedWord) -> CancellationAutomaton:
+    """Hub state 0 with one loop per generator (`_hub_loops`) and a chain
+    spelling inv(target) from the hub to `final`.
 
     Closed paths at the hub are in bijection with nonempty generator index
-    sequences (`_hub_loops`), so (hub, hub, sigma) in the saturation
-    relation says exactly that sigma * I is a nonempty product.
+    sequences.  For a target other than +-I the chain is nonempty and
+    reduced, its first edge carries the sign, and the goal is
+    (hub, final, +1): a trivial path of it traverses at least one loop and
+    spells a factorization of the target.  For +-I the chain is empty,
+    `final` is the hub, and the goal (hub, hub, sign) carries the sign.
     """
-    auto = CancellationAutomaton("loop")
-    auto.initial = auto.final = 0
+    w = inv(target_word)
+    auto = CancellationAutomaton("membership" if w.word else "loop")
+    auto.initial = 0
     auto.n_states = 1
     _hub_loops(auto, 0, gens)
+    # the chain hub -> final: final, then the chain's inner states in order
+    n = auto.n_states
+    auto.n_states = n + len(w.word)
+    prev, weight = 0, w.sign
+    for ch, nxt in zip(w.word, [*range(n + 1, n + len(w.word)), n]):
+        auto.edges.append((prev, nxt, ch, weight))
+        prev, weight = nxt, 1
+    # the sign that no chain edge took is the goal's
+    auto.final = prev
+    auto.goal = (0, prev, weight)
     auto.index()
     return auto
+
+
+def build_loop_automaton(gens: GeneratorSet) -> CancellationAutomaton:
+    """The hub automaton of I: (hub, hub, +1) in the saturation relation
+    says exactly that I is a nonempty product."""
+    return _hub_automaton(gens, SignedWord(1, ""))
 
 
 def _shared_loops(kind: str, gens: GeneratorSet, heads, tails) -> tuple:
@@ -195,7 +218,7 @@ def build_pattern_automaton(i: int, j: int, gens: GeneratorSet) -> CancellationA
     """Accepts the values of M_i u v^-1 M_j^-1 for u, v in G* (1-based i != j).
 
     `_shared_loops` tapped for initial_i and final_j only, its initial and
-    final states.  A positively-signed trivial path initial -> final
+    final states.  A trivial path of its goal (initial, final, +1)
     witnesses M_i u = M_j v, two factorizations starting with different
     generators, which `decode_pattern_witness` reads off the path.
     """
@@ -205,6 +228,7 @@ def build_pattern_automaton(i: int, j: int, gens: GeneratorSet) -> CancellationA
     if not (1 <= i <= n and 1 <= j <= n):
         raise AutomatonError(f"indices out of range: ({i}, {j}) with {n} generators")
     auto, (auto.initial,), (auto.final,) = _shared_loops("pattern", gens, (i,), (j,))
+    auto.goal = (auto.initial, auto.final, 1)
     return auto
 
 
@@ -225,31 +249,9 @@ def build_freeness_automaton(gens: GeneratorSet) -> tuple:
 
 
 def build_membership_automaton(gens: GeneratorSet, target_word: SignedWord) -> CancellationAutomaton:
-    """Loop automaton plus a chain spelling inv(target) from hub to final.
-
-    Only valid for targets other than +-I: the inverse chain is nonempty and
-    reduced, so a trivial path hub -> final must traverse at least one
-    generator loop.  (+-I queries stay on the loop automaton itself.)
-    """
-    w = inv(target_word)
-    if not w.word:
-        raise AutomatonError("membership chain for +-I is degenerate; "
-                             "query the loop automaton instead")
-    auto = CancellationAutomaton("membership")
-    auto.initial = 0
-    auto.n_states = 1
-    _hub_loops(auto, 0, gens)
-    # the chain hub -> final: final, then the chain's inner states in order
-    n = auto.final = auto.n_states
-    ends = list(range(n + 1, n + len(w.word))) + [n]
-    auto.n_states = n + len(w.word)
-    prev = 0
-    weight = w.sign
-    for ch, nxt in zip(w.word, ends):
-        auto.edges.append((prev, nxt, ch, weight))
-        prev, weight = nxt, 1
-    auto.index()
-    return auto
+    """The hub automaton of any target: for +-I it is the loop automaton,
+    with the target's sign in its goal."""
+    return _hub_automaton(gens, target_word)
 
 
 class SaturationRelation:

@@ -1,8 +1,9 @@
 """Batch front-end: problem files in, verdict reports out.
 
 Exit codes: 0 the property holds / YES, 1 NO, 2 bounded-unknown, 3 input
-error, 4 internal error (so a crash never reads as a verdict).  Matrix
-entries travel as decimal strings because JSON numbers are lossy past 2^53.
+error or memory exhaustion, 4 internal error (so a crash never reads as a
+verdict).  Matrix entries travel as decimal strings because JSON numbers
+are lossy past 2^53.
 """
 
 import argparse
@@ -455,6 +456,10 @@ def main(argv=None) -> int:
         return code
     except (ProblemError, AlgebraError, oracle_mod.OracleBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        # a valid problem too large for this process is not a crash
+        print("error: memory ran out before a verdict", file=sys.stderr)
         return EXIT_INPUT
     except Exception:
         # imported here, so that a process that never fails does not hold it

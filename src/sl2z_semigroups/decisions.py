@@ -76,56 +76,37 @@ def _check_product(gens: GeneratorSet, seq, expected: Mat2, what: str):
                             f"expected {expected}")
 
 
-def _trivial_path_witness(gens: GeneratorSet, auto, sigma: int, m: Mat2, what: str):
-    """(relation, sequence): the sequence of the least sigma-signed trivial
-    path initial -> final of auto, re-multiplied to m, or None when there
-    is no such path.  Saturation stops once that triple is final, so
-    without one the relation is complete.
+def _goal_witness(gens: GeneratorSet, auto, m: Mat2, what: str):
+    """(relation, sequence): the sequence of the least path of auto's goal,
+    re-multiplied to m, or None when there is no such path.  Saturation
+    stops once the goal is final, so without one the relation is complete.
     """
-    goal = (auto.initial, auto.final, sigma)
-    sat = am.saturate(auto, goal)
-    if goal not in sat.triples:
+    sat = am.saturate(auto, auto.goal)
+    if auto.goal not in sat.triples:
         return sat, None
-    seq = am.extract_witness(auto, sat, *goal)
+    seq = am.extract_witness(auto, sat, *auto.goal)
     _check_product(gens, seq, m, what)
     return sat, seq
 
 
-def identity_in_semigroup(gens: GeneratorSet) -> Verdict:
-    """Does some nonempty product of generators equal the identity matrix?
-
-    Exact: the saturation relation of the loop automaton contains
-    (hub, hub, +) iff such a product exists.
-    """
-    _, seq = _trivial_path_witness(gens, am.build_loop_automaton(gens), 1, _ID,
-                                   "identity")
+def _product_verdict(problem: str, gens: GeneratorSet, auto, m: Mat2) -> Verdict:
+    """Is m a nonempty product of generators?  Exact: one lookup of the
+    goal of its hub automaton."""
+    _, seq = _goal_witness(gens, auto, m, problem)
     if seq is None:
-        return Verdict("identity", NO)
-    return Verdict("identity", YES, _sequences_witness(seq))
+        return Verdict(problem, NO)
+    return Verdict(problem, YES, _sequences_witness(seq))
 
 
-def _target_automaton(gens: GeneratorSet, m: Mat2) -> tuple:
-    """(automaton, sigma): the sigma-signed trivial paths initial -> final
-    spell the factorizations of m.
-
-    For m != +-I a chain spelling inv(m) is appended to the loop automaton
-    and sigma is +1; the +-I cases are (hub, hub, sign) on the loop
-    automaton itself.
-    """
-    target = decompose(m)
-    if target.word:
-        return am.build_membership_automaton(gens, target), 1
-    return am.build_loop_automaton(gens), target.sign
+def identity_in_semigroup(gens: GeneratorSet) -> Verdict:
+    """Does some nonempty product of generators equal the identity matrix?"""
+    return _product_verdict("identity", gens, am.build_loop_automaton(gens), _ID)
 
 
 def membership(gens: GeneratorSet, m: Mat2) -> Verdict:
-    """Is m a nonempty product of generators?  Exact: one lookup of the
-    root triple of the target automaton."""
-    auto, sigma = _target_automaton(gens, m)
-    _, seq = _trivial_path_witness(gens, auto, sigma, m, "membership")
-    if seq is None:
-        return Verdict("membership", NO)
-    return Verdict("membership", YES, _sequences_witness(seq))
+    """Is m a nonempty product of generators?"""
+    return _product_verdict("membership", gens,
+                            am.build_membership_automaton(gens, decompose(m)), m)
 
 
 def is_free(gens: GeneratorSet) -> Verdict:
@@ -141,8 +122,7 @@ def is_free(gens: GeneratorSet) -> Verdict:
     collides it is the least pair, and if it does not, the goal is outside
     the relation and the saturation runs to the full fixpoint.
     """
-    _, seq = _trivial_path_witness(gens, am.build_loop_automaton(gens), 1, _ID,
-                                   "identity")
+    _, seq = _goal_witness(gens, am.build_loop_automaton(gens), _ID, "identity")
     if seq is not None:
         # seq multiplies to I, so [1] + seq multiplies to M_1
         return Verdict("freeness", NO, _sequences_witness([1], [1] + seq))
@@ -164,23 +144,22 @@ def is_free(gens: GeneratorSet) -> Verdict:
 class FactorizationCounter:
     """Counts factorizations of targets over one generator set.
 
-    The paths of the target automaton (`_target_automaton`) that realize
-    its root triple are runs of whole generator loops, closed by the target
-    chain when m != +-I, so they biject with the factorizations of m.  The
-    saturation's derivation grammar derives exactly those paths: a growth
-    cycle in it certifies infinitely many factorizations, and its finite
-    language decodes path by path into the factorizations.
+    The paths of m's membership automaton that realize its goal are runs
+    of whole generator loops, closed by the target chain when m != +-I, so
+    they biject with the factorizations of m.  The saturation's derivation
+    grammar derives exactly those paths: a growth cycle in it certifies
+    infinitely many factorizations, and its finite language decodes path
+    by path into the factorizations.
     """
 
     def __init__(self, gens: GeneratorSet):
         self.gens = gens
 
     def _paths(self, m: Mat2):
-        """(automaton, saturation, root triple, derivation grammar) of m."""
-        auto, sigma = _target_automaton(self.gens, m)
+        """(automaton, saturation, derivation grammar of the goal) of m."""
+        auto = am.build_membership_automaton(self.gens, decompose(m))
         sat = am.saturate(auto)
-        root = (auto.initial, auto.final, sigma)
-        return auto, sat, root, am.derivation_grammar(auto, sat, root)
+        return auto, sat, am.derivation_grammar(auto, sat, auto.goal)
 
     def count(self, m: Mat2, cap: int):
         """(Count, sequences).
@@ -190,7 +169,7 @@ class FactorizationCounter:
         not; and empty when m is not a product.  Distinct paths decode to distinct
         factorizations, so two paths decoding to one raise.
         """
-        auto, sat, root, grammar = self._paths(m)
+        auto, sat, grammar = self._paths(m)
         enum = gr.enumerate_words(grammar, cap=cap)
         if enum.exact:
             sequences = sorted((am.path_sequence(auto, list(path)) for path in enum.words),
@@ -201,7 +180,7 @@ class FactorizationCounter:
                     raise DecisionError(f"two paths decode to the factorization {seq}")
             return Count("exact", len(sequences)), sequences
         cnt = Count("more_than", cap) if enum.cycle is None else Count("infinite")
-        seq = am.extract_witness(auto, sat, *root)
+        seq = am.extract_witness(auto, sat, *auto.goal)
         _check_product(self.gens, seq, m, "membership")
         return cnt, [seq]
 
@@ -212,11 +191,11 @@ class FactorizationCounter:
         cycle is reported as its triples [A, ..., A].  Filling the other
         symbols of each step's body (`_around`) splits the stem into paths
         u, v around A and the loop into x, y around A, so with w a path of
-        A every u x^n w y^n v realizes the root triple.  The factorizations
+        A every u x^n w y^n v realizes the goal.  The factorizations
         decoded for n = 1, 2, 3 are each re-multiplied to m and must be
         pairwise distinct.
         """
-        auto, sat, root, grammar = self._paths(m)
+        auto, sat, grammar = self._paths(m)
         growth = gr.find_growth_cycle(grammar)
         if growth is None:
             return None
@@ -308,26 +287,13 @@ def finite_freeness(gens: GeneratorSet, depth: int = 4) -> Verdict:
     if depth < 1:
         raise DecisionError("depth must be >= 1")
     auto = am.build_loop_automaton(gens)
-    sat, seq = _trivial_path_witness(gens, auto, 1, _ID, "finite freeness")
+    sat, seq = _goal_witness(gens, auto, _ID, "finite freeness")
     if seq is not None:
         return Verdict("finite_freeness", NO, _sequences_witness(seq))
     growth = gr.find_growth_cycle(am.derivation_grammar(auto, sat), sat.triples)
     if growth is None:
         return Verdict("finite_freeness", UNKNOWN, depth_bound=depth)
     return Verdict("finite_freeness", NO, _recurrent_matrix(gens, auto, sat, growth[1]))
-
-
-def _walk(auto, src: int, dst: int) -> list:
-    """A shortest path of s and r edges src -> dst, found breadth first."""
-    paths = {src: []}
-    queue = [src]
-    for x in queue:
-        for e in auto.s_out[x] + auto.r_out[x]:
-            y = auto.edges[e][1]
-            if y not in paths:
-                paths[y] = paths[x] + [e]
-                queue.append(y)
-    return paths[dst]
 
 
 def _past_hub(auto, path: list) -> int:
@@ -342,22 +308,21 @@ def _recurrent_matrix(gens: GeneratorSet, auto, sat, loop) -> dict:
     loop automaton runs through the hub, so x = x1 x2 and y = y1 y2 split
     there (`_past_hub`).  Then alpha = seq(x2 x1), sigma = seq(x2 w y1) and
     gamma = seq(y2 y1), with w a path of A, and alpha^n sigma gamma^n is
-    seq(x2 x^n w y^n y1), one element for every n.  An empty x gives an
-    empty alpha and a walk hub -> q for x2; an empty y gives an empty gamma
-    and a walk p -> hub for y1.  Without I neither side is empty, and the
-    walks keep the witness defined for any cycle: one whose sides are both
-    empty pumps nothing, and the distinctness check refuses it.  The pumped
+    seq(x2 x^n w y^n y1), one element for every n.  Without I neither side
+    is empty: with one empty, the other would be a closed trivial path,
+    whose rotation through the hub is a product equal to I.  So a cycle
+    with an empty side pumps no distinct sequences, and raises.  The pumped
     sequences for n = 1, 2, 3 are re-multiplied and must be pairwise
     distinct.
     """
-    hub, (q, p, _) = auto.initial, loop[0][0]
     (x, y), w = _around(auto, sat, loop), _fill(auto, sat, [loop[0][0]])
+    if not (x and y):
+        raise DecisionError("a growth cycle with an empty side pumps sequences "
+                            "that are not distinct")
     i, j = _past_hub(auto, x), _past_hub(auto, y)
-    x2 = x[i:] if x else _walk(auto, hub, q)
-    y1 = y[:j] if y else _walk(auto, p, hub)
-    alpha = am.path_sequence(auto, x[i:] + x[:i]) if x else []
-    gamma = am.path_sequence(auto, y[j:] + y[:j]) if y else []
-    sigma = am.path_sequence(auto, x2 + w + y1)
+    alpha = am.path_sequence(auto, x[i:] + x[:i])
+    gamma = am.path_sequence(auto, y[j:] + y[:j])
+    sigma = am.path_sequence(auto, x[i:] + w + y[:j])
     m = gens.product(sigma)
     sequences = [alpha * n + sigma + gamma * n for n in (1, 2, 3)]
     _check_pumped(gens, sequences, m)

@@ -81,7 +81,9 @@ def chain_sequence(auto: ChainAutomaton, path: list) -> list:
 
 
 def chain_target_automaton(gens: GeneratorSet, m: Mat2) -> tuple:
-    """(automaton, sigma): the chain layout of `decisions._target_automaton`."""
+    """(automaton, sigma): the chain layout of
+    `automata.build_membership_automaton(gens, decompose(m))`, and the sign
+    of its goal; for +-I that is the loop automaton, with m's sign."""
     target = decompose(m)
     if target.word:
         return build_chain_membership_automaton(gens, target), 1

@@ -5,6 +5,7 @@ to a bound is walked and its word reduced directly, giving the ground-truth
 trivial-path relation to compare saturation against.
 """
 
+import random
 import sys
 
 import pytest
@@ -53,6 +54,7 @@ class TestLoopAutomaton:
         auto = build_loop_automaton(GeneratorSet.from_matrices([S]))
         assert auto.n_states == 1
         assert auto.edges == [(0, 0, "s", 1)]
+        assert auto.goal == (0, 0, 1)
 
     def test_neg_identity_epsilon_edge(self):
         auto = build_loop_automaton(GeneratorSet.from_matrices([-IDENTITY]))
@@ -66,6 +68,7 @@ class TestLoopAutomaton:
         assert auto.n_states == 1 + 3 + 4
         assert sorted(auto.opens.values()) == [1, 2]
         assert all(auto.edges[e][0] == auto.initial for e in auto.opens)
+        assert auto.goal == (auto.initial, auto.final, 1) == (0, 0, 1)
 
     def test_generator_sign_on_first_edge(self):
         auto = build_loop_automaton(GeneratorSet.from_matrices([-S]))
@@ -166,6 +169,7 @@ class TestPatternAutomaton:
     def test_duplicate_generators_trivially_accepted(self):
         gens = GeneratorSet.from_matrices([S, S])
         auto = build_pattern_automaton(1, 2, gens)
+        assert auto.goal == (auto.initial, auto.final, 1)
         sat = saturate(auto)
         assert sat.has(auto.initial, auto.final, 1)
         path = extract_path(auto, sat, auto.initial, auto.final, 1)
@@ -195,6 +199,8 @@ class TestMembershipAutomaton:
         gens = GeneratorSet.from_matrices([F_A, F_B])
         target = F_A * F_B
         auto = build_membership_automaton(gens, decompose(target))
+        assert auto.final != auto.initial
+        assert auto.goal == (auto.initial, auto.final, 1) == (0, auto.final, 1)
         sat = saturate(auto)
         assert sat.has(auto.initial, auto.final, 1)
         assert extract_witness(auto, sat, auto.initial, auto.final, 1) == [1, 2]
@@ -205,10 +211,33 @@ class TestMembershipAutomaton:
         sat = saturate(auto)
         assert not sat.has(auto.initial, auto.final, 1)
 
-    def test_rejects_identity_target(self):
+    def test_chain_carries_the_sign_and_the_goal_is_positive(self):
+        # inv(S) = -S: the chain's first edge carries the sign, not the goal
         gens = GeneratorSet.from_matrices([S])
-        with pytest.raises(AutomatonError):
-            build_membership_automaton(gens, SignedWord(1, ""))
+        auto = build_membership_automaton(gens, decompose(S))
+        assert auto.edges[-1] == (0, auto.final, "s", -1)
+        assert auto.goal == (0, auto.final, 1)
+        assert extract_witness(auto, saturate(auto, auto.goal), *auto.goal) == [1]
+
+    def test_signed_identity_target_is_the_loop_automaton(self):
+        # for +-I the chain is empty: the loop automaton, whose goal
+        # carries the target's sign
+        rng = random.Random(2016)
+        sets = [GeneratorSet.from_matrices([S]), GeneratorSet.from_matrices([-IDENTITY])]
+        for _ in range(60):
+            sets.append(GeneratorSet.from_words([
+                reduce("".join(rng.choice("sr") for _ in range(rng.randint(0, 8))),
+                       rng.choice((1, -1)))
+                for _ in range(rng.randint(1, 4))]))
+        for gens in sets:
+            loop = build_loop_automaton(gens)
+            assert loop.goal == (0, 0, 1)
+            for sign in (1, -1):
+                auto = build_membership_automaton(gens, SignedWord(sign, ""))
+                assert auto.kind == "loop"
+                assert (auto.n_states, auto.edges, auto.marks, auto.opens) == \
+                    (loop.n_states, loop.edges, loop.marks, loop.opens)
+                assert auto.goal == (0, 0, sign)
 
 
 class TestWitnessDecodingRejects:

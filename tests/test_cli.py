@@ -409,6 +409,35 @@ class TestCommands:
         assert captured.out == ""
         assert "RuntimeError: boom" in captured.err
 
+    # runs the command with its address space capped at its size after the
+    # imports plus 64 MB; the free pair of shears 80000 needs about 180 MB
+    MEMORY_CAPPED = """
+import resource, sys
+from sl2z_semigroups import cli
+with open("/proc/self/status") as fh:
+    kb = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+cap = kb * 1024 + 64 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the process's size from /proc")
+    @pytest.mark.parametrize("cmd", ["identity", "check-finite-free"])
+    def test_memory_exhaustion_exits_3(self, tmp_path, cmd):
+        path = write(tmp_path, "p.json", {"generators": [
+            {"matrix": [["1", "80000"], ["0", "1"]]},
+            {"matrix": [["1", "0"], ["80000", "1"]]}]})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = subprocess.run([sys.executable, "-c", self.MEMORY_CAPPED, cmd, path],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == EXIT_INPUT
+        assert run.stdout == ""
+        assert run.stderr.startswith("error: memory ran out")
+        assert "Traceback" not in run.stderr
+
     def test_malformed_input_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
