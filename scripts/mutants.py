@@ -129,14 +129,24 @@ MUTANTS = (
             "test_whole_word_limit_counts_shears_and_separators",
             "tests/test_algebra.py::TestDecompose::"
             "test_whole_word_limit_fires_before_any_letter_is_built")),
-    Mutant("rule_bodies without its rrr bodies",
+    Mutant("derivation_grammar lists no `r gap r gap r` bodies",
            "src/sl2z_semigroups/automata.py",
-           "bodies.append((e1, *g1, e2, *g2, e3))",
+           "bodies[q, p, -w1 * sg1 * sg2].append((e1, *piece1, *piece2))",
            "pass",
            ("tests/test_randomized.py::test_derivation_grammar_on_random_automata",)),
-    Mutant("rule_bodies without its compose bodies",
+    Mutant("derivation_grammar lists no compose bodies",
            "src/sl2z_semigroups/automata.py",
-           "bodies.append((t1, t2))",
+           "bodies[q, t2[1], sg1 * t2[2]].append((t1, t2))",
+           "pass",
+           ("tests/test_randomized.py::test_derivation_grammar_on_random_automata",)),
+    Mutant("derivation_grammar lists no empty gap",
+           "src/sl2z_semigroups/automata.py",
+           "chain([(x, 1, ())], ((t[1], t[2], (t,)) for t in gaps_from[x]))",
+           "((t[1], t[2], (t,)) for t in gaps_from[x])",
+           ("tests/test_randomized.py::test_derivation_grammar_on_random_automata",)),
+    Mutant("derivation_grammar lists no `s gap s` bodies",
+           "src/sl2z_semigroups/automata.py",
+           "bodies[q, p, -w1 * sg].append((e1, *piece))",
            "pass",
            ("tests/test_randomized.py::test_derivation_grammar_on_random_automata",)),
     Mutant("_check_pumped accepts equal sequences",

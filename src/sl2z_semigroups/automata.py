@@ -7,8 +7,8 @@ q -> p has value sigma * I, i.e. its letter word reduces to the empty word
 with accumulated sign sigma.  It derives the triples lightest first, a path
 weighing the generators its edges name, so the derivation recorded for a
 triple expands into its least path (and hence, on a loop or membership
-automaton, the least generator sequence); re-joining every derivation of a
-triple gives the grammar of all its paths.
+automaton, the least generator sequence); every rule instance, listed
+under the triple it yields, gives the grammar of all its paths.
 """
 
 from heapq import heappop, heappush
@@ -497,64 +497,26 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
     return rel
 
 
-def rule_bodies(auto: CancellationAutomaton, sat: SaturationRelation, t: tuple) -> list:
-    """The bodies of every instance of a `saturate` rule that yields the
-    triple t of a complete relation, in rule order: an epsilon edge,
-    `s gap s`, `r gap r gap r`, then compositions of two triples.  A gap is
-    the empty path or a triple, and the gaps leaving a state are read from
-    the relation's `gaps_from` lists.  Every body holds an edge or two
-    triples.
-    """
-    edges, triples, gaps_from = auto.edges, sat.triples, sat.gaps_from
-    s_in, s_out, r_in, r_out = auto.s_in, auto.s_out, auto.r_in, auto.r_out
-
-    def gaps(x, y, sg):
-        """Body pieces of the gaps x -> y of sign sg: the empty path, the triple."""
-        pieces = [()] if x == y and sg == 1 else []
-        if (x, y, sg) in triples:
-            pieces.append(((x, y, sg),))
-        return pieces
-
-    q, p, sigma = t
-    bodies = [(e,) for e in auto.eps_edges if edges[e] == (q, p, None, sigma)]
-    for e1 in s_out[q]:
-        _, x, _, w1 = edges[e1]
-        for e2 in s_in[p]:
-            y, _, _, w2 = edges[e2]
-            for g in gaps(x, y, -sigma * w1 * w2):
-                bodies.append((e1, *g, e2))
-    for e1 in r_out[q]:
-        _, x, _, w1 = edges[e1]
-        # the empty first gap, then the triples leaving x
-        for y, sg1, g1 in chain([(x, 1, ())],
-                                ((t1[1], t1[2], (t1,)) for t1 in gaps_from[x])):
-            for e2 in r_out[y]:
-                _, z, _, w2 = edges[e2]
-                for e3 in r_in[p]:
-                    u, _, _, w3 = edges[e3]
-                    for g2 in gaps(z, u, -sigma * sg1 * w1 * w2 * w3):
-                        bodies.append((e1, *g1, e2, *g2, e3))
-    for t1 in gaps_from[q]:
-        t2 = (t1[1], p, sigma * t1[2])
-        if t2 in triples:
-            bodies.append((t1, t2))
-    return bodies
-
-
 def derivation_grammar(auto: CancellationAutomaton, sat: SaturationRelation,
                        root: tuple = None) -> Grammar:
     """Grammar of every edge path that realizes the root triple.
 
     Nonterminals are the triples reachable from the root and terminals are
-    edge ids.  A triple's productions are its `rule_bodies`, so each triple
-    (q, p, sigma) derives exactly the nonempty paths q -> p of value
-    sigma * I.  There are no epsilon or unit productions, and every triple
-    of the relation derives a path, so the grammar is proper in the sense
-    of `grammars.find_growth_cycle`.  A root outside the relation gives the
-    empty grammar.  Without a root, every triple of the relation is a
-    nonterminal, in the order they became final, and the grammar has no
-    start.  The relation must be complete: a goal-stopped one lacks rule
-    instances, so it raises.
+    edge ids.  A triple's productions are the bodies of every instance of
+    a `saturate` rule that yields it, so each triple (q, p, sigma) derives
+    exactly the nonempty paths q -> p of value sigma * I.  One forward pass
+    lists them: the epsilon edges, then at each state q that some triple
+    leaves, the instances leaving q, `s gap s`, `r gap r gap r`, then the
+    compositions of each triple leaving q with the triples leaving its
+    end.  A gap is the empty path or a triple, read from `gaps_from` after
+    the empty one.  The relation is closed under the rules, so every
+    instance yields one of its triples.  There are no epsilon or unit
+    productions, and every triple of the relation derives a path, so the
+    grammar is proper in the sense of `grammars.find_growth_cycle`.  A root
+    outside the relation gives the empty grammar.  Without a root, every
+    triple of the relation is a nonterminal, in the order they became
+    final, and the grammar has no start.  The relation must be complete: a
+    goal-stopped one lacks rule instances, so it raises.
     """
     if not sat.complete:
         raise AutomatonError("derivation grammar needs the complete saturation, "
@@ -563,12 +525,43 @@ def derivation_grammar(auto: CancellationAutomaton, sat: SaturationRelation,
     terminals = set(range(len(auto.edges)))
     if root is not None and root not in triples:
         return Grammar({root}, terminals, [], root)
+    edges, gaps_from, s_out, r_out = auto.edges, sat.gaps_from, auto.s_out, auto.r_out
+    bodies = {t: [] for t in triples}
+
+    def gap_edge(x, out):
+        """(far end, sign, body piece) of each gap leaving x, the empty one
+        first, followed by an edge of `out`."""
+        gaps = chain([(x, 1, ())], ((t[1], t[2], (t,)) for t in gaps_from[x]))
+        for y, sg, g in gaps:
+            for e in out[y]:
+                _, p, _, w = edges[e]
+                yield p, sg * w, (*g, e)
+
+    for e in auto.eps_edges:
+        src, dst, _, weight = edges[e]
+        bodies[src, dst, weight].append((e,))
+    for q in range(auto.n_states):
+        if not gaps_from[q]:
+            continue    # no triple leaves q, so no instance does
+        for e1 in s_out[q]:
+            _, x, _, w1 = edges[e1]
+            for p, sg, piece in gap_edge(x, s_out):
+                bodies[q, p, -w1 * sg].append((e1, *piece))
+        for e1 in r_out[q]:
+            _, x, _, w1 = edges[e1]
+            for z, sg1, piece1 in gap_edge(x, r_out):
+                for p, sg2, piece2 in gap_edge(z, r_out):
+                    bodies[q, p, -w1 * sg1 * sg2].append((e1, *piece1, *piece2))
+        for t1 in gaps_from[q]:
+            _, y, sg1 = t1
+            for t2 in gaps_from[y]:
+                bodies[q, t2[1], sg1 * t2[2]].append((t1, t2))
     stack = [root] if root is not None else list(reversed(triples))
     prods = []
     seen = set(stack)
     while stack:
         t = stack.pop()
-        for body in rule_bodies(auto, sat, t):
+        for body in bodies[t]:
             prods.append((t, body))
             for x in body:
                 if isinstance(x, tuple) and x not in seen:

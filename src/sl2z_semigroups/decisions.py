@@ -271,10 +271,11 @@ def finite_freeness(gens: GeneratorSet, depth: int = 4) -> Verdict:
 
     Without I the saturation ran to the complete relation, and some element
     is recurrent iff the rule dependencies of its triples (each triple
-    depends on the triples of its `automata.rule_bodies`) have a cycle
-    A =>+ x A y.  Such a cycle pumps: x y is nonempty and val(x) val(y) = I,
-    and every state lies on a hub loop, so the closed hub paths through
-    x^n w y^n (w a path of A) are distinct factorizations of one element.
+    depends on the triples in the bodies `automata.derivation_grammar`
+    lists under it) have a cycle A =>+ x A y.  Such a cycle pumps: x y is
+    nonempty and val(x) val(y) = I, and every state lies on a hub loop, so
+    the closed hub paths through x^n w y^n (w a path of A) are distinct
+    factorizations of one element.
     Conversely a recurrent element's membership grammar has a growth cycle
     A =>+ x A y, x and y closed paths at A's ends.  Without I neither is
     empty, since the other would be a trivial cycle; target-chain states

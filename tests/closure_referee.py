@@ -3,9 +3,9 @@
 A NO from identity, membership, counting or recurrence, and a free set,
 rest on a triple missing from a complete saturation.  This module checks
 such a relation without trusting the agenda that built it, and shares no
-code with `automata.saturate` or `automata.rule_bodies`: its edge lists
-are rebuilt from the edge list, and every rule runs as a plain loop over
-edges and triples.
+code with `automata.saturate` or `automata.derivation_grammar`: its edge
+lists are rebuilt from the edge list, and every rule runs as a plain loop
+over edges and triples.
 
 `closure_faults` checks closure: the triple of every epsilon edge is in
 the relation, and so is the conclusion of every instance of rule (i)

@@ -31,6 +31,8 @@ from sl2z_semigroups.encodings import (
 )
 from sl2z_semigroups.grammars import build_target_grammar, words_up_to
 
+from brute import all_reduced_words, brute_trivial_relation
+
 F_A = evaluate(SignedWord(1, "srsr"))
 F_B = evaluate(SignedWord(1, "srrsrr"))
 
@@ -63,21 +65,6 @@ class criterion:
                 f"criterion {self.number} exceeded its {self.budget_s}s budget "
                 f"({elapsed:.1f}s)")
         return False
-
-
-def all_reduced_words(max_len):
-    words = [""]
-    frontier = [""]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for ch in "sr":
-                cand = w + ch
-                if "ss" not in cand[-2:] and "rrr" not in cand[-3:]:
-                    nxt.append(cand)
-        words.extend(nxt)
-        frontier = nxt
-    return words
 
 
 def test_criterion_01_canonical_form():
@@ -119,26 +106,6 @@ def test_criterion_03_grammar_oracle_equivalence():
             wanted = evaluate(target).entries()
             oracle_side = {w for w, v in value_of.items() if v == wanted}
             assert grammar_side == oracle_side, f"mismatch at target {target}"
-
-
-def brute_trivial_relation(auto, max_edges):
-    found = set()
-    out_edges = {}
-    for src, dst, label, weight in auto.edges:
-        out_edges.setdefault(src, []).append((dst, label, weight))
-    for start in range(auto.n_states):
-        frontier = {(start, "", 1)}
-        for step in range(max_edges):
-            nxt = set()
-            for (q, word, sign) in frontier:
-                for (dst, label, weight) in out_edges.get(q, ()):
-                    red = reduce(word + (label or ""), sign * weight)
-                    if red.word == "":
-                        found.add((start, dst, red.sign))
-                    if len(red.word) <= max_edges - step - 1:
-                        nxt.add((dst, red.word, red.sign))
-            frontier = nxt
-    return found
 
 
 def test_criterion_04_saturation_completeness():

@@ -15,6 +15,8 @@ from sl2z_semigroups.algebra import (
     decimal_int, decimal_str, decompose, evaluate, inv, mul, reduce,
 )
 
+from brute import all_reduced_words
+
 sr_words = st.text(alphabet="sr", max_size=20)
 signs = st.sampled_from([1, -1])
 
@@ -35,22 +37,6 @@ def random_order_reduce(word, sign, rng):
         i, n = rng.choice(redexes)
         del word[i:i + n]
         sign = -sign
-
-
-def all_reduced_words(max_len):
-    """Every reduced word over {s,r} up to max_len, by direct extension."""
-    out = [""]
-    frontier = [""]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for ch in "sr":
-                cand = w + ch
-                if "ss" not in cand[-2:] and "rrr" not in cand[-3:]:
-                    nxt.append(cand)
-        out.extend(nxt)
-        frontier = nxt
-    return out
 
 
 def joined_decompose(m):

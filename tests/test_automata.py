@@ -20,33 +20,10 @@ from sl2z_semigroups.automata import (
 )
 from sl2z_semigroups.algebra import decompose
 
+from brute import brute_trivial_relation
+
 F_A = evaluate(SignedWord(1, "srsr"))
 F_B = evaluate(SignedWord(1, "srrsrr"))
-
-
-def brute_trivial_relation(auto, max_edges):
-    """All (q, p, sigma) with a trivial path of <= max_edges edges.
-
-    Breadth-first over (state, reduced word, sign) with dedup per step; a
-    reduced word longer than the remaining budget can never cancel in time.
-    """
-    found = set()
-    out_edges = {}
-    for src, dst, label, weight in auto.edges:
-        out_edges.setdefault(src, []).append((dst, label, weight))
-    for start in range(auto.n_states):
-        frontier = {(start, "", 1)}
-        for step in range(max_edges):
-            nxt = set()
-            for (q, word, sign) in frontier:
-                for (dst, label, weight) in out_edges.get(q, ()):
-                    red = reduce(word + (label or ""), sign * weight)
-                    if red.word == "":
-                        found.add((start, dst, red.sign))
-                    if len(red.word) <= max_edges - step - 1:
-                        nxt.add((dst, red.word, red.sign))
-            frontier = nxt
-    return found
 
 
 class TestLoopAutomaton:

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import time
 
 import pytest
 
@@ -291,6 +292,16 @@ class TestRecurrence:
     def test_free_generator_not_recurrent(self):
         gens = GeneratorSet.from_matrices([F_A])
         assert is_recurrent(gens, F_A * F_A * F_A).answer == NO
+
+    def test_long_power_not_recurrent_within_budget(self):
+        # the membership automaton of M^3200 has a 16,000-edge target chain;
+        # its derivation grammar must list each rule instance of the
+        # relation once, not join the rule shape again for every triple
+        gens = GeneratorSet.from_matrices([Mat2(2, 1, 1, 1)])
+        m = gens.product([1] * 3200)
+        start = time.perf_counter()
+        assert is_recurrent(gens, m).answer == NO
+        assert time.perf_counter() - start < 4.0
 
     def test_identity_makes_members_recurrent(self):
         gens = GeneratorSet.from_matrices([S])

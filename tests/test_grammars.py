@@ -19,6 +19,7 @@ from sl2z_semigroups.grammars import (
     lift_over_markers, words_up_to,
 )
 
+from brute import all_reduced_words
 from grammar_referee import classic_is_finite, proper_form, trim
 
 F_A = evaluate(SignedWord(1, "srsr"))
@@ -36,18 +37,7 @@ def phi_words(target_matrix, max_len):
 
 
 def all_reduced_targets(max_len):
-    words = [""]
-    frontier = [""]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for ch in "sr":
-                cand = w + ch
-                if "ss" not in cand[-2:] and "rrr" not in cand[-3:]:
-                    nxt.append(cand)
-        words.extend(nxt)
-        frontier = nxt
-    return [SignedWord(sign, w) for w in words for sign in (1, -1)]
+    return [SignedWord(sign, w) for w in all_reduced_words(max_len) for sign in (1, -1)]
 
 
 class TestTargetGrammar:

@@ -51,6 +51,7 @@ from sl2z_semigroups.oracle import enumerate_products
 from grammar_referee import (
     assert_growth_cycle, assert_proper, classic_is_finite, proper_form,
 )
+from brute import brute_trivial_relation
 from closure_referee import certify, closure_faults, grounding_faults
 from loop_referee import chain_count, chain_witness
 from pattern_referee import pattern_collisions
@@ -87,26 +88,6 @@ def edge_lists(auto):
         else:
             eps_edges.append(e)
     return s_in, s_out, r_in, r_out, eps_edges
-
-
-def brute_trivial_relation(auto, max_edges):
-    found = set()
-    out_edges = {}
-    for src, dst, label, weight in auto.edges:
-        out_edges.setdefault(src, []).append((dst, label, weight))
-    for start in range(auto.n_states):
-        frontier = {(start, "", 1)}
-        for step in range(max_edges):
-            nxt = set()
-            for (q, word, sign) in frontier:
-                for (dst, label, weight) in out_edges.get(q, ()):
-                    red = reduce(word + (label or ""), sign * weight)
-                    if red.word == "":
-                        found.add((start, dst, red.sign))
-                    if len(red.word) <= max_edges - step - 1:
-                        nxt.add((dst, red.word, red.sign))
-            frontier = nxt
-    return found
 
 
 def test_saturation_on_random_automata():
