@@ -202,6 +202,58 @@ MUTANTS = (
 """,
            "",
            ("tests/test_cli.py::TestCommands::test_memory_exhaustion_exits_3",)),
+    Mutant("the descent's end-update drops the sign of x^-1",
+           "src/sl2z_semigroups/algebra.py",
+           "return pl, bl, pr, br, -fl * fr",
+           "return pl, bl, pr, br, fl * fr",
+           ("tests/test_algebra.py::TestShortestConjugate::"
+            "test_end_update_is_the_reduced_conjugate_exhaustively",)),
+    Mutant("the descent's end-update reads an end run rr as r, so r joins it as rr",
+           "src/sl2z_semigroups/algebra.py",
+           'return "s" if first == "s" else "rr" if second == "r" else "r"',
+           'return "s" if first == "s" else "r"',
+           ("tests/test_algebra.py::TestShortestConjugate::"
+            "test_end_update_is_the_reduced_conjugate_exhaustively",)),
+    Mutant("the descent keeps each word's end key from before the step",
+           "src/sl2z_semigroups/algebra.py",
+           "keys[i] = _end_key(d)",
+           "pass",
+           ("tests/test_algebra.py::TestShortestConjugate::"
+            "test_end_update_is_the_reduced_conjugate_exhaustively",
+            "tests/test_algebra.py::TestShortestConjugate::"
+            "test_words_are_the_decompositions_of_the_conjugates")),
+    Mutant("the descent without its bound on word updates",
+           "src/sl2z_semigroups/algebra.py",
+           "if totals[best] >= 0 or (len(steps) + 1) * len(words) > work:",
+           "if totals[best] >= 0:",
+           ("tests/test_algebra.py::TestShortestConjugate::"
+            "test_work_stays_within_twice_the_letters",)),
+    Mutant("GeneratorSet.conjugated without its self-check",
+           "src/sl2z_semigroups/algebra.py",
+           "if not w.is_reduced() or evaluate(w) != g:",
+           "if False:",
+           ("tests/test_algebra.py::TestShortestConjugate::"
+            "test_self_check_fires_on_a_wrong_conjugate",)),
+    Mutant("GeneratorSet.conjugated without the letter budget",
+           "src/sl2z_semigroups/algebra.py",
+           "if sum(len(w.word) for w in conjugates) > MAX_PROBLEM_LETTERS:",
+           "if False:",
+           ("tests/test_algebra.py::TestShortestConjugate::"
+            "test_letter_budget_counts_the_conjugated_words_and_the_target",
+            "tests/test_cli.py::TestEntriesPastTheDigitLimit::"
+            "test_problem_past_the_letter_budget_exits_3")),
+    Mutant("reduce's replace rounds flip the sign for ss deletions only",
+           "src/sl2z_semigroups/algebra.py",
+           "if ((n - m) // 2 + (m - len(raw)) // 3) % 2:",
+           "if (n - m) // 2 % 2:",
+           ("tests/test_algebra.py::TestReduce::test_confluence_random_orders",
+            "tests/test_algebra.py::TestReduce::test_sign_parity_matches_deletion_count")),
+    Mutant("evaluate multiplies a chunk's product in on the wrong side",
+           "src/sl2z_semigroups/algebra.py",
+           "a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h",
+           "a, b, c, d = e * a + f * c, e * b + f * d, g * a + h * c, g * b + h * d",
+           ("tests/test_algebra.py::TestEvaluate::"
+            "test_chunks_and_rest_match_the_letter_matrices",)),
 )
 
 

@@ -4,10 +4,13 @@ Every matrix of SL(2,Z) is sign * phi(w) for a unique sign in {+1,-1} and a
 unique word w over {s, r} containing no factor "ss" and no factor "rrr",
 where phi maps letters to the generator matrices S and R.  This module keeps
 both representations in sync: `reduce` / `mul` / `inv` work on signed words,
-`evaluate` / `decompose` convert between words and matrices.
+`evaluate` / `decompose` convert between words and matrices, and
+`GeneratorSet.conjugated` shortens a problem's words by one conjugation.
 """
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import product
 
 
 class AlgebraError(ValueError):
@@ -125,8 +128,20 @@ def reduce(raw: str, sign: int = 1) -> SignedWord:
     """Delete "ss" / "rrr" factors to a fixpoint, flipping the sign per deletion.
 
     The rewriting system is confluent, so the result does not depend on the
-    deletion order; this implementation uses a stack (leftmost-innermost).
+    deletion order.  Two rounds of `str.replace` delete the factors there
+    are and those their deletion exposes, which is all of them in the words
+    `decompose` joins; a stack pass (leftmost-innermost) deletes any that
+    deeper nesting leaves.
     """
+    for _ in range(2):
+        n = len(raw)
+        raw = raw.replace("ss", "")
+        m = len(raw)
+        raw = raw.replace("rrr", "")
+        if ((n - m) // 2 + (m - len(raw)) // 3) % 2:
+            sign = -sign
+    if "ss" not in raw and "rrr" not in raw:
+        return SignedWord(sign, raw)
     stack = []
     push = stack.append
     for ch in raw:
@@ -163,19 +178,47 @@ def inv(x: SignedWord) -> SignedWord:
     return reduce("".join(out), sign)
 
 
-def evaluate(x: SignedWord) -> Mat2:
-    """sign * (left-to-right product of the letter matrices).
-
-    The entries are multiplied through the letters as plain integers
-    (times S maps rows (a, b) to (b, -a), times R to (b, b - a)), and one
-    `Mat2` is built at the end, so the determinant is checked once.
-    """
-    a, b, c, d = 1, 0, 0, 1
-    for ch in x.word:
+def _letter_product(letters: str, a=1, b=0, c=0, d=1) -> tuple:
+    """The entries of [[a, b], [c, d]] times the letter matrices, multiplied
+    through the letters as plain integers: times S maps rows (a, b) to
+    (b, -a), times R to (b, b - a)."""
+    for ch in letters:
         if ch == "s":
             a, b, c, d = b, -a, d, -c
         else:
             a, b, c, d = b, b - a, d, d - c
+    return a, b, c, d
+
+
+def _reduced_words(n: int) -> list:
+    """Every reduced word of n letters."""
+    words = [""]
+    for _ in range(n):
+        words = [w + ch for w in words for ch in "sr" if not (w + ch).endswith(("ss", "rrr"))]
+    return words
+
+
+# evaluate multiplies a word through in chunks of this many letters, and
+# looks the products of the 151 reduced chunks up
+_CHUNK = 16
+_CHUNK_PRODUCTS = {w: _letter_product(w) for w in _reduced_words(_CHUNK)}
+
+
+def evaluate(x: SignedWord) -> Mat2:
+    """sign * (left-to-right product of the letter matrices).
+
+    The entries are multiplied as plain integers, a chunk of `_CHUNK`
+    letters at a time and the rest letter by letter (`_letter_product`),
+    and one `Mat2` is built at the end, so the determinant is checked once.
+    """
+    word = x.word
+    whole = len(word) - len(word) % _CHUNK
+    a, b, c, d = 1, 0, 0, 1
+    for i in range(0, whole, _CHUNK):
+        chunk = word[i:i + _CHUNK]
+        e, f, g, h = _CHUNK_PRODUCTS.get(chunk) or _letter_product(chunk)
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    a, b, c, d = _letter_product(word[whole:], a, b, c, d)
     if x.sign == 1:
         return Mat2(a, b, c, d)
     return Mat2(-a, -b, -c, -d)
@@ -268,6 +311,112 @@ def decompose(m: Mat2) -> SignedWord:
     return word
 
 
+# automata have about one state per letter of the words they are built
+# from; check-free, the costliest per letter, peaked at 1.2 KB per letter
+# (free pair of shears 20,000 and 40,000), so the budget is about 1.2 GB
+MAX_PROBLEM_LETTERS = 1_000_000
+
+# conjugation by a letter x sends (sign, w) to x^-1 (sign, w) x, which is
+# (-sign, x' w x) with x' the letters of -x^-1: s^-1 = -s, r^-1 = -rr and
+# (rr)^-1 = -r.  Pairs (x, x'), in the order ties are broken.
+_CONJUGATORS = (("s", "s"), ("r", "rr"), ("rr", "r"))
+
+
+def _end_block(first: str, second: str) -> str:
+    """The run of one letter at an end of a reduced word of at least two
+    blocks, from the end letter and the one next to it."""
+    return "s" if first == "s" else "rr" if second == "r" else "r"
+
+
+def _join_block(block: str, end: str) -> tuple:
+    """(letters of `end` deleted, letters put in their place, sign flip)
+    when a run of one letter is joined to the end run `end` of a reduced
+    word; a run of the other letter stays as it is."""
+    if block[0] != end[:1]:
+        return 0, block, 1
+    w = reduce(block + end)
+    return len(end), w.word, w.sign
+
+
+def _end_step(key: tuple, x: str, xl: str) -> tuple:
+    """(letters deleted at the front, letters put there in `extendleft`
+    order, letters deleted at the back, letters put there, sign factor) of
+    the conjugation by x of a reduced word with the `_end_key` key.  A word
+    of at least two blocks changes at its two end runs on their own; a
+    shorter one is the key itself, and is replaced."""
+    if len(key) <= 2:
+        w = reduce(xl + "".join(key) + x, -1)
+        return len(key), w.word[::-1], 0, "", w.sign
+    pl, bl, fl = _join_block(xl, _end_block(key[0], key[1]))
+    pr, br, fr = _join_block(x, _end_block(key[3], key[2]))
+    return pl, bl, pr, br, -fl * fr
+
+
+def _end_key(w) -> tuple:
+    """What the conjugation of a reduced word by a letter depends on: its
+    first two and last two letters, or the word when it has at most 2."""
+    return tuple(w) if len(w) <= 2 else (w[0], w[1], w[-2], w[-1])
+
+
+_END_KEYS = [(), ("s",), ("r",), ("r", "r"), ("s", "r"), ("r", "s"),
+             *product("sr", repeat=4)]
+# per letter x of _CONJUGATORS: end key -> `_end_step`, and -> change of length
+_STEPS = [{k: _end_step(k, x, xl) for k in _END_KEYS} for x, xl in _CONJUGATORS]
+_DELTAS = {k: tuple(len(bl) - pl + len(br) - pr for pl, bl, pr, br, _ in
+                    (steps[k] for steps in _STEPS)) for k in _END_KEYS}
+
+
+def _conjugate_all(letters: list, signs: list, keys: list, steps: dict) -> None:
+    """Conjugate every word by one letter in place: rewrite the ends of
+    its deque of letters by the letter's `_STEPS` entry for its key, then
+    renew its sign and key."""
+    for i, d in enumerate(letters):
+        pl, bl, pr, br, sign = steps[keys[i]]
+        if pl:
+            d.popleft()
+            if pl > 1:
+                d.popleft()
+        d.extendleft(bl)
+        if pr:
+            d.pop()
+            if pr > 1:
+                d.pop()
+        d.extend(br)
+        signs[i] *= sign
+        keys[i] = _end_key(d)
+
+
+def shortest_conjugate(words: list) -> tuple:
+    """(M, [reduced word of M^-1 g M for each word g]), M a product of the
+    letters s, r and rr that a greedy descent picks: each step conjugates
+    every word by the letter that lowers their total length most, ties
+    going to the earlier of s, r, rr, and the descent stops when no letter
+    lowers it.  A step reads each word's `_end_key` and rewrites its ends
+    in a deque (`_conjugate_all`), so no word is copied; without a step,
+    M = I and the list itself is returned.  The caller checks the words.
+
+    A step updates every word, also those it leaves as long, such as
+    powers of T while T pads another word, so the descent also stops
+    before its word updates pass twice the letters: its cost stays linear
+    in the input, and any M gives a valid conjugate."""
+    keys = [_end_key(w.word) for w in words]
+    work = 2 * sum(len(w.word) for w in words)
+    steps = []
+    while True:
+        totals = [sum(column) for column in zip(*map(_DELTAS.__getitem__, keys))]
+        best = totals.index(min(totals))
+        if totals[best] >= 0 or (len(steps) + 1) * len(words) > work:
+            break
+        if not steps:
+            letters, signs = [deque(w.word) for w in words], [w.sign for w in words]
+        steps.append(_CONJUGATORS[best][0])
+        _conjugate_all(letters, signs, keys, _STEPS[best])
+    if not steps:
+        return IDENTITY, words
+    m = evaluate(SignedWord(1, "".join(steps)))
+    return m, [SignedWord(sign, "".join(d)) for sign, d in zip(signs, letters)]
+
+
 def _nonempty(entries: list) -> list:
     if not entries:
         raise AlgebraError("generator set must be nonempty")
@@ -323,6 +472,33 @@ class GeneratorSet:
 
     def word(self, i: int) -> SignedWord:
         return self._entries[i - 1].word
+
+    def conjugated(self, target: Mat2 = None) -> tuple:
+        """(generators, word): the set, and the target's word if a target
+        is given, conjugated by the M of `shortest_conjugate`, which changes
+        no index sequence's product relations.  These are the words that
+        automata are built from: each is checked to be reduced and to
+        evaluate to M^-1 g M, as `decompose` checks its own, and their total
+        letters to be within `MAX_PROBLEM_LETTERS`."""
+        words = [g.word for g in self._entries]
+        if target is not None:
+            words.append(decompose(target))
+        m, conjugates = shortest_conjugate(words)
+        if sum(len(w.word) for w in conjugates) > MAX_PROBLEM_LETTERS:
+            raise AlgebraError(
+                f"problem past the letter budget: the words its automata are built "
+                f"from have more than {MAX_PROBLEM_LETTERS} letters")
+        word = conjugates[-1] if target is not None else None
+        if conjugates is words:
+            return self, word
+        m_inv = m.inverse()
+        matrices = [m_inv * g.matrix * m for g in self._entries]
+        if target is not None:
+            matrices.append(m_inv * target * m)
+        for i, (g, w) in enumerate(zip(matrices, conjugates), start=1):
+            if not w.is_reduced() or evaluate(w) != g:
+                raise AlgebraError(f"conjugated word {i} failed its self-check")
+        return GeneratorSet._of_checked(map(Generator, matrices, conjugates[:len(self)])), word
 
     def product(self, sequence) -> Mat2:
         """Product of the 1-based index sequence; rejects the empty sequence."""

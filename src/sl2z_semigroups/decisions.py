@@ -15,11 +15,21 @@ factorizations; finite freeness looks up the identity in the loop
 automaton and otherwise searches the complete loop relation's rule
 dependencies for one cycle.  Every witness is re-multiplied once with exact
 arithmetic before being returned.
+
+Every automaton is built from the shortest conjugate of the problem
+(`GeneratorSet.conjugated`): the generators, and a target, conjugated by
+one matrix M, which removes the shear padding the encodings put at the
+ends of every word.  Conjugation is an automorphism, so it moves no
+answer, count or index sequence; witness checks, reported matrices and
+`_recurrent_matrix` use the original generators.  Only certificates that
+name automaton states can move: `recurrent` cycles, the growth cycle a
+finite-freeness witness is pumped along, and freeness paths of equal
+weight that decode two ways.
 """
 
 from dataclasses import dataclass
 
-from .algebra import GeneratorSet, Mat2, decompose, matrix_json
+from .algebra import GeneratorSet, Mat2, matrix_json
 from . import automata as am
 from . import grammars as gr
 
@@ -100,13 +110,14 @@ def _product_verdict(problem: str, gens: GeneratorSet, auto, m: Mat2) -> Verdict
 
 def identity_in_semigroup(gens: GeneratorSet) -> Verdict:
     """Does some nonempty product of generators equal the identity matrix?"""
-    return _product_verdict("identity", gens, am.build_loop_automaton(gens), _ID)
+    conj, _ = gens.conjugated()
+    return _product_verdict("identity", gens, am.build_loop_automaton(conj), _ID)
 
 
 def membership(gens: GeneratorSet, m: Mat2) -> Verdict:
     """Is m a nonempty product of generators?"""
-    return _product_verdict("membership", gens,
-                            am.build_membership_automaton(gens, decompose(m)), m)
+    conj, target = gens.conjugated(m)
+    return _product_verdict("membership", gens, am.build_membership_automaton(conj, target), m)
 
 
 def is_free(gens: GeneratorSet) -> Verdict:
@@ -122,11 +133,12 @@ def is_free(gens: GeneratorSet) -> Verdict:
     collides it is the least pair, and if it does not, the goal is outside
     the relation and the saturation runs to the full fixpoint.
     """
-    _, seq = _goal_witness(gens, am.build_loop_automaton(gens), _ID, "identity")
+    conj, _ = gens.conjugated()
+    _, seq = _goal_witness(gens, am.build_loop_automaton(conj), _ID, "identity")
     if seq is not None:
         # seq multiplies to I, so [1] + seq multiplies to M_1
         return Verdict("freeness", NO, _sequences_witness([1], [1] + seq))
-    auto, goals = am.build_freeness_automaton(gens)
+    auto, goals = am.build_freeness_automaton(conj)
     sat = am.saturate(auto, goals[0][1]) if goals else None
     goal = next((goal for _, goal in goals if goal in sat.triples), None)
     if goal is None:
@@ -157,7 +169,7 @@ class FactorizationCounter:
 
     def _paths(self, m: Mat2):
         """(automaton, saturation, derivation grammar of the goal) of m."""
-        auto = am.build_membership_automaton(self.gens, decompose(m))
+        auto = am.build_membership_automaton(*self.gens.conjugated(m))
         sat = am.saturate(auto)
         return auto, sat, am.derivation_grammar(auto, sat, auto.goal)
 
@@ -287,7 +299,7 @@ def finite_freeness(gens: GeneratorSet, depth: int = 4) -> Verdict:
     """
     if depth < 1:
         raise DecisionError("depth must be >= 1")
-    auto = am.build_loop_automaton(gens)
+    auto = am.build_loop_automaton(gens.conjugated()[0])
     sat, seq = _goal_witness(gens, auto, _ID, "finite freeness")
     if seq is not None:
         return Verdict("finite_freeness", NO, _sequences_witness(seq))

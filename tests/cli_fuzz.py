@@ -6,15 +6,19 @@
 problem or DFA file it names: determinant-1 generators and targets built
 from random words, malformed entries and files, bad `parameters` and
 flags, shears whose entries have more than 4,300 digits, `oracle` runs and
-`encode-*` arguments, and products of T^q S factors whose shears each
-pass the word limit of `algebra.decompose` but together do not.  Sizes
-stay small, so every case runs in milliseconds.  A case is its argument
-list and the exit code it must give, if the draw fixes one.
+`encode-*` arguments, products of T^q S factors whose shears each
+pass the word limit of `algebra.decompose` but together do not, and
+problems whose words have just more letters than the budget that
+`GeneratorSet.conjugated` allows.  Sizes stay small, so every case but
+those last ones runs in milliseconds; they take about 0.2 s each.  A
+case is its argument list and the exit code it must give, if the draw
+fixes one.
 `check_case` runs a case twice in this process and names the first broken
 property, if any:
 
 - the exit code is one of 0, 1, 2 and 3 (4 is an internal error);
-- a product past the word limit exits 3 within `LONG_PRODUCT_S`;
+- a product past the word limit, and a problem past the letter budget,
+  exit 3 within `LONG_PRODUCT_S`;
 - exit 1 (NO) comes only with a NO report on stdout;
 - exit 3 (input error) comes with an `error:` line on stderr;
 - a JSON report or problem on stdout is what `json.dumps(..., indent=2)`
@@ -37,7 +41,7 @@ import time
 from typing import NamedTuple
 
 from sl2z_semigroups.algebra import (
-    IDENTITY, MAX_WORD_LETTERS, S, Mat2, SignedWord, evaluate, reduce,
+    IDENTITY, MAX_PROBLEM_LETTERS, MAX_WORD_LETTERS, S, Mat2, SignedWord, evaluate, reduce,
 )
 from sl2z_semigroups.cli import main
 
@@ -64,7 +68,8 @@ MALFORMED_ELEMENTS = (
 )
 BAD_SETTINGS = (0, -1, "3", 1.5, True, None, [2], {"depth": 2})
 BAD_FLAGS = ("0", "-2", "x", "1.5", "")
-# a product past the word limit is refused before any letter is built
+# a product past the word limit is refused before any letter is built, and
+# a problem past the letter budget before any automaton is
 LONG_PRODUCT_S = 1.0
 
 
@@ -99,6 +104,19 @@ def long_product_doc(rng) -> dict:
         q = rng.choice((1, -1)) * rng.randint(low, min(2 * low, MAX_WORD_LETTERS // 3))
         m = m * Mat2(1, q, 0, 1) * S
     return matrix_doc(m)
+
+
+def past_budget_doc(rng) -> dict:
+    """The free pair T^q, its transpose, q of either sign: words of 2|q| and
+    3|q| letters, which the descent leaves as they are, and 5|q| just past
+    `MAX_PROBLEM_LETTERS`, by more than the few letters that a random short
+    generator or target could take off.  Sometimes with such a generator,
+    and with a target."""
+    q = rng.choice(("", "-")) + str(MAX_PROBLEM_LETTERS // 5 + rng.randint(4, 20))
+    gens = [{"matrix": [["1", q], ["0", "1"]]}, {"matrix": [["1", "0"], [q, "1"]]}]
+    if rng.random() < 0.5:
+        gens.insert(rng.randint(0, 2), matrix_doc(evaluate(random_word(rng))))
+    return {"generators": gens, "target": matrix_doc(evaluate(random_word(rng)))}
 
 
 def random_problem(rng) -> object:
@@ -180,6 +198,10 @@ def random_case(rng, workdir: str) -> Case:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"generators": gens}, fh)
         return Case([rng.choice(PROBLEM_COMMANDS + ("oracle",)), path], 3)
+    if roll < 0.0325:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(past_budget_doc(rng), fh)
+        return Case([rng.choice(PROBLEM_COMMANDS), path], 3)
     if roll < 0.75:
         cmd = rng.choice(PROBLEM_COMMANDS)
         argv = [cmd, path]

@@ -6,14 +6,16 @@ checks confluence rather than assuming it.
 """
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sl2z_semigroups.algebra import (
     IDENTITY, R, S, T, AlgebraError, Generator, GeneratorSet, Mat2, SignedWord,
-    decimal_int, decimal_str, decompose, evaluate, inv, mul, reduce,
+    decimal_int, decimal_str, decompose, evaluate, inv, mul, reduce, shortest_conjugate,
 )
+from sl2z_semigroups import algebra
 
 from brute import all_reduced_words
 
@@ -163,6 +165,18 @@ class TestEvaluate:
         for ch in word:
             m = m * {"s": S, "r": R}[ch]
         assert evaluate(SignedWord(sign, word)) == (m if sign == 1 else -m)
+
+    def test_chunks_and_rest_match_the_letter_matrices(self):
+        # reduced words, whose 16-letter chunks are looked up, and others,
+        # up to five chunks and a rest of every length
+        rng = random.Random(16)
+        for n in range(81):
+            for reduced in (True, False):
+                word = random_word_of(rng, n, reduced)
+                m = IDENTITY
+                for ch in word:
+                    m = m * {"s": S, "r": R}[ch]
+                assert evaluate(SignedWord(1, word)) == m, word
 
 
 class TestDecompose:
@@ -317,6 +331,112 @@ class TestGeneratorSet:
         g = GeneratorSet.from_matrices([S])
         with pytest.raises(AlgebraError):
             g.product([])
+
+
+def random_word_of(rng, n, reduced) -> str:
+    """n random letters, with no "ss" or "rrr" if `reduced`."""
+    w = ""
+    while len(w) < n:
+        ch = rng.choice("sr")
+        if not (reduced and (w + ch).endswith(("ss", "rrr"))):
+            w += ch
+    return w
+
+
+def padded_sets(seed, n_sets):
+    """(matrices, target) pairs: up to 4 random words and a target, each
+    conjugated by one random product of up to 8 letters, so that every word
+    carries the same padding at its ends, as the hardness encodings do."""
+    rng = random.Random(seed)
+    for _ in range(n_sets):
+        def word(max_len):
+            return random_word_of(rng, rng.randint(0, max_len), reduced=True)
+        pad = evaluate(SignedWord(1, word(8)))
+        mats = [pad.inverse() * evaluate(SignedWord(rng.choice((1, -1)), word(6))) * pad
+                for _ in range(rng.randint(1, 4))]
+        yield mats, pad.inverse() * evaluate(SignedWord(1, word(6))) * pad
+
+
+class TestShortestConjugate:
+    """The descent's end-updates, its words, and `GeneratorSet.conjugated`."""
+
+    def test_end_update_is_the_reduced_conjugate_exhaustively(self):
+        # every reduced signed word up to 6 letters, conjugated by s, r, rr
+        for w in all_reduced_words(6):
+            for sign in (1, -1):
+                for i, (x, _) in enumerate(algebra._CONJUGATORS):
+                    want = mul(mul(inv(SignedWord(1, x)), SignedWord(sign, w)), SignedWord(1, x))
+                    letters, signs, keys = [deque(w)], [sign], [algebra._end_key(w)]
+                    algebra._conjugate_all(letters, signs, keys, algebra._STEPS[i])
+                    assert (signs[0], "".join(letters[0])) == (want.sign, want.word), (w, x)
+                    assert keys[0] == algebra._end_key(want.word)
+                    assert algebra._DELTAS[algebra._end_key(w)][i] == len(want) - len(w)
+                    m = evaluate(SignedWord(1, x))
+                    assert evaluate(want) == m.inverse() * evaluate(SignedWord(sign, w)) * m
+
+    def test_words_are_the_decompositions_of_the_conjugates(self):
+        for mats, target in padded_sets(11, 300):
+            words = [decompose(g) for g in mats + [target]]
+            m, conjugates = shortest_conjugate(words)
+            assert conjugates == [decompose(m.inverse() * g * m) for g in mats + [target]]
+            assert sum(map(len, conjugates)) <= sum(map(len, words))
+
+    def test_the_descent_strips_a_common_padding(self):
+        # T^-5 X T^5 for X in {S, R, S R}, of 24, 26 and 2 letters: the shear
+        # runs at the ends go
+        pad = Mat2(1, 5, 0, 1)
+        words = [decompose(pad.inverse() * x * pad) for x in (S, R, S * R)]
+        m, conjugates = shortest_conjugate(words)
+        assert [len(w) for w in conjugates] == [1, 1, 2]
+        assert conjugates == [decompose(m.inverse() * g * m) for g in (evaluate(w) for w in words)]
+
+    def test_work_stays_within_twice_the_letters(self, monkeypatch):
+        # T^-2000 S T^2000 beside 300 copies of T: every step updates the
+        # copies and none shortens them, so the descent stops after about
+        # 70 steps instead of stripping the whole padding
+        pad = Mat2(1, 2000, 0, 1)
+        words = [decompose(pad.inverse() * S * pad)] + [decompose(T)] * 300
+        steps = []
+        honest = algebra._conjugate_all
+        monkeypatch.setattr(algebra, "_conjugate_all", lambda *args: steps.append(honest(*args)))
+        m, conjugates = shortest_conjugate(words)
+        assert 0 < len(steps) * len(words) <= 2 * sum(map(len, words))
+        assert len(conjugates[0]) < len(words[0])
+        assert conjugates == [decompose(m.inverse() * evaluate(w) * m) for w in words]
+
+    def test_no_step_returns_the_words_themselves(self):
+        words = [decompose(Mat2(1, 2, 0, 1)), decompose(Mat2(1, 0, 2, 1))]
+        assert shortest_conjugate(words) == (IDENTITY, words)
+        assert shortest_conjugate(words)[1] is words
+
+    def test_conjugated_set_holds_the_conjugate_matrices(self):
+        for mats, target in padded_sets(12, 100):
+            gens = GeneratorSet.from_matrices(mats)
+            conj, word = gens.conjugated(target)
+            m, _ = shortest_conjugate([gens.word(i) for i in range(1, len(gens) + 1)]
+                                      + [decompose(target)])
+            assert [g.matrix for g in conj] == [m.inverse() * g * m for g in mats]
+            assert [g.word for g in conj] == [decompose(g.matrix) for g in conj]
+            assert evaluate(word) == m.inverse() * target * m
+
+    def test_self_check_fires_on_a_wrong_conjugate(self, monkeypatch):
+        # a descent that claims M = S but leaves the words as they are
+        monkeypatch.setattr(algebra, "shortest_conjugate", lambda words: (S, list(words)))
+        with pytest.raises(AlgebraError, match="conjugated word 1 failed its self-check"):
+            GeneratorSet.from_matrices([R]).conjugated()
+
+    def test_letter_budget_counts_the_conjugated_words_and_the_target(self, monkeypatch):
+        # the free pair: 4 and 6 letters, which the descent leaves as they are
+        gens = GeneratorSet.from_matrices([Mat2(1, 2, 0, 1), Mat2(1, 0, 2, 1)])
+        monkeypatch.setattr(algebra, "MAX_PROBLEM_LETTERS", 14)
+        gens.conjugated(Mat2(1, 2, 0, 1))
+        monkeypatch.setattr(algebra, "MAX_PROBLEM_LETTERS", 13)
+        with pytest.raises(AlgebraError, match="past the letter budget.* more than 13 letters"):
+            gens.conjugated(Mat2(1, 2, 0, 1))
+        gens.conjugated()
+        # T^-5 R T^5 has 26 letters, and its conjugate r has 1
+        padded = GeneratorSet.from_matrices([Mat2(1, -5, 0, 1) * R * Mat2(1, 5, 0, 1)])
+        assert len(padded.word(1)) > 13 and len(padded.conjugated()[0].word(1)) <= 13
 
 
 class TestDecimalStrings:

@@ -154,6 +154,25 @@ class TestEntriesPastTheDigitLimit:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "past the word limit" in captured.err
 
+    @pytest.mark.parametrize("cmd", ["identity", "check-free", "check-finite-free", "member"])
+    def test_problem_past_the_letter_budget_exits_3(self, tmp_path, capsys, cmd):
+        # the free pair of shears 200,001: each word is within the word
+        # limit and the descent leaves both as they are, but together they
+        # have 1,000,005 letters, one budget's worth and 5 more; `member`
+        # adds its target's
+        q = "200001"
+        path = write(tmp_path, "p.json", {
+            "generators": [{"matrix": [["1", q], ["0", "1"]]},
+                           {"matrix": [["1", "0"], [q, "1"]]}],
+            "target": {"matrix": [["1", "2"], ["0", "1"]]}})
+        start = time.perf_counter()
+        assert main([cmd, path]) == EXIT_INPUT
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "past the letter budget" in captured.err and "1000000 letters" in captured.err
+
     def test_json_number_entry(self, tmp_path):
         m = fibonacci_power(10587)
         rows = problem_json(GeneratorSet.from_matrices([m]))["generators"][0]["matrix"]

@@ -535,6 +535,46 @@ def test_loop_automata_match_chain_referee():
     assert min(seen.values()) >= 20, seen
 
 
+def padded_cases(seed=29, n_sets=100):
+    """(generators, targets) of `loop_referee_cases`, with every generator
+    and target conjugated by one random product of up to 6 letters: the
+    shear padding at the ends that the hardness encodings carry."""
+    rng = random.Random(seed)
+    for gens, targets in loop_referee_cases(seed, n_sets):
+        pad = evaluate(SignedWord(1, random_reduced_word(rng, rng.randint(0, 6))))
+        padded = [pad.inverse() * m * pad for m in [*(g.matrix for g in gens), *targets]]
+        yield GeneratorSet.from_matrices(padded[:len(gens)]), padded[len(gens):]
+
+
+def element_reports(gens, targets, count):
+    """(answer, witness, count) of identity, and of membership and, if
+    `count`, counting (cap 4) for each target."""
+    verdicts = [identity_in_semigroup(gens)]
+    for m in targets:
+        verdicts.append(membership(gens, m))
+        if count:
+            verdicts.append(count_factorizations(gens, m, cap=4))
+    return [(v.answer, v.witness, v.count) for v in verdicts]
+
+
+def test_conjugated_automata_answer_as_the_original_ones(monkeypatch):
+    """Every automaton is built from the shortest conjugate of the problem
+    (`GeneratorSet.conjugated`); identity, membership and counting give
+    the same answers, sequences and counts as automata built on the words
+    as given.  Counts, which read complete saturations, are compared on
+    every third set."""
+    cases = list(padded_cases())
+    got = [element_reports(gens, targets, k % 3 == 0) for k, (gens, targets) in enumerate(cases)]
+    shortened = sum(sum(len(g.word) for g in gens) > sum(len(g.word) for g in gens.conjugated()[0])
+                    for gens, _ in cases)
+    monkeypatch.setattr(GeneratorSet, "conjugated", lambda gens, target=None: (
+        gens, None if target is None else decompose(target)))
+    assert got == [element_reports(gens, targets, k % 3 == 0)
+                   for k, (gens, targets) in enumerate(cases)]
+    assert shortened >= len(cases) // 2
+    assert sum(report[0][0] == YES for report in got) >= 20
+
+
 def loop_edges(gens, g):
     """Edges of generator g's loop: its letters, or one epsilon edge."""
     return max(len(gens.word(g).word), 1)
