@@ -17,6 +17,11 @@ class AlgebraError(ValueError):
     """Raised for inputs outside SL(2,Z) or malformed words."""
 
 
+class SelfCheckError(RuntimeError):
+    """Raised when a result fails its own check: a fault of this module,
+    not of its input."""
+
+
 def decimal_str(n: int) -> str:
     """Decimal string of n, also past the interpreter's limit on the digits
     of an int-to-str conversion (Python >= 3.11): such a number is split
@@ -128,20 +133,8 @@ def reduce(raw: str, sign: int = 1) -> SignedWord:
     """Delete "ss" / "rrr" factors to a fixpoint, flipping the sign per deletion.
 
     The rewriting system is confluent, so the result does not depend on the
-    deletion order.  Two rounds of `str.replace` delete the factors there
-    are and those their deletion exposes, which is all of them in the words
-    `decompose` joins; a stack pass (leftmost-innermost) deletes any that
-    deeper nesting leaves.
+    deletion order; this implementation uses a stack (leftmost-innermost).
     """
-    for _ in range(2):
-        n = len(raw)
-        raw = raw.replace("ss", "")
-        m = len(raw)
-        raw = raw.replace("rrr", "")
-        if ((n - m) // 2 + (m - len(raw)) // 3) % 2:
-            sign = -sign
-    if "ss" not in raw and "rrr" not in raw:
-        return SignedWord(sign, raw)
     stack = []
     push = stack.append
     for ch in raw:
@@ -178,47 +171,19 @@ def inv(x: SignedWord) -> SignedWord:
     return reduce("".join(out), sign)
 
 
-def _letter_product(letters: str, a=1, b=0, c=0, d=1) -> tuple:
-    """The entries of [[a, b], [c, d]] times the letter matrices, multiplied
-    through the letters as plain integers: times S maps rows (a, b) to
-    (b, -a), times R to (b, b - a)."""
-    for ch in letters:
+def evaluate(x: SignedWord) -> Mat2:
+    """sign * (left-to-right product of the letter matrices).
+
+    The entries are multiplied through the letters as plain integers
+    (times S maps rows (a, b) to (b, -a), times R to (b, b - a)), and one
+    `Mat2` is built at the end, so the determinant is checked once.
+    """
+    a, b, c, d = 1, 0, 0, 1
+    for ch in x.word:
         if ch == "s":
             a, b, c, d = b, -a, d, -c
         else:
             a, b, c, d = b, b - a, d, d - c
-    return a, b, c, d
-
-
-def _reduced_words(n: int) -> list:
-    """Every reduced word of n letters."""
-    words = [""]
-    for _ in range(n):
-        words = [w + ch for w in words for ch in "sr" if not (w + ch).endswith(("ss", "rrr"))]
-    return words
-
-
-# evaluate multiplies a word through in chunks of this many letters, and
-# looks the products of the 151 reduced chunks up
-_CHUNK = 16
-_CHUNK_PRODUCTS = {w: _letter_product(w) for w in _reduced_words(_CHUNK)}
-
-
-def evaluate(x: SignedWord) -> Mat2:
-    """sign * (left-to-right product of the letter matrices).
-
-    The entries are multiplied as plain integers, a chunk of `_CHUNK`
-    letters at a time and the rest letter by letter (`_letter_product`),
-    and one `Mat2` is built at the end, so the determinant is checked once.
-    """
-    word = x.word
-    whole = len(word) - len(word) % _CHUNK
-    a, b, c, d = 1, 0, 0, 1
-    for i in range(0, whole, _CHUNK):
-        chunk = word[i:i + _CHUNK]
-        e, f, g, h = _CHUNK_PRODUCTS.get(chunk) or _letter_product(chunk)
-        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-    a, b, c, d = _letter_product(word[whole:], a, b, c, d)
     if x.sign == 1:
         return Mat2(a, b, c, d)
     return Mat2(-a, -b, -c, -d)
@@ -313,7 +278,9 @@ def decompose(m: Mat2) -> SignedWord:
 
 # automata have about one state per letter of the words they are built
 # from; check-free, the costliest per letter, peaked at 1.2 KB per letter
-# (free pair of shears 20,000 and 40,000), so the budget is about 1.2 GB
+# (free pair of shears 20,000 and 40,000), so the budget is about 1.2 GB.
+# The descent holds the words in deques, about 8 bytes a letter, so it
+# runs only on problems of at most twice the budget (about 16 MB)
 MAX_PROBLEM_LETTERS = 1_000_000
 
 # conjugation by a letter x sends (sign, w) to x^-1 (sign, w) x, which is
@@ -483,11 +450,16 @@ class GeneratorSet:
         words = [g.word for g in self._entries]
         if target is not None:
             words.append(decompose(target))
+        budget = MAX_PROBLEM_LETTERS
+        if sum(map(len, words)) > 2 * budget:
+            raise AlgebraError(
+                f"problem past the letter budget: its words have more than {2 * budget} "
+                f"letters, twice the {budget} that its automata may be built from")
         m, conjugates = shortest_conjugate(words)
-        if sum(len(w.word) for w in conjugates) > MAX_PROBLEM_LETTERS:
+        if sum(map(len, conjugates)) > budget:
             raise AlgebraError(
                 f"problem past the letter budget: the words its automata are built "
-                f"from have more than {MAX_PROBLEM_LETTERS} letters")
+                f"from have more than {budget} letters")
         word = conjugates[-1] if target is not None else None
         if conjugates is words:
             return self, word
@@ -497,7 +469,7 @@ class GeneratorSet:
             matrices.append(m_inv * target * m)
         for i, (g, w) in enumerate(zip(matrices, conjugates), start=1):
             if not w.is_reduced() or evaluate(w) != g:
-                raise AlgebraError(f"conjugated word {i} failed its self-check")
+                raise SelfCheckError(f"conjugated word {i} failed its self-check")
         return GeneratorSet._of_checked(map(Generator, matrices, conjugates[:len(self)])), word
 
     def product(self, sequence) -> Mat2:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sl2z_semigroups.algebra import (
-    IDENTITY, R, S, T, AlgebraError, Generator, GeneratorSet, Mat2, SignedWord,
+    IDENTITY, R, S, T, AlgebraError, Generator, GeneratorSet, Mat2, SelfCheckError, SignedWord,
     decimal_int, decimal_str, decompose, evaluate, inv, mul, reduce, shortest_conjugate,
 )
 from sl2z_semigroups import algebra
@@ -165,18 +165,6 @@ class TestEvaluate:
         for ch in word:
             m = m * {"s": S, "r": R}[ch]
         assert evaluate(SignedWord(sign, word)) == (m if sign == 1 else -m)
-
-    def test_chunks_and_rest_match_the_letter_matrices(self):
-        # reduced words, whose 16-letter chunks are looked up, and others,
-        # up to five chunks and a rest of every length
-        rng = random.Random(16)
-        for n in range(81):
-            for reduced in (True, False):
-                word = random_word_of(rng, n, reduced)
-                m = IDENTITY
-                for ch in word:
-                    m = m * {"s": S, "r": R}[ch]
-                assert evaluate(SignedWord(1, word)) == m, word
 
 
 class TestDecompose:
@@ -422,7 +410,7 @@ class TestShortestConjugate:
     def test_self_check_fires_on_a_wrong_conjugate(self, monkeypatch):
         # a descent that claims M = S but leaves the words as they are
         monkeypatch.setattr(algebra, "shortest_conjugate", lambda words: (S, list(words)))
-        with pytest.raises(AlgebraError, match="conjugated word 1 failed its self-check"):
+        with pytest.raises(SelfCheckError, match="conjugated word 1 failed its self-check"):
             GeneratorSet.from_matrices([R]).conjugated()
 
     def test_letter_budget_counts_the_conjugated_words_and_the_target(self, monkeypatch):
@@ -437,6 +425,18 @@ class TestShortestConjugate:
         # T^-5 R T^5 has 26 letters, and its conjugate r has 1
         padded = GeneratorSet.from_matrices([Mat2(1, -5, 0, 1) * R * Mat2(1, 5, 0, 1)])
         assert len(padded.word(1)) > 13 and len(padded.conjugated()[0].word(1)) <= 13
+
+    def test_words_past_twice_the_budget_are_refused_before_the_descent(self, monkeypatch):
+        # T^-5 R T^5 has 26 letters and its conjugate r has 1, but the
+        # descent would hold all 26 in a deque
+        padded = GeneratorSet.from_matrices([Mat2(1, -5, 0, 1) * R * Mat2(1, 5, 0, 1)])
+        monkeypatch.setattr(algebra, "MAX_PROBLEM_LETTERS", 13)
+        assert len(padded.conjugated()[0].word(1)) == 1
+        monkeypatch.setattr(algebra, "MAX_PROBLEM_LETTERS", 12)
+        monkeypatch.setattr(algebra, "shortest_conjugate",
+                            lambda words: pytest.fail("the descent ran"))
+        with pytest.raises(AlgebraError, match="past the letter budget.* more than 24 letters"):
+            padded.conjugated()
 
 
 class TestDecimalStrings:

@@ -173,6 +173,22 @@ class TestEntriesPastTheDigitLimit:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "past the letter budget" in captured.err and "1000000 letters" in captured.err
 
+    def test_problem_past_twice_the_letter_budget_is_refused_before_the_descent(
+            self, tmp_path, capsys, monkeypatch):
+        # T^-q S T^q with q = 400,001 has 2,000,004 letters and the
+        # conjugate s, but the descent would hold them all in a deque
+        from sl2z_semigroups import algebra
+        monkeypatch.setattr(algebra, "shortest_conjugate",
+                            lambda words: pytest.fail("the descent ran"))
+        q = 400001
+        path = write(tmp_path, "p.json", {"generators": [
+            {"matrix": [[str(-q), str(-q * q - 1)], ["1", str(q)]]}]})
+        assert main(["identity", path]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "past the letter budget" in captured.err and "2000000 letters" in captured.err
+
     def test_json_number_entry(self, tmp_path):
         m = fibonacci_power(10587)
         rows = problem_json(GeneratorSet.from_matrices([m]))["generators"][0]["matrix"]
@@ -427,6 +443,17 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "RuntimeError: boom" in captured.err
+
+    def test_failed_conjugation_self_check_is_internal(self, tmp_path, capsys, monkeypatch):
+        # a descent that claims M = S but leaves the words as they are: a
+        # fault of the program, so exit 4 with a traceback, not an input error
+        from sl2z_semigroups import algebra
+        monkeypatch.setattr(algebra, "shortest_conjugate", lambda words: (algebra.S, list(words)))
+        path = write(tmp_path, "p.json", {"generators": [{"word": {"sign": 1, "sr": "r"}}]})
+        assert main(["identity", path]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "SelfCheckError: conjugated word 1 failed its self-check" in captured.err
 
     # runs the command with its address space capped at its size after the
     # imports plus 64 MB; the free pair of shears 80000 needs about 180 MB
