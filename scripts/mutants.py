@@ -59,16 +59,16 @@ MUTANTS = (
             "tests/test_decisions.py::TestPinnedWitnesses")),
     Mutant("saturate finalizes a superseded agenda entry",
            "src/sl2z_semigroups/automata.py",
-           """if t in parents:
-                continue    # superseded by a lighter offer, which popped first
-            (_, gm), parents[t] = best.pop(t)""",
-           "(_, gm), parents[t] = best[t]",
+           """entry = best.pop(t, None)
+            if entry is None:
+                continue    # superseded by a lighter offer, which popped first""",
+           "entry = best[t]",
            ("tests/test_randomized.py::"
             "test_saturation_derivations_match_reference_on_marked_random_automata",)),
     Mutant("saturate's goal bound compares lengths only",
            "src/sl2z_semigroups/automata.py",
-           "bound is not None and w >= bound",
-           "bound is not None and w[0] >= bound[0]",
+           "return (len(q_lead) + w[0], q_lead + w[1]) >= bound",
+           "return len(q_lead) + w[0] >= bound[0]",
            ("tests/test_randomized.py::test_goal_stop_is_a_prefix_on_marked_random_automata",)),
     Mutant("saturate stops rule (ii)'s scan of its second gaps at a goal bound on lengths only",
            "src/sl2z_semigroups/automata.py",
@@ -90,6 +90,41 @@ MUTANTS = (
            "(len(left), left) >= bound",
            "len(left) >= bound[0]",
            ("tests/test_randomized.py::test_goal_stop_is_a_prefix_on_marked_random_automata",)),
+    Mutant("_hub_loops records the last generator through a shared state, not the first",
+           "src/sl2z_semigroups/automata.py",
+           """                edges.append((src, node, ch, 1))
+            node = src
+""",
+           """                edges.append((src, node, ch, 1))
+            node = src
+            auto.first_loop[src] = g
+""",
+           ("tests/test_randomized.py::test_lead_bounds_every_path_into_a_state",)),
+    Mutant("target-chain states get lead (1,)",
+           "src/sl2z_semigroups/automata.py",
+           "        auto.edges.append((prev, nxt, ch, weight))\n",
+           "        auto.edges.append((prev, nxt, ch, weight))\n        auto.first_loop[nxt] = 1\n",
+           ("tests/test_randomized.py::test_lead_bounds_every_path_into_a_state",)),
+    Mutant("saturate's goal bound ignores the lead",
+           "src/sl2z_semigroups/automata.py",
+           "q_lead = lead[t[0]]",
+           "q_lead = ()",
+           ("tests/test_randomized.py::test_goal_stop_is_a_prefix_on_subset_sum_ladder",)),
+    Mutant("saturate keeps every triple it offered before the goal's bound fell",
+           "src/sl2z_semigroups/automata.py",
+           "if bound is not None and lead[t[0]] and past_goal(t, w):",
+           "if False:",
+           ("tests/test_randomized.py::test_goal_stop_is_a_prefix_on_subset_sum_ladder",)),
+    Mutant("saturate's pop-time test also drops triples off states of lead ()",
+           "src/sl2z_semigroups/automata.py",
+           "if bound is not None and lead[t[0]] and past_goal(t, w):",
+           "if bound is not None and t != goal and past_goal(t, w):",
+           ("tests/test_randomized.py::test_goal_stop_is_a_prefix_on_random_automata",)),
+    Mutant("saturate accepts a goal that starts at a state with a lead",
+           "src/sl2z_semigroups/automata.py",
+           "if goal is not None and lead[goal[0]]:",
+           "if False:",
+           ("tests/test_automata.py::TestSaturation::test_goal_from_a_state_with_a_lead_raises",)),
     Mutant("saturate lets an offer as heavy as the pending one replace it",
            "src/sl2z_semigroups/automata.py",
            "old is not None and w >= old[0]",
@@ -228,6 +263,30 @@ MUTANTS = (
            "if totals[best] >= 0:",
            ("tests/test_algebra.py::TestShortestConjugate::"
             "test_work_stays_within_twice_the_letters",)),
+    Mutant("decompose's self-check reports an input error",
+           "src/sl2z_semigroups/algebra.py",
+           'raise SelfCheckError(f"decomposition self-check failed for {m}")',
+           'raise AlgebraError(f"decomposition self-check failed for {m}")',
+           ("tests/test_algebra.py::TestDecompose::test_self_check_fires_on_the_from_matrices_path",
+            "tests/test_cli.py::TestCommands::test_failed_decomposition_self_check_is_internal")),
+    Mutant("decompose refuses a word by its letters before the reduction",
+           "src/sl2z_semigroups/algebra.py",
+           "letters - 5 * len(quotients) > letters_left",
+           "letters > letters_left",
+           ("tests/test_algebra.py::TestDecompose::"
+            "test_letters_left_refuses_exactly_the_longer_words",)),
+    Mutant("decompose builds a word past the letters left before refusing it",
+           "src/sl2z_semigroups/algebra.py",
+           "if letters_left is not None and letters - 5 * len(quotients) > letters_left:",
+           "if False:",
+           ("tests/test_algebra.py::TestDecompose::"
+            "test_letters_left_fires_before_any_letter_is_built",)),
+    Mutant("GeneratorSet.from_matrices without the letter budget",
+           "src/sl2z_semigroups/algebra.py",
+           "w = decompose(m, left)",
+           "w = decompose(m)",
+           ("tests/test_cli.py::TestEntriesPastTheDigitLimit::"
+            "test_words_past_twice_the_letter_budget_are_refused_before_they_are_built",)),
     Mutant("GeneratorSet.conjugated without its self-check",
            "src/sl2z_semigroups/algebra.py",
            "if not w.is_reduced() or evaluate(w) != g:",
@@ -236,7 +295,7 @@ MUTANTS = (
             "test_self_check_fires_on_a_wrong_conjugate",)),
     Mutant("GeneratorSet.conjugated runs the descent on words past twice the budget",
            "src/sl2z_semigroups/algebra.py",
-           "if sum(map(len, words)) > 2 * budget:",
+           "if left < 0:",
            "if False:",
            ("tests/test_algebra.py::TestShortestConjugate::"
             "test_words_past_twice_the_budget_are_refused_before_the_descent",)),

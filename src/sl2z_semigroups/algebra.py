@@ -232,7 +232,7 @@ def _nearest_toward_zero(a: int, c: int) -> int:
     return fl if a > 0 else fl + 1
 
 
-def decompose(m: Mat2) -> SignedWord:
+def decompose(m: Mat2, letters_left: int = None) -> SignedWord:
     """Unique reduced signed word with evaluate(decompose(m)) == m.
 
     Euclidean reduction on the first column: while c != 0, left-multiply by
@@ -243,6 +243,13 @@ def decompose(m: Mat2) -> SignedWord:
     letter is built; then the letters of T^q1 s T^q2 s ... T^qk s T^rest are
     joined and reduced in one stack pass, and the result is checked by
     `evaluate`.
+
+    A word longer than `letters_left`, what a problem's words may still
+    take of twice the letter budget, is refused as the problem past it.
+    The reduction deletes at most 5 letters around each separator (T^q is
+    (sr)^q or (rrs)^-q, and |q| >= 2 past the first step, so the deletions
+    around two separators never meet), so a total more than 5 letters per
+    separator past `letters_left` is refused before any letter is built.
     """
     quotients = []
     letters = 0
@@ -262,6 +269,8 @@ def decompose(m: Mat2) -> SignedWord:
         raise AlgebraError(
             f"normal form past the word limit: its shears and separators "
             f"need more than {MAX_WORD_LETTERS} letters")
+    if letters_left is not None and letters - 5 * len(quotients) > letters_left:
+        raise _past_twice_the_budget()
     # m = a (T^q1 S^-1)(T^q2 S^-1)...(T^qk S^-1) T^rest with S^-1 = -s and
     # T^q of sign (-1)^q
     pieces = []
@@ -272,7 +281,9 @@ def decompose(m: Mat2) -> SignedWord:
     odd = (len(quotients) + sum(quotients) + rest) % 2
     word = reduce("".join(pieces), -a if odd else a)
     if evaluate(word) != m:
-        raise AlgebraError(f"decomposition self-check failed for {m}")
+        raise SelfCheckError(f"decomposition self-check failed for {m}")
+    if letters_left is not None and len(word) > letters_left:
+        raise _past_twice_the_budget()
     return word
 
 
@@ -280,8 +291,17 @@ def decompose(m: Mat2) -> SignedWord:
 # from; check-free, the costliest per letter, peaked at 1.2 KB per letter
 # (free pair of shears 20,000 and 40,000), so the budget is about 1.2 GB.
 # The descent holds the words in deques, about 8 bytes a letter, so it
-# runs only on problems of at most twice the budget (about 16 MB)
+# runs only on problems of at most twice the budget (about 16 MB), and no
+# word past that is built
 MAX_PROBLEM_LETTERS = 1_000_000
+
+
+def _past_twice_the_budget() -> AlgebraError:
+    budget = MAX_PROBLEM_LETTERS
+    return AlgebraError(
+        f"problem past the letter budget: its words have more than {2 * budget} "
+        f"letters, twice the {budget} that its automata may be built from")
+
 
 # conjugation by a letter x sends (sign, w) to x^-1 (sign, w) x, which is
 # (-sign, x' w x) with x' the letters of -x^-1: s^-1 = -s, r^-1 = -rr and
@@ -420,8 +440,16 @@ class GeneratorSet:
 
     @classmethod
     def from_matrices(cls, matrices) -> "GeneratorSet":
-        # decompose checks each word against its matrix
-        return cls._of_checked(Generator(m, decompose(m)) for m in matrices)
+        """The matrices with their words.  `decompose` checks each word
+        against its matrix, and refuses, before building it, the word that
+        takes the set past twice `MAX_PROBLEM_LETTERS`."""
+        entries = []
+        left = 2 * MAX_PROBLEM_LETTERS
+        for m in matrices:
+            w = decompose(m, left)
+            left -= len(w.word)
+            entries.append(Generator(m, w))
+        return cls._of_checked(entries)
 
     @classmethod
     def from_words(cls, words) -> "GeneratorSet":
@@ -446,15 +474,17 @@ class GeneratorSet:
         no index sequence's product relations.  These are the words that
         automata are built from: each is checked to be reduced and to
         evaluate to M^-1 g M, as `decompose` checks its own, and their total
-        letters to be within `MAX_PROBLEM_LETTERS`."""
+        letters to be within `MAX_PROBLEM_LETTERS`.  The words, the
+        target's with them, must be within twice that for the descent to
+        run; `decompose` refuses a target past what the generators left
+        before building it."""
         words = [g.word for g in self._entries]
-        if target is not None:
-            words.append(decompose(target))
         budget = MAX_PROBLEM_LETTERS
-        if sum(map(len, words)) > 2 * budget:
-            raise AlgebraError(
-                f"problem past the letter budget: its words have more than {2 * budget} "
-                f"letters, twice the {budget} that its automata may be built from")
+        left = 2 * budget - sum(map(len, words))
+        if left < 0:
+            raise _past_twice_the_budget()
+        if target is not None:
+            words.append(decompose(target, left))
         m, conjugates = shortest_conjugate(words)
         if sum(map(len, conjugates)) > budget:
             raise AlgebraError(

@@ -37,9 +37,12 @@ class CancellationAutomaton:
     own edges and the taps, named in `opens`, `closes`, `heads` and `tails`
     (see `_hub_loops` and `_shared_loops`), and `marks` holds per edge the
     generator it names there, as a tuple of none or one, which `saturate`
-    weighs paths by.  An automaton that answers one question names its
-    triple in `goal`.  Immutable once built (builders below do all
-    mutation).
+    weighs paths by.  `lead` holds per state a lower bound on the marks of
+    every path from `initial` (or from an initial tap) to it: `(g,)` on a
+    state of the hub's loops, g the first generator whose loop passes it,
+    which every path into it opens or taps, and `()` on every other state.
+    An automaton that answers one question names its triple in `goal`.
+    Immutable once built (builders below do all mutation).
     """
 
     def __init__(self, kind: str):
@@ -52,8 +55,9 @@ class CancellationAutomaton:
         # edge id -> the 1-based generator whose loop at the hub (A) it opens,
         # whose loop at B it closes, or whose initial / final tap it is
         self.opens, self.closes, self.heads, self.tails = {}, {}, {}, {}
+        self.first_loop = {}  # state -> the first generator whose loop at the hub passes it
         self.s_in = self.s_out = self.r_in = self.r_out = None
-        self.eps_edges = self.marks = None
+        self.eps_edges = self.marks = self.lead = None
 
     def index(self) -> None:
         """Index the finished edge list per state and label, in one pass."""
@@ -78,6 +82,10 @@ class CancellationAutomaton:
             for e, g in named.items():
                 marks[e] = (g,)
         self.marks = marks
+        lead = [()] * n
+        for x, g in self.first_loop.items():
+            lead[x] = (g,)
+        self.lead = lead
 
     # -- views -----------------------------------------------------------------
 
@@ -102,7 +110,9 @@ def _hub_loops(auto: CancellationAutomaton, hub: int, gens: GeneratorSet) -> lis
 
     Each loop's own edge carries its sign, is recorded in `auto.opens`, and
     enters a tree of +1 edges shared by the loops' suffixes, which leads
-    each of its states to the hub one way only."""
+    each of its states to the hub one way only.  The loops are laid in
+    index order, so the loop that creates a state is the first that passes
+    it, and `auto.first_loop` records it."""
     edges = auto.edges
     n = auto.n_states
     firsts = []
@@ -114,6 +124,7 @@ def _hub_loops(auto: CancellationAutomaton, hub: int, gens: GeneratorSet) -> lis
             src = into.get((node, ch))
             if src is None:
                 src = into[node, ch] = n
+                auto.first_loop[n] = g
                 n += 1
                 edges.append((src, node, ch, 1))
             node = src
@@ -274,10 +285,12 @@ class SaturationRelation:
     lists the triples leaving state q, in the same order.
 
     `complete` is False when `saturate` stopped at its goal: `parents` is
-    then a prefix of the full relation's, holding the goal and every triple
-    that became final before it, every lighter triple among them, which is
-    all a lookup or a witness needs.  Counting and recurrence read the
-    complete relation.
+    then the full relation's prefix up to the goal, in order and with the
+    same derivations, less the triples that no goal path lighter than the
+    goal's could pass (see `saturate`).  It holds the goal and every triple
+    before it whose `lead` at its start plus its weight is lighter than the
+    goal's weight, which is all a lookup or a witness needs.  Counting and
+    recurrence read the complete relation.
     """
 
     def __init__(self, n_states: int):
@@ -335,26 +348,43 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
     epsilon-edge offers; at any other state it fires none.  An instance
     with one empty gap of rule (ii) fires when its other gap becomes final.
 
-    With a goal triple the agenda stops once the goal is final.  An offer
-    no lighter than the goal's best offer (`bound`) would pop after the
-    goal, so it is dropped; the stopped relation is a prefix of the full
-    one, in order, with the same derivations, and the goal's witness is
-    its least path.  The gap lists are in the order their triples became
-    final, which is nondecreasing weight, and concatenation with a fixed
-    prefix or suffix keeps that order, while an edge's mark only adds
+    With a goal triple the agenda stops once the goal is final.  The goal
+    must start at a state of `lead` (), as every builder's goals do, or
+    it raises.  A path
+    of the goal through a triple (q, p, sigma) runs from the goal's start
+    to q, then along the triple's path, then on from p, so it weighs at
+    least lead[q] + w, w the triple's weight: the context bound of
+    lightest-derivation search (Felzenszwalb and McAllester), used only to
+    discard.  An offer is dropped when that is no lighter than the goal's
+    best offer (`bound`); for the goal, whose start has lead (), this is
+    w >= bound, an offer that would pop after the goal.  A triple offered
+    before the bound fell this low is tested again when it pops, unless it
+    leaves a state of lead (): such a triple pops before the goal only if
+    it was offered before it at no more than its weight.  Since lead[q] is
+    at most lead[q'] plus the mark of any edge q' -> q, a triple whose
+    derivation uses a dropped one is dropped too.  So the stopped relation
+    is the full one's prefix up to the goal less the dropped triples, in
+    order, with the same derivations, and the goal's witness is its least
+    path.  The gap lists are in the order their triples became final,
+    which is nondecreasing weight, and concatenation with a fixed prefix
+    or suffix keeps that order, while an edge's mark and a lead only add
     weight.  So each scan of a gap list stops at the first gap whose
     conclusion weighs `bound` or more, for rule (ii) before its last
     edge's mark: `offer` would drop it and every later one.  On subset-sum
-    `[2,3,5,7,11]`, x = 20, the run stopped at (hub, hub, +1) makes 8,118
-    triples final and 19,181 offers; building every offer and dropping
-    those past the goal made 47,539.  A goal outside the relation is never
-    offered, so its run is the full fixpoint.  The relation records
-    whether it is complete.
+    `[2,3,5,7,11]`, x = 20, conjugated as the decisions build it, the run
+    stopped at (hub, hub, +1) makes 4,431 triples final and 17,219 offers;
+    with the bound on w alone it made 7,192 and 18,330, and building every
+    offer and dropping those past the goal made 42,922.  The complete
+    relation has 44,773 triples.  A goal outside the relation is never
+    offered, so there is no bound and its run is the full fixpoint.  The
+    relation records whether it is complete.
     """
     n = auto.n_states
     edges = auto.edges
     s_in, s_out, r_in, r_out = auto.s_in, auto.s_out, auto.r_in, auto.r_out
-    marks = auto.marks
+    marks, lead = auto.marks, auto.lead
+    if goal is not None and lead[goal[0]]:
+        raise AutomatonError(f"goal {goal} starts at a state with a lead")
 
     rel = SaturationRelation(n)
     parents = rel.parents
@@ -369,13 +399,19 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
     buckets = {}    # weight -> the triples offered at it, in offer order
     bound = None    # the weight of the goal's lightest offer
 
+    def past_goal(t, w):
+        """Whether every path of the goal through a triple of weight w
+        weighs at least the goal's best offer."""
+        q_lead = lead[t[0]]
+        return (len(q_lead) + w[0], q_lead + w[1]) >= bound
+
     def offer(t, ms, parent):
         """Queue a derivation of a triple not yet final, if it is the
-        lightest offer yet and lighter than the goal's."""
+        lightest offer yet and not `past_goal`."""
         nonlocal bound
         w = (len(ms), ms)
         old = best.get(t)
-        if old is not None and w >= old[0] or bound is not None and w >= bound:
+        if old is not None and w >= old[0] or bound is not None and past_goal(t, w):
             return
         best[t] = (w, parent)
         queue = buckets.get(w)
@@ -438,9 +474,15 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
         # the same weight made meanwhile join the end of the list
         w = heappop(weights)
         for t in buckets[w]:
-            if t in parents:
+            entry = best.pop(t, None)
+            if entry is None:
                 continue    # superseded by a lighter offer, which popped first
-            (_, gm), parents[t] = best.pop(t)
+            if bound is not None and lead[t[0]] and past_goal(t, w):
+                # offered before the bound fell this low; off a state of
+                # lead (), a triple pops before the goal only if it was
+                # offered before it at no more than its weight, and stays
+                continue
+            (_, gm), parents[t] = entry
             final[t] = gm
             x, y, sg = t
             gaps_from[x].append(t)

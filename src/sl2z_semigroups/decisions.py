@@ -5,7 +5,10 @@ Every procedure saturates cancellation automata, lightest path first
 path order, so the witness of a triple is its least path.  Identity and
 membership look up one triple, and their saturation stops once it is
 final; their witness is the least factorization in (length,
-lexicographic) order, the oracle's `ProductTable.first_sequence`.  One
+lexicographic) order, the oracle's `ProductTable.first_sequence`.  A
+stopped saturation also drops each triple that the marks of any path
+into its start (`CancellationAutomaton.lead`) put past the goal's best
+offer, which no witness can use.  One
 saturation of the freeness automaton, stopped at pair (1, 2)'s goal,
 decides every pair of generators and gives the least colliding pair's
 witness, a collision of that pair with the fewest generators in all;

@@ -216,14 +216,39 @@ class TestDecompose:
 
     def test_self_check_fires_on_the_from_matrices_path(self, monkeypatch):
         # GeneratorSet.from_matrices does not evaluate the words again, so
-        # a corrupt reduction must be caught inside decompose
+        # a corrupt reduction must be caught inside decompose, as a fault
+        # of the program, not of its input
         from sl2z_semigroups import algebra
         honest = algebra.reduce
         monkeypatch.setattr(algebra, "reduce", lambda raw, sign=1: honest(raw, -sign))
-        with pytest.raises(AlgebraError, match="self-check failed"):
+        with pytest.raises(SelfCheckError, match="self-check failed"):
             GeneratorSet.from_matrices([S * R * S])
-        with pytest.raises(AlgebraError, match="self-check failed"):
+        with pytest.raises(SelfCheckError, match="self-check failed"):
             decompose(Mat2(1, 2, 0, 1))
+
+    def test_letters_left_refuses_exactly_the_longer_words(self):
+        # the refusal before the letters are built counts 5 deletions per
+        # separator; a word of exactly the letters left passes
+        rng = random.Random(4242)
+        for _ in range(3000):
+            m = IDENTITY
+            for _ in range(rng.randint(0, 14)):
+                m = m * rng.choice((S, R, Mat2(1, rng.randint(-6, 6), 0, 1),
+                                    Mat2(1, 0, rng.randint(-6, 6), 1)))
+            w = decompose(m)
+            assert decompose(m, len(w)) == w
+            with pytest.raises(AlgebraError, match="past the letter budget"):
+                decompose(m, len(w) - 1)
+
+    def test_letters_left_fires_before_any_letter_is_built(self, monkeypatch):
+        # T^-4 S T^100: 12 + 1 + 200 letters, at most 5 of them deleted
+        from sl2z_semigroups import algebra
+        built = []
+        monkeypatch.setattr(algebra, "_t_letters", built.append)
+        m = Mat2(1, -4, 0, 1) * S * Mat2(1, 100, 0, 1)
+        with pytest.raises(AlgebraError, match="past the letter budget"):
+            decompose(m, 207)
+        assert built == []
 
     def test_word_limit_fires_before_any_letter_is_built(self, monkeypatch):
         # lower shear by 10^7: quotients 0, then -10^7 past the limit

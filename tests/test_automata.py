@@ -92,6 +92,14 @@ class TestSaturation:
                 path = extract_path(auto, sat, q, p, sigma)
                 assert auto.path_value(path) == SignedWord(sigma, "")
 
+    def test_goal_from_a_state_with_a_lead_raises(self):
+        # the lead bound counts marks from the hub, so a goal must start
+        # where no mark is needed to arrive
+        auto = build_loop_automaton(GeneratorSet.from_matrices([F_A, F_B]))
+        start = next(x for x, ms in enumerate(auto.lead) if ms)
+        with pytest.raises(AutomatonError, match="lead"):
+            saturate(auto, (start, auto.initial, 1))
+
     def test_monotone_under_new_generators(self):
         small = build_loop_automaton(GeneratorSet.from_matrices([S]))
         big = build_loop_automaton(GeneratorSet.from_matrices([S, R]))

@@ -189,6 +189,24 @@ class TestEntriesPastTheDigitLimit:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "past the letter budget" in captured.err and "2000000 letters" in captured.err
 
+    @pytest.mark.parametrize("argv", [["identity"], ["oracle", "--depth", "2"]])
+    def test_words_past_twice_the_letter_budget_are_refused_before_they_are_built(
+            self, tmp_path, capsys, monkeypatch, argv):
+        # six upper shears by 1,600,000: each word, 3,200,000 letters, is
+        # within the word limit, but the first alone is past twice the
+        # budget, so no shear's letters are built
+        from sl2z_semigroups import algebra
+        built = []
+        monkeypatch.setattr(algebra, "_t_letters", built.append)
+        shear = {"matrix": [["1", "1600000"], ["0", "1"]]}
+        path = write(tmp_path, "p.json", {"generators": [shear] * 6})
+        assert main([argv[0], path, *argv[1:]]) == EXIT_INPUT
+        assert built == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "past the letter budget" in captured.err and "2000000 letters" in captured.err
+
     def test_json_number_entry(self, tmp_path):
         m = fibonacci_power(10587)
         rows = problem_json(GeneratorSet.from_matrices([m]))["generators"][0]["matrix"]
@@ -454,6 +472,18 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "SelfCheckError: conjugated word 1 failed its self-check" in captured.err
+
+    def test_failed_decomposition_self_check_is_internal(self, tmp_path, capsys, monkeypatch):
+        # a reduction that flips every sign: `decompose`'s own check fails,
+        # a fault of the program, so exit 4 with a traceback, not an input error
+        from sl2z_semigroups import algebra
+        honest = algebra.reduce
+        monkeypatch.setattr(algebra, "reduce", lambda raw, sign=1: honest(raw, -sign))
+        path = write(tmp_path, "p.json", {"generators": [{"matrix": [["1", "2"], ["0", "1"]]}]})
+        assert main(["identity", path]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "SelfCheckError: decomposition self-check failed" in captured.err
 
     # runs the command with its address space capped at its size after the
     # imports plus 64 MB; the free pair of shears 80000 needs about 180 MB

@@ -4,8 +4,10 @@ Saturation and its derivation grammar run against bounded path enumeration
 on arbitrary random automata (not just the fixture shapes), the
 derivations saturation records, in order, against its plain lightest-first
 loop, each witness path against the lightest path of its triple, a run
-stopped at a goal triple against a prefix of the full run, and every
-complete relation against the closure referee (`closure_referee`).  The
+stopped at a goal triple against that loop stopped at the goal and against
+the full run (a prefix of it where no state has a `lead`), each `lead`
+against the least path into its state, and every complete relation
+against the closure referee (`closure_referee`).  The
 shared freeness automaton, and the pattern automata built the same way,
 run against the chain-based pattern automaton of each pair
 (`pattern_referee`); identity, membership and counting on the loop and
@@ -19,6 +21,7 @@ counting runs against the Bar-Hillel intersection of the target grammar
 with the marked semigroup DFA.
 """
 
+import copy
 import heapq
 import itertools
 import random
@@ -103,17 +106,21 @@ def test_saturation_on_random_automata():
             assert auto.path_value(path) == SignedWord(sigma, "")
 
 
-def reference_saturate(auto):
+def reference_saturate(auto, goal=None):
     """Derivations of `saturate` by a plain lightest-first loop: {triple:
     parent}, in the order the triples became final.
 
     Every rule instance is offered: its conclusion goes on the heap with
     the marks of its edges and gaps in path order, and the first pop of a
-    triple makes it final; later pops of it are skipped.  There is no goal,
-    no bound and no pruning of offers, so this shows the order `saturate`
-    has to keep without its shortcuts.  Its edge index and edge marks are
-    rebuilt from the edge list and the named edges, and the automaton's
-    own must equal them.
+    triple makes it final; later pops of it are skipped.  No offer is
+    pruned, so this shows the order `saturate` has to keep without its
+    shortcuts.  With a goal it stops once the goal pops, and it discards
+    a popped triple (q, p, sigma) other than the goal when lead[q] is not
+    () and lead[q] + its marks is not lighter than the goal's least offer
+    so far; off a state of lead (), a triple pops before the goal only if
+    it weighs no more.  Its edge index and edge marks are rebuilt from the
+    edge list and the named edges, and the automaton's own must equal
+    them.
     """
     edges = auto.edges
     s_in, s_out, r_in, r_out, eps_edges = edge_lists(auto)
@@ -133,8 +140,12 @@ def reference_saturate(auto):
     gaps_to = [[(x, 1, None, ())] for x in range(auto.n_states)]
     heap = []
     counter = itertools.count()
+    bound = None    # the weight of the goal's least offer so far
 
     def offer(q, p, sigma, ms, parent):
+        nonlocal bound
+        if (q, p, sigma) == goal and (bound is None or (len(ms), ms) < bound):
+            bound = (len(ms), ms)
         heapq.heappush(heap, (len(ms), ms, next(counter), (q, p, sigma), parent))
 
     def fire(x, y, sg, t, gm):
@@ -174,7 +185,12 @@ def reference_saturate(auto):
         _, ms, _, t, parent = heapq.heappop(heap)
         if t in parents:
             continue
+        lead = auto.lead[t[0]]
+        if t != goal and lead and bound is not None and (len(lead + ms), lead + ms) >= bound:
+            continue
         parents[t] = parent
+        if t == goal:
+            break
         x, y, sg = t
         gaps_from[x].append((y, sg, t, ms))
         gaps_to[y].append((x, sg, t, ms))
@@ -304,8 +320,9 @@ def test_closure_referee_refuses_a_stopped_relation():
 
 
 def goal_stopped_lengths(auto, goals):
-    """Check each goal-stopped run against the full run; the number of
-    triples each one recorded."""
+    """Check each goal-stopped run against `reference_saturate` with its
+    goal and, where every `lead` is (), against a prefix of the full run;
+    the number of triples each one recorded."""
     full = saturate(auto)
     assert full.complete
     items = list(full.parents.items())
@@ -313,7 +330,9 @@ def goal_stopped_lengths(auto, goals):
     for goal in goals:
         sat = saturate(auto, goal)
         got = list(sat.parents.items())
-        assert got == items[:len(got)]
+        assert got == list(reference_saturate(auto, goal).items())
+        if not any(auto.lead):
+            assert got == items[:len(got)]
         assert_gaps_from_in_order(sat, auto.n_states)
         if goal in full.triples:
             assert goal in sat.triples
@@ -408,6 +427,111 @@ def test_goal_stop_is_a_prefix_on_membership_automata():
         (length,) = goal_stopped_lengths(auto, [goal])
         stopped += length < len(full)
     assert stopped >= 1
+
+
+def derivation_marks(auto, parents):
+    """The marks of each triple's derivation, in path order, read from
+    the derivations alone."""
+    marks = {}
+    for t, parent in parents.items():
+        marks[t] = tuple(itertools.chain.from_iterable(
+            () if x is None else auto.marks[x] if isinstance(x, int) else marks[x]
+            for x in parent[1:]))
+    return marks
+
+
+def goal_stop_drops(auto, goals):
+    """Check each goal-stopped run against the full run; how many of them
+    dropped a triple that the full run makes final before the goal."""
+    full = saturate(auto)
+    items = list(full.parents.items())
+    order = {t: k for k, t in enumerate(full.triples)}
+    marks = derivation_marks(auto, full.parents)
+    plain = copy.copy(auto)
+    plain.lead = [()] * auto.n_states
+    dropped = 0
+    for goal in goals:
+        sat = saturate(auto, goal)
+        got = list(sat.parents.items())
+        # an in-order subsequence with the same derivations
+        rest = iter(items)
+        assert all(item in rest for item in got)
+        if goal not in order:
+            assert got == items and sat.complete
+            continue
+        goal_weight = (len(marks[goal]), marks[goal])
+        before = [t for t, _ in items[:order[goal]]]
+        assert got[-1][0] == goal
+        for t in before:
+            ms = auto.lead[t[0]] + marks[t]
+            assert (len(ms), ms) >= goal_weight or t in sat.triples
+        assert extract_path(auto, sat, *goal) == extract_path(plain, saturate(plain, goal), *goal)
+        dropped += len(got) < len(before) + 1
+    return dropped
+
+
+def test_goal_stop_drops_only_triples_past_the_goal():
+    """On loop and membership automata, both goal signs, of 500 seeded
+    sets and of the subset-sum ladder, a goal-stopped run keeps, in order
+    and with the full run's derivations, every triple before the goal
+    whose lead plus weight is lighter than the goal's, and extracts the
+    goal path that the same automaton without leads gives."""
+    autos = []
+    for gens, (product, _) in loop_referee_cases(seed=31, n_sets=500):
+        autos += [build_loop_automaton(gens), build_membership_automaton(gens, decompose(product))]
+    for values, x in [([1, 2], 3), ([1, 2, 4], 5), ([1, 2, 4], 8), ([2, 3, 5], 7),
+                      ([1, 2, 3, 4], 11)]:
+        fx = encode_subset_sum(values, x)
+        autos += [build_loop_automaton(fx.generators), build_membership_automaton(
+            fx.generators, decompose(fx.expected["count_target"]))]
+    dropped = sum(goal_stop_drops(auto, [(auto.initial, auto.final, sign) for sign in (1, -1)])
+                  for auto in autos)
+    assert dropped >= 100
+
+
+def least_path_weights(auto, starts):
+    """Per state the least weight of a path to it from one of the starts,
+    or None, by relaxing every edge until no weight falls: a least path
+    is simple, and appending marks never makes a path lighter."""
+    least = [None] * auto.n_states
+    for x in starts:
+        least[x] = (0, ())
+    changed = True
+    while changed:
+        changed = False
+        for e, (src, dst, _, _) in enumerate(auto.edges):
+            if least[src] is None:
+                continue
+            ms = least[src][1] + auto.marks[e]
+            if least[dst] is None or (len(ms), ms) < least[dst]:
+                least[dst] = (len(ms), ms)
+                changed = True
+    return least
+
+
+def test_lead_bounds_every_path_into_a_state():
+    """On loop, membership, pattern and freeness automata of random sets,
+    lead[q] weighs no more than any path from `initial` (on a freeness
+    automaton, from any initial tap) to q, and no more than lead[q'] plus
+    the mark of any edge q' -> q."""
+    rng = random.Random(4321)
+    passed = 0
+    for gens, (product, outsider) in loop_referee_cases(seed=37, n_sets=200):
+        autos = [(auto, [auto.initial]) for auto in (
+            build_loop_automaton(gens), build_membership_automaton(gens, decompose(product)),
+            build_membership_automaton(gens, decompose(outsider)),
+            build_pattern_automaton(*rng.sample(range(1, len(gens) + 1), 2), gens))]
+        auto, _ = build_freeness_automaton(gens)
+        autos.append((auto, [auto.edges[e][0] for e in auto.heads]))
+        for auto, starts in autos:
+            lead = [(len(ms), ms) for ms in auto.lead]
+            for x, w in enumerate(least_path_weights(auto, starts)):
+                assert w is None or lead[x] <= w
+            for e, (src, dst, _, _) in enumerate(auto.edges):
+                ms = auto.lead[src] + auto.marks[e]
+                assert lead[dst] <= (len(ms), ms)
+            passed += any(auto.lead)
+    assert passed >= 500
 
 
 def test_derivation_grammar_refuses_a_goal_stopped_relation():
