@@ -45,13 +45,13 @@ MUTANTS = (
             "test_saturation_derivations_match_reference_on_random_automata",)),
     Mutant("saturate pops in offer order only, the FIFO order",
            "src/sl2z_semigroups/automata.py",
-           """queue = buckets.get(w)
+           """queue = buckets.get(ms)
         if queue is None:
-            buckets[w] = queue = []
-            heappush(weights, w)""",
-           """queue = buckets.get((0, ()))
+            buckets[ms] = queue = []
+            heappush(weights, (len(ms), ms))""",
+           """queue = buckets.get(())
         if queue is None:
-            buckets[0, ()] = queue = []
+            buckets[()] = queue = []
             heappush(weights, (0, ()))""",
            ("tests/test_randomized.py::"
             "test_saturation_derivations_match_reference_on_subset_sum_ladder",
@@ -92,18 +92,13 @@ MUTANTS = (
            ("tests/test_randomized.py::test_goal_stop_is_a_prefix_on_marked_random_automata",)),
     Mutant("_hub_loops records the last generator through a shared state, not the first",
            "src/sl2z_semigroups/automata.py",
-           """                edges.append((src, node, ch, 1))
-            node = src
-""",
-           """                edges.append((src, node, ch, 1))
-            node = src
-            auto.first_loop[src] = g
-""",
+           "runs.append(run)",
+           "runs.append(range(node, run.stop))",
            ("tests/test_randomized.py::test_lead_bounds_every_path_into_a_state",)),
     Mutant("target-chain states get lead (1,)",
            "src/sl2z_semigroups/automata.py",
-           "        auto.edges.append((prev, nxt, ch, weight))\n",
-           "        auto.edges.append((prev, nxt, ch, weight))\n        auto.first_loop[nxt] = 1\n",
+           "    auto.final = prev\n",
+           "    auto.final = prev\n    auto.first_loop[0] = range(n, auto.n_states)\n",
            ("tests/test_randomized.py::test_lead_bounds_every_path_into_a_state",)),
     Mutant("saturate's goal bound ignores the lead",
            "src/sl2z_semigroups/automata.py",
@@ -127,8 +122,8 @@ MUTANTS = (
            ("tests/test_automata.py::TestSaturation::test_goal_from_a_state_with_a_lead_raises",)),
     Mutant("saturate lets an offer as heavy as the pending one replace it",
            "src/sl2z_semigroups/automata.py",
-           "old is not None and w >= old[0]",
-           "old is not None and w > old[0]",
+           "len(ms) == len(om) and ms >= om",
+           "len(ms) == len(om) and ms > om",
            ("tests/test_randomized.py::"
             "test_saturation_derivations_match_reference_on_marked_random_automata",)),
     Mutant("saturate without rule (i)",
@@ -149,6 +144,34 @@ MUTANTS = (
            "pass",
            ("tests/test_randomized.py::test_closure_referee_certifies_random_saturations",
             "tests/test_randomized.py::test_closure_referee_certifies_ladder_saturations")),
+    Mutant("saturate restarts a state's gap list at a later triple",
+           "src/sl2z_semigroups/automata.py",
+           "gaps_from[x].append(t)",
+           "gaps_from[x] = [t]",
+           ("tests/test_randomized.py::"
+            "test_saturation_derivations_match_reference_on_random_automata",)),
+    Mutant("_hub_loops lays every loop without sharing a suffix or prefix",
+           "src/sl2z_semigroups/automata.py",
+           "hit = branch.get((node, ch))",
+           "hit = None",
+           ("tests/test_automata.py::TestLoopLayoutReferee::"
+            "test_builders_match_the_letter_by_letter_layout",)),
+    Mutant("reduce flips the sign once per round, not once per deletion",
+           "src/sl2z_semigroups/algebra.py",
+           "if (ss + rrr) % 2:",
+           "if ss + rrr:",
+           ("tests/test_algebra.py::TestReduce::test_equals_the_stack_pass_on_random_raw_words",)),
+    Mutant("reduce returns after one round",
+           "src/sl2z_semigroups/algebra.py",
+           """        if not rrr:
+            return SignedWord(sign, raw)""",
+           "        return SignedWord(sign, raw)",
+           ("tests/test_algebra.py::TestReduce::test_equals_the_stack_pass_on_random_raw_words",)),
+    Mutant("evaluate multiplies each chunk on the left",
+           "src/sl2z_semigroups/algebra.py",
+           "a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s",
+           "a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d",
+           ("tests/test_algebra.py::TestEvaluate::test_equals_the_letter_loop_at_every_length_to_25",)),
     Mutant("report writer formats tuples as scalars",
            "src/sl2z_semigroups/cli.py",
            "elif isinstance(value, (list, tuple)):",

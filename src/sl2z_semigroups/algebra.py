@@ -129,12 +129,43 @@ class SignedWord:
         return f"({'+' if self.sign == 1 else '-'}, {self.word or 'e'})"
 
 
+# rounds of `reduce` before its stack pass takes over
+_REDUCE_ROUNDS = 4
+
+
 def reduce(raw: str, sign: int = 1) -> SignedWord:
     """Delete "ss" / "rrr" factors to a fixpoint, flipping the sign per deletion.
 
-    The rewriting system is confluent, so the result does not depend on the
-    deletion order; this implementation uses a stack (leftmost-innermost).
+    The rewriting system is confluent, so neither the result nor the
+    number of deletions depends on their order.  A round deletes every
+    "ss" with `str.replace`, then every "rrr", and flips the sign once per
+    deletion that `str.count` counts.  Deleting a run of r can join two
+    runs of s, so the rounds go on until one deletes no "rrr"; the word is
+    then reduced.  Each round reads the word once, and the words that
+    `decompose` and `inv` reduce need one or two.  A word still not
+    reduced after `_REDUCE_ROUNDS` rounds, a deep nest such as r s r s s rr
+    s rr, which loses one level per round, is finished by `_stack_reduce`,
+    so the cost stays linear in the word; the spelled word of a witness
+    path is such a nest.
     """
+    if raw.strip("sr"):
+        return _stack_reduce(raw, sign)    # it names the letter outside s, r
+    for _ in range(_REDUCE_ROUNDS):
+        ss = raw.count("ss")
+        if ss:
+            raw = raw.replace("ss", "")
+        rrr = raw.count("rrr")
+        if rrr:
+            raw = raw.replace("rrr", "")
+        if (ss + rrr) % 2:
+            sign = -sign
+        if not rrr:
+            return SignedWord(sign, raw)
+    return _stack_reduce(raw, sign)
+
+
+def _stack_reduce(raw: str, sign: int) -> SignedWord:
+    """`reduce` in one pass with a stack (leftmost-innermost deletions)."""
     stack = []
     push = stack.append
     for ch in raw:
@@ -171,19 +202,41 @@ def inv(x: SignedWord) -> SignedWord:
     return reduce("".join(out), sign)
 
 
+# the longest chunk of letters that `evaluate` multiplies by at once
+_CHUNK = 8
+# word of at most `_CHUNK` letters -> the entries (a, b, c, d) of its product:
+# the empty word's, then each of the 510 others on its first use.  A pure
+# function of the key, so what has been filled changes no result; filled at
+# import, it raised the peak memory of processes that use a few chunks
+_CHUNK_PRODUCTS = {"": (1, 0, 0, 1)}
+
+
+def _chunk_product(chunk: str) -> tuple:
+    """Entries of the product of a chunk, from the chunk one letter shorter
+    (times S maps rows (a, b) to (b, -a), times R to (b, b - a)), filled
+    into `_CHUNK_PRODUCTS`."""
+    m = _CHUNK_PRODUCTS.get(chunk)
+    if m is None:
+        a, b, c, d = _chunk_product(chunk[:-1])
+        m = (b, -a, d, -c) if chunk[-1] == "s" else (b, b - a, d, d - c)
+        _CHUNK_PRODUCTS[chunk] = m
+    return m
+
+
 def evaluate(x: SignedWord) -> Mat2:
     """sign * (left-to-right product of the letter matrices).
 
-    The entries are multiplied through the letters as plain integers
-    (times S maps rows (a, b) to (b, -a), times R to (b, b - a)), and one
-    `Mat2` is built at the end, so the determinant is checked once.
+    The entries are multiplied as plain integers, on the right, by the
+    product of each chunk of `_CHUNK` letters of the word (the last one
+    shorter), read from `_CHUNK_PRODUCTS`, and one `Mat2` is built at the
+    end, so the determinant is checked once.
     """
+    word = x.word
     a, b, c, d = 1, 0, 0, 1
-    for ch in x.word:
-        if ch == "s":
-            a, b, c, d = b, -a, d, -c
-        else:
-            a, b, c, d = b, b - a, d, d - c
+    for i in range(0, len(word), _CHUNK):
+        chunk = word[i:i + _CHUNK]
+        p, q, r, s = _CHUNK_PRODUCTS.get(chunk) or _chunk_product(chunk)
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
     if x.sign == 1:
         return Mat2(a, b, c, d)
     return Mat2(-a, -b, -c, -d)

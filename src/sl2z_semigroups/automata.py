@@ -12,7 +12,7 @@ under the triple it yields, gives the grammar of all its paths.
 """
 
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, repeat
 
 from .algebra import GeneratorSet, SignedWord, inv, reduce
 from .grammars import Grammar
@@ -41,6 +41,9 @@ class CancellationAutomaton:
     every path from `initial` (or from an initial tap) to it: `(g,)` on a
     state of the hub's loops, g the first generator whose loop passes it,
     which every path into it opens or taps, and `()` on every other state.
+    `first_loop` holds per generator g the range of the states that its
+    loop at the hub creates, the states whose first loop is g's, and
+    `index` gives them all one shared `(g,)`.
     An automaton that answers one question names its triple in `goal`.
     Immutable once built (builders below do all mutation).
     """
@@ -55,24 +58,27 @@ class CancellationAutomaton:
         # edge id -> the 1-based generator whose loop at the hub (A) it opens,
         # whose loop at B it closes, or whose initial / final tap it is
         self.opens, self.closes, self.heads, self.tails = {}, {}, {}, {}
-        self.first_loop = {}  # state -> the first generator whose loop at the hub passes it
+        self.first_loop = []  # per generator, the range of hub-loop states its loop creates
         self.s_in = self.s_out = self.r_in = self.r_out = None
         self.eps_edges = self.marks = self.lead = None
 
     def index(self) -> None:
-        """Index the finished edge list per state and label, in one pass."""
+        """Index the finished edge list per state and label, in one pass,
+        then the marks per edge and the leads per state."""
         # per-state edge lists are tuples without spare room, and most states
         # of a loop have one edge in and one out, so most share the empty one
+        # or hold the one (e,) that both lists of edge e start from
         n = self.n_states
         s_in, s_out, r_in, r_out = [()] * n, [()] * n, [()] * n, [()] * n
         eps_edges = []
         for e, (src, dst, label, _) in enumerate(self.edges):
+            ids = (e,)  # () + ids is ids itself
             if label == "s":
-                s_in[dst] += (e,)
-                s_out[src] += (e,)
+                s_in[dst] += ids
+                s_out[src] += ids
             elif label == "r":
-                r_in[dst] += (e,)
-                r_out[src] += (e,)
+                r_in[dst] += ids
+                r_out[src] += ids
             else:
                 eps_edges.append(e)
         self.s_in, self.s_out, self.r_in, self.r_out = s_in, s_out, r_in, r_out
@@ -83,8 +89,8 @@ class CancellationAutomaton:
                 marks[e] = (g,)
         self.marks = marks
         lead = [()] * n
-        for x, g in self.first_loop.items():
-            lead[x] = (g,)
+        for g, states in enumerate(self.first_loop, start=1):
+            lead[states.start:states.stop] = [(g,)] * len(states)
         self.lead = lead
 
     # -- views -----------------------------------------------------------------
@@ -105,34 +111,64 @@ class CancellationAutomaton:
                 f"{len(self.edges)} edges)")
 
 
-def _hub_loops(auto: CancellationAutomaton, hub: int, gens: GeneratorSet) -> list:
-    """Lay one loop w_g at hub per generator; the loops' own first edges.
+def _hub_loops(auto: CancellationAutomaton, hub: int, words: list, inward: bool) -> list:
+    """Lay one loop at hub per word, generator g's the g-th; the loops' own
+    edges.
 
-    Each loop's own edge carries its sign, is recorded in `auto.opens`, and
-    enters a tree of +1 edges shared by the loops' suffixes, which leads
-    each of its states to the hub one way only.  The loops are laid in
-    index order, so the loop that creates a state is the first that passes
-    it, and `auto.first_loop` records it."""
+    Each loop's own edge carries its sign, and the rest of the loop is a
+    path of +1 edges in a tree that the loops share, so each state of the
+    tree has one path to the hub or from it.  Inward (A, the words w_g),
+    the own edge spells the first letter out of the hub, is recorded in
+    `auto.opens`, and enters the tree of the words' suffixes, which leads
+    back to the hub.  Outward (B, the words inv(w_g)), the tree of the
+    prefixes leaves the hub, and the own edge spells the last letter back
+    into it and is recorded in `auto.closes`.
+
+    A loop walks the tree only through the part it shares with earlier
+    loops, then lays the rest as one run of new states n, n+1, ..., each
+    edge joining a state to the one before it (the first to where the walk
+    stopped), with one `extend`.  So the tree keeps one entry per loop:
+    `branch` maps (state, letter) to the run that leaves the state by that
+    letter, and inside a run the next state is the next number.  The loops
+    are laid in index order, so the loop that creates a state is the first
+    that passes it; inward, `auto.first_loop` keeps each loop's run."""
     edges = auto.edges
     n = auto.n_states
-    firsts = []
-    into = {}   # (state, letter) -> the state whose edge of that letter enters it
-    for g in range(1, len(gens) + 1):
-        w = gens.word(g)
-        node = hub
-        for ch in reversed(w.word[1:]):
-            src = into.get((node, ch))
-            if src is None:
-                src = into[node, ch] = n
-                auto.first_loop[n] = g
-                n += 1
-                edges.append((src, node, ch, 1))
-            node = src
-        auto.opens[len(edges)] = g
-        firsts.append(len(edges))
-        edges.append((hub, node, w.word[:1] or None, w.sign))
+    own, runs = [], []
+    branch = {}   # (state, letter) -> (first state of the run leaving it by that letter, its path)
+    for w in words:
+        # the letters of the tree's path, from the hub
+        path = w.word[:0:-1] if inward else w.word[:-1]
+        # the walk is at `node`, d letters from the hub, on the run of `along`
+        node, along, d = hub, "", 0
+        while d < len(path):
+            ch = path[d]
+            if d < len(along) and along[d] == ch:
+                node += 1
+            else:
+                hit = branch.get((node, ch))
+                if hit is None:
+                    break
+                node, along = hit
+            d += 1
+        run = range(n, n + len(path) - d)
+        runs.append(run)
+        if run:
+            branch[node, path[d]] = n, path
+            before = chain((node,), run[:-1])
+            edges.extend(zip(run, before, path[d:], repeat(1)) if inward
+                         else zip(before, run, path[d:], repeat(1)))
+            node, n = run[-1], run.stop
+        own.append(len(edges))
+        if inward:
+            edges.append((hub, node, w.word[:1] or None, w.sign))
+        else:
+            edges.append((node, hub, w.word[-1:] or None, w.sign))
+    (auto.opens if inward else auto.closes).update(zip(own, range(1, len(own) + 1)))
+    if inward:
+        auto.first_loop = runs
     auto.n_states = n
-    return firsts
+    return own
 
 
 def _hub_automaton(gens: GeneratorSet, target_word: SignedWord) -> CancellationAutomaton:
@@ -150,7 +186,7 @@ def _hub_automaton(gens: GeneratorSet, target_word: SignedWord) -> CancellationA
     auto = CancellationAutomaton("membership" if w.word else "loop")
     auto.initial = 0
     auto.n_states = 1
-    _hub_loops(auto, 0, gens)
+    _hub_loops(auto, 0, [g.word for g in gens], True)
     # the chain hub -> final: final, then the chain's inner states in order
     n = auto.n_states
     auto.n_states = n + len(w.word)
@@ -188,24 +224,11 @@ def _shared_loops(kind: str, gens: GeneratorSet, heads, tails) -> tuple:
     edges = auto.edges
     a, b = 0, 1
     auto.n_states = 2
-    firsts = _hub_loops(auto, a, gens)
+    words = [g.word for g in gens]
+    firsts = _hub_loops(auto, a, words, True)
     edges.append((a, b, None, 1))
+    lasts = _hub_loops(auto, b, [inv(w) for w in words], False)
     n = auto.n_states
-    lasts = []
-    out = {}    # (state, letter) -> the state its edge of that letter enters
-    for g in range(1, len(gens) + 1):
-        w = inv(gens.word(g))
-        node = b
-        for ch in w.word[:-1]:
-            dst = out.get((node, ch))
-            if dst is None:
-                dst = out[node, ch] = n
-                n += 1
-                edges.append((node, dst, ch, 1))
-            node = dst
-        auto.closes[len(edges)] = g
-        lasts.append(len(edges))
-        edges.append((node, b, w.word[-1:] or None, w.sign))
     initials = []
     for g in heads:
         _, dst, label, weight = edges[firsts[g - 1]]
@@ -282,7 +305,9 @@ class SaturationRelation:
     loop or membership automaton the marks are the path's index sequence,
     so the witness of a triple is its least factorization in (length,
     lexicographic) order.  `triples` is the key view, and `gaps_from[q]`
-    lists the triples leaving state q, in the same order.
+    lists the triples leaving state q, in the same order: it is the shared
+    empty tuple `()` until the first such triple, which makes it a list, so
+    a state that no triple leaves costs no list.
 
     `complete` is False when `saturate` stopped at its goal: `parents` is
     then the full relation's prefix up to the goal, in order and with the
@@ -295,7 +320,7 @@ class SaturationRelation:
 
     def __init__(self, n_states: int):
         self.parents = {}
-        self.gaps_from = [[] for _ in range(n_states)]
+        self.gaps_from = [()] * n_states
         self.complete = True
 
     @property
@@ -333,13 +358,17 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
     agenda is a heap of the weights offered and not yet taken, each with
     the triples offered at it in offer order: triples pop by (weight, offer
     order), as from a heap of (length, marks, counter, triple), and an
-    offer of the weight being taken joins the end of its list.  An offer
-    replaces a triple's pending one only when it is strictly lighter; the
-    superseded entry comes up after the triple became final and is
-    skipped.  A popped triple is final with its least weight and its first
-    derivation of that weight.  Rules pair it only with final triples,
-    through each state's lists of the final triples leaving / entering it,
-    so each instance fires once its last gap is final; an instance whose
+    offer of the weight being taken joins the end of its list.  The marks
+    fix the weight, so the lists are keyed by the marks, and a weight goes
+    on the heap only when its list is made; a pending offer is held as one
+    (marks, derivation) pair, with no weight pair of its own.  An
+    offer replaces a triple's pending one only when it is strictly
+    lighter; the superseded entry comes up after the triple became final
+    and is skipped.  A popped triple is final with its least weight and
+    its first derivation of that weight.  Rules pair it only with final
+    triples, through each state's lists of the final triples leaving /
+    entering it, made at the first such triple (`SaturationRelation`), so
+    each instance fires once its last gap is final; an instance whose
     conclusion is final offers nothing.
 
     Every gap is optional.  The empty gap (x, x, +) of each state with an s
@@ -374,8 +403,10 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
     `[2,3,5,7,11]`, x = 20, conjugated as the decisions build it, the run
     stopped at (hub, hub, +1) makes 4,431 triples final and 17,219 offers;
     with the bound on w alone it made 7,192 and 18,330, and building every
-    offer and dropping those past the goal made 42,922.  The complete
-    relation has 44,773 triples.  A goal outside the relation is never
+    offer and dropping those past the goal made 42,922.  16,784 of the
+    17,219 offers come before the goal's first offer, when there is no
+    bound yet, so breaking these scans on the lead as well could save at
+    most the other 435.  The complete relation has 44,773 triples.  A goal outside the relation is never
     offered, so there is no bound and its run is the full fixpoint.  The
     relation records whether it is complete.
     """
@@ -391,12 +422,12 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
     # the final triples leaving / entering each state, in the order they
     # became final, and the marks of each final triple
     gaps_from = rel.gaps_from
-    gaps_to = [[] for _ in range(n)]
+    gaps_to = [()] * n
     final = {}
-    # triple -> ((length, marks), derivation) of its lightest offer
+    # triple -> the marks and the derivation of its lightest offer
     best = {}
     weights = []    # heap of the weights offered and not yet popped
-    buckets = {}    # weight -> the triples offered at it, in offer order
+    buckets = {}    # marks -> the triples offered at them, in offer order
     bound = None    # the weight of the goal's lightest offer
 
     def past_goal(t, w):
@@ -409,18 +440,21 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
         """Queue a derivation of a triple not yet final, if it is the
         lightest offer yet and not `past_goal`."""
         nonlocal bound
-        w = (len(ms), ms)
         old = best.get(t)
-        if old is not None and w >= old[0] or bound is not None and past_goal(t, w):
+        if old is not None:
+            om = old[0]
+            if len(ms) > len(om) or len(ms) == len(om) and ms >= om:
+                return
+        if bound is not None and past_goal(t, (len(ms), ms)):
             return
-        best[t] = (w, parent)
-        queue = buckets.get(w)
+        best[t] = ms, parent
+        queue = buckets.get(ms)
         if queue is None:
-            buckets[w] = queue = []
-            heappush(weights, w)
+            buckets[ms] = queue = []
+            heappush(weights, (len(ms), ms))
         queue.append(t)
         if t == goal:
-            bound = w
+            bound = (len(ms), ms)
 
     def first_gap(x, y, sg, gm, t):
         """Rules (i) and (ii) with the gap x -> y (t, None if empty; marks
@@ -473,7 +507,8 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
         # the triples offered at the least weight, in offer order; offers of
         # the same weight made meanwhile join the end of the list
         w = heappop(weights)
-        for t in buckets[w]:
+        gm = w[1]
+        for t in buckets[gm]:
             entry = best.pop(t, None)
             if entry is None:
                 continue    # superseded by a lighter offer, which popped first
@@ -482,11 +517,18 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
                 # lead (), a triple pops before the goal only if it was
                 # offered before it at no more than its weight, and stays
                 continue
-            (_, gm), parents[t] = entry
+            parents[t] = entry[1]
             final[t] = gm
             x, y, sg = t
-            gaps_from[x].append(t)
-            gaps_to[y].append(t)
+            # a state's gap list is made at its first triple
+            if gaps_from[x]:
+                gaps_from[x].append(t)
+            else:
+                gaps_from[x] = [t]
+            if gaps_to[y]:
+                gaps_to[y].append(t)
+            else:
+                gaps_to[y] = [t]
             if t == goal:
                 break
             first_gap(x, y, sg, gm, t)
@@ -531,7 +573,7 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
                     if bound is not None and (len(left), left) >= bound:
                         break
                     offer(t3, left, ("compose", t0, t))
-        del buckets[w]
+        del buckets[gm]
 
     # the goal's turn is the last one: once it is final the run stops, and
     # some offers may have been dropped or left on the agenda

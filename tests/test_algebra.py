@@ -41,6 +41,39 @@ def random_order_reduce(word, sign, rng):
         sign = -sign
 
 
+def stack_reduce(raw, sign):
+    """Referee for `reduce`: one stack pass, deleting leftmost-innermost."""
+    stack = []
+    for ch in raw:
+        if ch == "s" and stack[-1:] == ["s"]:
+            stack.pop()
+            sign = -sign
+        elif ch == "r" and stack[-2:] == ["r", "r"]:
+            del stack[-2:]
+            sign = -sign
+        else:
+            stack.append(ch)
+    return SignedWord(sign, "".join(stack))
+
+
+def letter_evaluate(x):
+    """Referee for `evaluate`: the entries multiplied through one letter at
+    a time."""
+    a, b, c, d = 1, 0, 0, 1
+    for ch in x.word:
+        if ch == "s":
+            a, b, c, d = b, -a, d, -c
+        else:
+            a, b, c, d = b, b - a, d, d - c
+    return Mat2(a, b, c, d) if x.sign == 1 else Mat2(-a, -b, -c, -d)
+
+
+def nest(depth):
+    """r s (nest of depth - 1) s rr: reducing it deletes one level per
+    round of `reduce`, down to the empty word."""
+    return "rs" * depth + "srr" * depth
+
+
 def joined_decompose(m):
     """Referee for `decompose`: the same Euclidean quotients, but one signed
     word per shear power T^q = (-sr)^q or (-rrs)^-q, and one per S^-1 = -s,
@@ -115,6 +148,36 @@ class TestReduce:
         for word in ("sssss", "rrrrrr", "srsrssrrrs"):
             assert reduce(word, 1).is_reduced()
 
+    def test_equals_the_stack_pass_on_random_raw_words(self):
+        rng = random.Random(808)
+        for _ in range(3000):
+            p_s = rng.choice((0.2, 0.4, 0.5, 0.7))
+            raw = "".join("s" if rng.random() < p_s else "r" for _ in range(rng.randint(0, 60)))
+            sign = rng.choice((1, -1))
+            assert reduce(raw, sign) == stack_reduce(raw, sign), raw
+
+    def test_equals_the_stack_pass_on_nests_deeper_than_the_round_cap(self, monkeypatch):
+        stack_passes = []
+        monkeypatch.setattr(algebra, "_stack_reduce", lambda raw, sign: (
+            stack_passes.append(raw) or stack_reduce(raw, sign)))
+        rng = random.Random(909)
+        cap = algebra._REDUCE_ROUNDS
+        for depth in [*range(3 * cap), 1000]:
+            for raw in (nest(depth), "s" + nest(depth) + "rsr",
+                        nest(depth).replace("ss", "s" + nest(rng.randint(0, cap)) + "s", 1)):
+                for sign in (1, -1):
+                    assert reduce(raw, sign) == stack_reduce(raw, sign)
+        assert reduce(nest(cap - 1), 1) == SignedWord(1, "")
+        # each round takes one level off, and the stack pass gets the rest
+        assert nest(1000 - cap) in stack_passes
+        stack_passes.clear()
+        reduce(nest(cap - 1), 1)
+        assert not stack_passes
+
+    def test_letters_outside_s_and_r_are_named(self):
+        with pytest.raises(AlgebraError, match="'x'"):
+            reduce("ssrxs")
+
 
 class TestMulInv:
     def test_s_squared(self):
@@ -165,6 +228,19 @@ class TestEvaluate:
         for ch in word:
             m = m * {"s": S, "r": R}[ch]
         assert evaluate(SignedWord(sign, word)) == (m if sign == 1 else -m)
+
+    def test_equals_the_letter_loop_at_every_length_to_25(self):
+        rng = random.Random(2025)
+        for length in range(26):
+            for _ in range(40):
+                x = SignedWord(rng.choice((1, -1)),
+                               "".join(rng.choice("sr") for _ in range(length)))
+                assert evaluate(x) == letter_evaluate(x), x
+
+    def test_equals_the_letter_loop_on_a_long_word(self):
+        rng = random.Random(100_000)
+        x = SignedWord(-1, "".join(rng.choice("sr") for _ in range(100_000)))
+        assert evaluate(x) == letter_evaluate(x)
 
 
 class TestDecompose:

@@ -14,9 +14,9 @@ from sl2z_semigroups.algebra import (
     IDENTITY, R, S, GeneratorSet, SignedWord, evaluate, inv, reduce,
 )
 from sl2z_semigroups.automata import (
-    AutomatonError, WitnessError, build_freeness_automaton, build_loop_automaton,
-    build_membership_automaton, build_pattern_automaton, decode_pattern_witness,
-    extract_path, extract_witness, path_sequence, saturate,
+    AutomatonError, CancellationAutomaton, WitnessError, build_freeness_automaton,
+    build_loop_automaton, build_membership_automaton, build_pattern_automaton,
+    decode_pattern_witness, extract_path, extract_witness, path_sequence, saturate,
 )
 from sl2z_semigroups.algebra import decompose
 
@@ -404,3 +404,182 @@ class TestEpsilonCycle:
         has_cycle = any(q == p for (q, p, _) in sat)
         at_hub = sat.has(0, 0, 1) or sat.has(0, 0, -1)
         assert has_cycle == at_hub
+
+
+# -- referee of the loop layout ------------------------------------------------
+# The builders lay each loop's new states as one run and walk the shared
+# part of the tree only; these copies lay every loop a letter at a time
+# through a (state, letter) dict, and record the first loop through each
+# state in a dict.  Every field of every automaton must come out equal.
+
+def _referee_hub_loops(auto, hub, gens, first_loop):
+    edges = auto.edges
+    n = auto.n_states
+    firsts = []
+    into = {}
+    for g in range(1, len(gens) + 1):
+        w = gens.word(g)
+        node = hub
+        for ch in reversed(w.word[1:]):
+            src = into.get((node, ch))
+            if src is None:
+                src = into[node, ch] = n
+                first_loop[n] = g
+                n += 1
+                edges.append((src, node, ch, 1))
+            node = src
+        auto.opens[len(edges)] = g
+        firsts.append(len(edges))
+        edges.append((hub, node, w.word[:1] or None, w.sign))
+    auto.n_states = n
+    return firsts
+
+
+def _referee_index(auto, first_loop):
+    auto.index()
+    auto.lead = [()] * auto.n_states
+    for x, g in first_loop.items():
+        auto.lead[x] = (g,)
+    return auto
+
+
+def referee_hub_automaton(gens, target_word):
+    w = inv(target_word)
+    auto = CancellationAutomaton("membership" if w.word else "loop")
+    auto.initial = 0
+    auto.n_states = 1
+    first_loop = {}
+    _referee_hub_loops(auto, 0, gens, first_loop)
+    n = auto.n_states
+    auto.n_states = n + len(w.word)
+    prev, weight = 0, w.sign
+    for ch, nxt in zip(w.word, [*range(n + 1, n + len(w.word)), n]):
+        auto.edges.append((prev, nxt, ch, weight))
+        prev, weight = nxt, 1
+    auto.final = prev
+    auto.goal = (0, prev, weight)
+    return _referee_index(auto, first_loop)
+
+
+def referee_shared_loops(kind, gens, heads, tails):
+    auto = CancellationAutomaton(kind)
+    edges = auto.edges
+    a, b = 0, 1
+    auto.n_states = 2
+    first_loop = {}
+    firsts = _referee_hub_loops(auto, a, gens, first_loop)
+    edges.append((a, b, None, 1))
+    n = auto.n_states
+    lasts = []
+    out = {}
+    for g in range(1, len(gens) + 1):
+        w = inv(gens.word(g))
+        node = b
+        for ch in w.word[:-1]:
+            dst = out.get((node, ch))
+            if dst is None:
+                dst = out[node, ch] = n
+                n += 1
+                edges.append((node, dst, ch, 1))
+            node = dst
+        auto.closes[len(edges)] = g
+        lasts.append(len(edges))
+        edges.append((node, b, w.word[-1:] or None, w.sign))
+    initials = []
+    for g in heads:
+        _, dst, label, weight = edges[firsts[g - 1]]
+        initials.append(n)
+        auto.heads[len(edges)] = g
+        edges.append((n, dst, label, weight))
+        n += 1
+    finals = []
+    for g in tails:
+        src, _, label, weight = edges[lasts[g - 1]]
+        finals.append(n)
+        auto.tails[len(edges)] = g
+        edges.append((src, n, label, weight))
+        n += 1
+    auto.n_states = n
+    return _referee_index(auto, first_loop), initials, finals
+
+
+LAYOUT_FIELDS = ("kind", "n_states", "initial", "final", "goal", "edges", "s_in", "s_out",
+                 "r_in", "r_out", "eps_edges", "marks", "lead")
+
+
+def assert_same_layout(auto, ref):
+    for field in LAYOUT_FIELDS:
+        assert getattr(auto, field) == getattr(ref, field), field
+    for named in ("opens", "closes", "heads", "tails"):
+        assert list(getattr(auto, named).items()) == list(getattr(ref, named).items()), named
+
+
+def assert_builders_match_referee(gens, target):
+    assert_same_layout(build_loop_automaton(gens), referee_hub_automaton(gens, SignedWord(1, "")))
+    assert_same_layout(build_membership_automaton(gens, target),
+                       referee_hub_automaton(gens, target))
+    if len(gens) >= 2:
+        ref, (ref.initial,), (ref.final,) = referee_shared_loops("pattern", gens, (2,), (1,))
+        ref.goal = (ref.initial, ref.final, 1)
+        assert_same_layout(build_pattern_automaton(2, 1, gens), ref)
+    everyone = range(1, len(gens) + 1)
+    auto, goals = build_freeness_automaton(gens)
+    ref, initials, finals = referee_shared_loops("freeness", gens, everyone, everyone)
+    assert_same_layout(auto, ref)
+    assert goals == [((i, j), (initials[i - 1], finals[j - 1], 1))
+                     for i in everyone for j in range(i + 1, len(gens) + 1)]
+
+
+def layout_sets(seed=41, n_sets=300):
+    """(generators, target word, what the set shows): seeded sets of 1-5
+    words, with duplicates, suffixes and prefixes of earlier words, the
+    empty word (+-I), one-letter words and random reduced words."""
+    rng = random.Random(seed)
+    for _ in range(n_sets):
+        words, shows = [], set()
+        for _ in range(rng.randint(1, 5)):
+            pick = rng.random()
+            if words and pick < 0.15:
+                word = rng.choice(words).word
+                shows.add("duplicate")
+            elif words and pick < 0.4:
+                base = rng.choice(words).word
+                cut = rng.randint(1, max(1, len(base) - 1))
+                word, side = (base[cut:], "suffix") if rng.random() < 0.5 else (base[:cut], "prefix")
+                shows.add(side)
+            elif pick < 0.5:
+                word = ""
+            elif pick < 0.6:
+                word = rng.choice("sr")
+            else:
+                word = reduce("".join(rng.choice("sr") for _ in range(rng.randint(2, 12)))).word
+            words.append(SignedWord(rng.choice((1, -1)), word))
+        shows.update(("empty",) * ("" in (w.word for w in words)),
+                     ("one letter",) * any(len(w.word) == 1 for w in words))
+        target = reduce("".join(rng.choice("sr") for _ in range(rng.randint(0, 8))))
+        yield GeneratorSet.from_words(words), target, shows
+
+
+class TestLoopLayoutReferee:
+    def test_builders_match_the_letter_by_letter_layout(self):
+        seen = dict.fromkeys(("duplicate", "suffix", "prefix", "empty", "one letter"), 0)
+        n_sets = 0
+        for gens, target, shows in layout_sets():
+            assert_builders_match_referee(gens, target)
+            for what in shows:
+                seen[what] += 1
+            n_sets += 1
+        assert n_sets >= 300
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("values, x", [
+        ([1, 2], 3), ([1, 2, 4], 5), ([2, 3, 5], 7), ([1, 2, 3, 4], 11),
+        ([2, 3, 5, 7, 11], 20), ([150, 250], 400),
+    ])
+    def test_builders_match_the_letter_by_letter_layout_on_subset_sum(self, values, x):
+        from sl2z_semigroups.encodings import encode_subset_sum
+        gens = encode_subset_sum(values, x).generators
+        target = gens.word(1)
+        assert_builders_match_referee(gens, target)
+        conj, conj_target = gens.conjugated(gens.matrix(1))
+        assert_builders_match_referee(conj, conj_target)

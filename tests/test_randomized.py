@@ -202,7 +202,7 @@ def assert_gaps_from_in_order(sat, n_states):
     """`derivation_grammar` reads the gaps leaving each state from here."""
     assert len(sat.gaps_from) == n_states
     for x in range(n_states):
-        assert sat.gaps_from[x] == [t for t in sat.parents if t[0] == x]
+        assert list(sat.gaps_from[x]) == [t for t in sat.parents if t[0] == x]
 
 
 def assert_same_derivations(auto):
