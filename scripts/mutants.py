@@ -70,26 +70,6 @@ MUTANTS = (
            "return (len(q_lead) + w[0], q_lead + w[1]) >= bound",
            "return len(q_lead) + w[0] >= bound[0]",
            ("tests/test_randomized.py::test_goal_stop_is_a_prefix_on_marked_random_automata",)),
-    Mutant("saturate stops rule (ii)'s scan of its second gaps at a goal bound on lengths only",
-           "src/sl2z_semigroups/automata.py",
-           "(len(m2), m2) >= bound",
-           "len(m2) >= bound[0]",
-           ("tests/test_randomized.py::test_goal_stop_is_a_prefix_on_marked_random_automata",)),
-    Mutant("saturate stops rule (ii)'s scan of its first gaps at a goal bound on lengths only",
-           "src/sl2z_semigroups/automata.py",
-           "(len(m1), m1) >= bound",
-           "len(m1) >= bound[0]",
-           ("tests/test_randomized.py::test_goal_stop_is_a_prefix_on_marked_random_automata",)),
-    Mutant("saturate stops the scan of right parts to compose with at a goal bound on lengths only",
-           "src/sl2z_semigroups/automata.py",
-           "(len(right), right) >= bound",
-           "len(right) >= bound[0]",
-           ("tests/test_randomized.py::test_goal_stop_is_a_prefix_on_marked_random_automata",)),
-    Mutant("saturate stops the scan of left parts to compose with at a goal bound on lengths only",
-           "src/sl2z_semigroups/automata.py",
-           "(len(left), left) >= bound",
-           "len(left) >= bound[0]",
-           ("tests/test_randomized.py::test_goal_stop_is_a_prefix_on_marked_random_automata",)),
     Mutant("_hub_loops records the last generator through a shared state, not the first",
            "src/sl2z_semigroups/automata.py",
            "runs.append(run)",
@@ -140,7 +120,7 @@ MUTANTS = (
             "tests/test_randomized.py::test_closure_referee_certifies_ladder_saturations")),
     Mutant("saturate composes a popped triple only as the left part",
            "src/sl2z_semigroups/automata.py",
-           """offer(t3, left, ("compose", t0, t))""",
+           """offer(t3, final[t0] + gm, ("compose", t0, t))""",
            "pass",
            ("tests/test_randomized.py::test_closure_referee_certifies_random_saturations",
             "tests/test_randomized.py::test_closure_referee_certifies_ladder_saturations")),
@@ -207,6 +187,43 @@ MUTANTS = (
            "bodies[q, p, -w1 * sg].append((e1, *piece))",
            "pass",
            ("tests/test_randomized.py::test_derivation_grammar_on_random_automata",)),
+    Mutant("enumerate_words builds the word sets in reversed finish order",
+           "src/sl2z_semigroups/grammars.py",
+           "for head in done:",
+           "for head in reversed(done):",
+           ("tests/test_grammars.py::TestEnumerate::test_shared_nonterminals_enumerate_once",)),
+    Mutant("path_value drops an edge's weight",
+           "src/sl2z_semigroups/automata.py",
+           "            sign *= weight",
+           "            pass",
+           ("tests/test_automata.py::TestSaturation::test_soundness_every_triple_extracts",)),
+    Mutant("_around swaps a step's left and right pieces",
+           "src/sl2z_semigroups/decisions.py",
+           """left += _fill(auto, sat, body[:i])
+        rights.append(_fill(auto, sat, body[i + 1:]))""",
+           """left += _fill(auto, sat, body[i + 1:])
+        rights.append(_fill(auto, sat, body[:i]))""",
+           ("tests/test_decisions.py::TestRecurrence::test_around_is_linear_in_the_steps",
+            "tests/test_decisions.py::TestRecurrence::"
+            "test_witness_sequences_multiply_to_the_target")),
+    Mutant("path_sequence accepts a path that names no generator",
+           "src/sl2z_semigroups/automata.py",
+           "    if not seq:",
+           "    if False:",
+           ("tests/test_automata.py::TestWitnessDecodingRejects::"
+            "test_membership_path_of_the_target_chain_alone",)),
+    Mutant("path_sequence accepts a path that does not end at the final state",
+           "src/sl2z_semigroups/automata.py",
+           "and edges[path[-1]][1] == auto.final and _joined(edges, path)):",
+           "and _joined(edges, path)):",
+           ("tests/test_automata.py::TestWitnessDecodingRejects::"
+            "test_membership_path_without_the_target_chain",)),
+    Mutant("decode_pattern_witness without its joined-edges check",
+           "src/sl2z_semigroups/automata.py",
+           "and _joined(auto.edges, path)):",
+           "):",
+           ("tests/test_automata.py::TestWitnessDecodingRejects::"
+            "test_pattern_path_that_breaks_off",)),
     Mutant("_check_pumped accepts equal sequences",
            "src/sl2z_semigroups/decisions.py",
            "if len({tuple(seq) for seq in sequences}) != len(sequences):",

@@ -145,8 +145,9 @@ def reduce(raw: str, sign: int = 1) -> SignedWord:
     `decompose` and `inv` reduce need one or two.  A word still not
     reduced after `_REDUCE_ROUNDS` rounds, a deep nest such as r s r s s rr
     s rr, which loses one level per round, is finished by `_stack_reduce`,
-    so the cost stays linear in the word; the spelled word of a witness
-    path is such a nest.
+    so the cost stays linear in the word.  The spelled word of a witness
+    path is such a nest, so `CancellationAutomaton.path_value` calls the
+    stack pass directly.
     """
     if raw.strip("sr"):
         return _stack_reduce(raw, sign)    # it names the letter outside s, r

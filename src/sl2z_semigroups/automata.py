@@ -14,7 +14,7 @@ under the triple it yields, gives the grammar of all its paths.
 from heapq import heappop, heappush
 from itertools import chain, repeat
 
-from .algebra import GeneratorSet, SignedWord, inv, reduce
+from .algebra import GeneratorSet, SignedWord, _stack_reduce, inv
 from .grammars import Grammar
 
 
@@ -96,7 +96,9 @@ class CancellationAutomaton:
     # -- views -----------------------------------------------------------------
 
     def path_value(self, edge_ids) -> SignedWord:
-        """Reduced signed word spelled by an edge path."""
+        """Reduced signed word spelled by an edge path, by `reduce`'s stack
+        pass: the paths checked here are trivial ones, whose words are deep
+        nests that `reduce`'s rounds would hand to that pass anyway."""
         sign = 1
         letters = []
         for e in edge_ids:
@@ -104,7 +106,7 @@ class CancellationAutomaton:
             sign *= weight
             if label is not None:
                 letters.append(label)
-        return reduce("".join(letters), sign)
+        return _stack_reduce("".join(letters), sign)
 
     def __repr__(self):
         return (f"CancellationAutomaton({self.kind}, {self.n_states} states, "
@@ -379,36 +381,23 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
 
     With a goal triple the agenda stops once the goal is final.  The goal
     must start at a state of `lead` (), as every builder's goals do, or
-    it raises.  A path
-    of the goal through a triple (q, p, sigma) runs from the goal's start
-    to q, then along the triple's path, then on from p, so it weighs at
-    least lead[q] + w, w the triple's weight: the context bound of
-    lightest-derivation search (Felzenszwalb and McAllester), used only to
-    discard.  An offer is dropped when that is no lighter than the goal's
-    best offer (`bound`); for the goal, whose start has lead (), this is
-    w >= bound, an offer that would pop after the goal.  A triple offered
-    before the bound fell this low is tested again when it pops, unless it
-    leaves a state of lead (): such a triple pops before the goal only if
-    it was offered before it at no more than its weight.  Since lead[q] is
-    at most lead[q'] plus the mark of any edge q' -> q, a triple whose
-    derivation uses a dropped one is dropped too.  So the stopped relation
-    is the full one's prefix up to the goal less the dropped triples, in
-    order, with the same derivations, and the goal's witness is its least
-    path.  The gap lists are in the order their triples became final,
-    which is nondecreasing weight, and concatenation with a fixed prefix
-    or suffix keeps that order, while an edge's mark and a lead only add
-    weight.  So each scan of a gap list stops at the first gap whose
-    conclusion weighs `bound` or more, for rule (ii) before its last
-    edge's mark: `offer` would drop it and every later one.  On subset-sum
-    `[2,3,5,7,11]`, x = 20, conjugated as the decisions build it, the run
-    stopped at (hub, hub, +1) makes 4,431 triples final and 17,219 offers;
-    with the bound on w alone it made 7,192 and 18,330, and building every
-    offer and dropping those past the goal made 42,922.  16,784 of the
-    17,219 offers come before the goal's first offer, when there is no
-    bound yet, so breaking these scans on the lead as well could save at
-    most the other 435.  The complete relation has 44,773 triples.  A goal outside the relation is never
-    offered, so there is no bound and its run is the full fixpoint.  The
-    relation records whether it is complete.
+    it raises.  A path of the goal through a triple (q, p, sigma) runs from
+    the goal's start to q, then along the triple's path, then on from p, so
+    it weighs at least lead[q] + w, w the triple's weight: the context
+    bound of lightest-derivation search (Felzenszwalb and McAllester), used
+    only to discard.  An offer is dropped when that is no lighter than the
+    goal's best offer (`bound`); for the goal, whose start has lead (), this
+    is w >= bound, an offer that would pop after the goal.  A triple
+    offered before the bound fell this low is tested again when it pops,
+    unless it leaves a state of lead (): such a triple pops before the goal
+    only if it was offered before it at no more than its weight.  Since
+    lead[q] is at most lead[q'] plus the mark of any edge q' -> q, a triple
+    whose derivation uses a dropped one is dropped too.  So the stopped
+    relation is the full one's prefix up to the goal less the dropped
+    triples, in order, with the same derivations, and the goal's witness is
+    its least path.  A goal outside the relation is never offered, so there
+    is no bound and its run is the full fixpoint.  The relation records
+    whether it is complete.
     """
     n = auto.n_states
     edges = auto.edges
@@ -485,8 +474,6 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
                         offer(t3, mid + marks[e3], ("rrr", e1, t, e2, None, e3))
                 for t2 in gaps_from[z]:
                     m2 = mid + final[t2]
-                    if bound is not None and (len(m2), m2) >= bound:
-                        break   # offer drops these, and every later gap's
                     _, u, sg2 = t2
                     for e3 in r_out[u]:
                         _, p, _, w3 = edges[e3]
@@ -549,8 +536,6 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
                             offer(t3, marks[e1] + mid, ("rrr", e1, None, e2, t, e3))
                     for t1 in gaps_to[y1]:
                         m1 = final[t1] + mid
-                        if bound is not None and (len(m1), m1) >= bound:
-                            break
                         q1, _, sg1 = t1
                         for e1 in r_in[q1]:
                             q, _, _, w1 = edges[e1]
@@ -562,17 +547,11 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
             for t2 in gaps_from[y]:
                 t3 = (x, t2[1], sg * t2[2])
                 if t3 not in parents:
-                    right = gm + final[t2]
-                    if bound is not None and (len(right), right) >= bound:
-                        break
-                    offer(t3, right, ("compose", t, t2))
+                    offer(t3, gm + final[t2], ("compose", t, t2))
             for t0 in gaps_to[x]:
                 t3 = (t0[0], y, t0[2] * sg)
                 if t3 not in parents:
-                    left = final[t0] + gm
-                    if bound is not None and (len(left), left) >= bound:
-                        break
-                    offer(t3, left, ("compose", t0, t))
+                    offer(t3, final[t0] + gm, ("compose", t0, t))
         del buckets[gm]
 
     # the goal's turn is the last one: once it is final the run stops, and

@@ -233,11 +233,14 @@ def _fill(auto, sat, symbols) -> list:
 def _around(auto, sat, steps) -> tuple:
     """(left, right): the paths that the steps of a growth cycle put before
     and after their last step's child, the other symbols of each body
-    filled by `_fill`."""
-    left, right = [], []
+    filled by `_fill`.  Each step's right piece goes before the right
+    pieces of the steps above it, so they are joined once, last step's
+    first, and the time is linear in the paths."""
+    left, rights = [], []
     for _, body, i in steps:
-        left, right = left + _fill(auto, sat, body[:i]), _fill(auto, sat, body[i + 1:]) + right
-    return left, right
+        left += _fill(auto, sat, body[:i])
+        rights.append(_fill(auto, sat, body[i + 1:]))
+    return left, [e for piece in reversed(rights) for e in piece]
 
 
 def _check_pumped(gens: GeneratorSet, sequences, m: Mat2):

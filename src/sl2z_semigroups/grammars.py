@@ -393,12 +393,47 @@ def intersect(g: Grammar, d: MarkedDfa) -> Grammar:
 # ---------------------------------------------------------------------------
 
 
-def _bodies(g: Grammar) -> dict:
-    """head -> its bodies, in production order."""
+def _growth_search(g: Grammar, starts=None) -> tuple:
+    """(cycle, done, bodies): the result of `find_growth_cycle`, the
+    nonterminals whose search finished, as the keys of `done` in the order
+    it finished them, and `bodies`, head -> its bodies in production order.
+    Without a cycle each nonterminal finishes after every nonterminal in
+    its bodies."""
+    nts = g.nonterminals
     bodies = {}
     for head, body in g.productions:
         bodies.setdefault(head, []).append(body)
-    return bodies
+
+    def steps(head):
+        return ((head, body, i) for body in bodies.get(head, ())
+                for i, x in enumerate(body) if x in nts)
+
+    path = []                  # steps from the start to the open frame
+    depth = {}                 # open nonterminal -> number of steps to it
+    done = {}                  # finished nonterminal -> None, in finish order
+    starts = (g.start,) if starts is None else starts
+    for start in (s for s in starts if s not in done):
+        depth[start] = 0
+        frames = [(start, steps(start))]
+        while frames:
+            head, todo = frames[-1]
+            for step in todo:
+                child = step[1][step[2]]
+                if child in depth:
+                    k = depth[child]
+                    return (path[:k], path[k:] + [step]), done, bodies
+                if child not in done:
+                    depth[child] = len(path) + 1
+                    path.append(step)
+                    frames.append((child, steps(child)))
+                    break
+            else:
+                frames.pop()
+                del depth[head]
+                done[head] = None
+                if path:
+                    path.pop()
+    return None, done, bodies
 
 
 def find_growth_cycle(g: Grammar, starts=None):
@@ -412,45 +447,14 @@ def find_growth_cycle(g: Grammar, starts=None):
     is reachable from the start.  One depth-first search, through the
     productions in order, stops at the first back edge.  It runs from each
     of `starts` in turn (by default the start alone), and a nonterminal
-    finished from one is not searched again from the next.
+    finished from one is not searched again from the next.  The search is
+    `_growth_search`, which `enumerate_words` runs as well.
 
     A step (head, body, i) is a production of head whose body[i] is the
     head of the next step.  The stem leads from the start it ran from to
     the cycle's first head A, and the loop from A back to A.
     """
-    nts = g.nonterminals
-    bodies = _bodies(g)
-
-    def steps(head):
-        return ((head, body, i) for body in bodies.get(head, ())
-                for i, x in enumerate(body) if x in nts)
-
-    path = []                  # steps from the start to the open frame
-    depth = {}                 # open nonterminal -> number of steps to it
-    done = set()
-    starts = (g.start,) if starts is None else starts
-    for start in (s for s in starts if s not in done):
-        depth[start] = 0
-        frames = [(start, steps(start))]
-        while frames:
-            head, todo = frames[-1]
-            for step in todo:
-                child = step[1][step[2]]
-                if child in depth:
-                    k = depth[child]
-                    return path[:k], path[k:] + [step]
-                if child not in done:
-                    depth[child] = len(path) + 1
-                    path.append(step)
-                    frames.append((child, steps(child)))
-                    break
-            else:
-                frames.pop()
-                del depth[head]
-                done.add(head)
-                if path:
-                    path.pop()
-    return None
+    return _growth_search(g, starts)[0]
 
 
 @dataclass
@@ -470,34 +474,24 @@ class WordEnumeration:
 def enumerate_words(g: Grammar, cap: int = None) -> WordEnumeration:
     """Distinct words of L(g): the exact set, or "more than cap".
 
-    g must be proper, as for `find_growth_cycle`, which runs once: an
-    infinite language needs a cap and short-circuits to more-than with its
-    growth cycle.  Otherwise the nonterminals below the start form a DAG,
-    and each one's word set is built once, after the sets of the
-    nonterminals in its bodies.  Distinct derivations of one word count
-    once.  Every nonterminal below the start puts at least as many words
-    into the start's set, so the first set past the cap ends the work.
+    g must be proper, as for `find_growth_cycle`, whose search
+    (`_growth_search`) runs once: an infinite language needs a cap and
+    short-circuits to more-than with its growth cycle.  Otherwise the
+    nonterminals below the start form a DAG, and each one's word set is
+    built once, in the order the search finished them, so after the sets
+    of the nonterminals in its bodies.  Distinct derivations of one word
+    count once.  Every nonterminal below the start puts at least as many
+    words into the start's set, so the first set past the cap ends the
+    work.
     """
-    growth = find_growth_cycle(g)
+    growth, done, bodies = _growth_search(g)
     if growth is not None:
         if cap is None:
             raise GrammarError("enumerate_words on an infinite grammar needs a cap")
         return WordEnumeration(False, cap=cap, cycle=growth)
     nts = g.nonterminals
-    bodies = _bodies(g)
     sets = {}
-    stack = [g.start]
-    while stack:
-        head = stack[-1]
-        if head in sets:
-            stack.pop()
-            continue
-        pending = [x for body in bodies.get(head, ()) for x in body
-                   if x in nts and x not in sets]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
+    for head in done:
         words = set()
         for body in bodies.get(head, ()):
             partial = {()}

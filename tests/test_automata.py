@@ -287,6 +287,18 @@ class TestWitnessDecodingRejects:
         with pytest.raises(WitnessError):
             path_sequence(auto, loops_only)
 
+    def test_membership_path_of_the_target_chain_alone(self):
+        # joined, from the hub to the final state, but through no loop
+        gens = GeneratorSet.from_matrices([F_A, F_B])
+        target = decompose(F_A * F_B)
+        auto = build_membership_automaton(gens, target)
+        sat = saturate(auto)
+        path = extract_path(auto, sat, auto.initial, auto.final, 1)
+        chain_only = path[-len(target.word):]
+        assert not any(e in auto.opens for e in chain_only)
+        with pytest.raises(WitnessError, match="at least one generator"):
+            path_sequence(auto, chain_only)
+
     def test_pattern_path_not_from_entry_to_exit(self):
         gens = GeneratorSet.from_matrices([S, R])
         auto = build_pattern_automaton(1, 2, gens)

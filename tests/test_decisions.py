@@ -223,12 +223,12 @@ class TestCounting:
     def test_one_growth_cycle_search_per_count(self, monkeypatch, gens, m, kind):
         from sl2z_semigroups import grammars
         calls = []
-        search = grammars.find_growth_cycle
+        search = grammars._growth_search
 
-        def counted(g):
+        def counted(g, starts=None):
             calls.append(g)
-            return search(g)
-        monkeypatch.setattr(grammars, "find_growth_cycle", counted)
+            return search(g, starts)
+        monkeypatch.setattr(grammars, "_growth_search", counted)
         assert count_factorizations(gens, m, cap=5).count.kind == kind
         assert len(calls) == 1
 
@@ -302,6 +302,19 @@ class TestRecurrence:
         start = time.perf_counter()
         assert is_recurrent(gens, m).answer == NO
         assert time.perf_counter() - start < 4.0
+
+    def test_around_is_linear_in_the_steps(self):
+        # 100,000 steps whose bodies hold only edges besides the child: the
+        # left pieces in step order, the right pieces last step's first,
+        # each piece in body order, without rebuilding the paths per step
+        n = 100_000
+        steps = [(k, (4 * k, 4 * k + 1, ("child",), 4 * k + 2, 4 * k + 3), 2)
+                 for k in range(n)]
+        start = time.perf_counter()
+        left, right = decisions._around(None, None, steps)
+        assert time.perf_counter() - start < 3.0
+        assert left == [e for k in range(n) for e in (4 * k, 4 * k + 1)]
+        assert right == [e for k in reversed(range(n)) for e in (4 * k + 2, 4 * k + 3)]
 
     def test_identity_makes_members_recurrent(self):
         gens = GeneratorSet.from_matrices([S])
