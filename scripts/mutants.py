@@ -347,6 +347,15 @@ MUTANTS = (
             "test_letter_budget_counts_the_conjugated_words_and_the_target",
             "tests/test_cli.py::TestEntriesPastTheDigitLimit::"
             "test_problem_past_the_letter_budget_exits_3")),
+    Mutant("GeneratorSet.product multiplies right to left",
+           "src/sl2z_semigroups/algebra.py",
+           """a, b, c, d = (a * m.a + b * m.c, a * m.b + b * m.d,
+                          c * m.a + d * m.c, c * m.b + d * m.d)""",
+           """a, b, c, d = (m.a * a + m.b * c, m.a * b + m.b * d,
+                          m.c * a + m.d * c, m.c * b + m.d * d)""",
+           ("tests/test_algebra.py::TestGeneratorSet::test_from_matrices_round_trip",
+            "tests/test_algebra.py::TestGeneratorSet::"
+            "test_long_product_is_fast_and_equals_the_joined_words")),
 )
 
 

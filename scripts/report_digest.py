@@ -3,51 +3,101 @@
 
     PYTHONPATH=src python3 scripts/report_digest.py --seed 3 --workload all
 
-Builds the query lists of `bench/workloads.py` for the seed, writing their
-problem files into a temporary directory, runs each query once through
-`cli.main` in this process, and checks each report with
-`workloads.check_report`.  Prints one line per workload: its name, the
-number of queries, the sha256 of every (label, exit code, stdout) in list
-order, and the sha256 of every problem file the workload wrote (name and
-bytes, in name order).  Two versions whose lines agree wrote the same
-problem files and printed the same reports, so an encoding change that
-moves a matrix but no verdict shows in the last column.  Exits 1 if some
-verdict is wrong.
+Replays each workload with `replay`, and prints one line per workload: its
+name, the number of queries, the sha256 of every (label, exit code,
+stdout) in list order, and the sha256 of every problem file the workload
+wrote (name and bytes, in name order).  Two versions whose lines agree
+wrote the same problem files and printed the same reports, so an encoding
+change that moves a matrix but no verdict shows in the last column.  Exits
+1 if some verdict is wrong.
 
 `scripts/report_digests.txt` pins the lines of `--seed 3`, and CI diffs
 the output against it, so a change that moves a report updates that file.
 
-`bench/` is only read: the module is loaded from its file without writing
-bytecode next to it.
+`replay` is the loop that `certify_nos.py`, `chain_items.py` and
+`gc_pressure.py` run as well, and `saturations` records the saturations
+of a pass for the first two.  `bench/` is only read: the module is
+compiled from its file without writing bytecode next to it.
 """
 
 import argparse
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import os
 import sys
 import tempfile
 import types
+from typing import NamedTuple
+from unittest import mock
 
-from sl2z_semigroups import algebra, cli, encodings, oracle
+from sl2z_semigroups import algebra, automata, cli, encodings, oracle
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def load_workloads():
+    """`bench/workloads.py`, compiled from its source, which writes no bytecode."""
     path = os.path.join(ROOT, "bench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
+    module = types.ModuleType("bench_workloads")
+    module.__file__ = path
+    with open(path, encoding="utf-8") as fh:
+        exec(compile(fh.read(), path, "exec"), module.__dict__)
     return module
+
+
+class Run(NamedTuple):
+    query: object       # the workload's `Query`
+    code: int           # cli.main's exit code
+    stdout: str
+    report: dict        # stdout parsed, or None if it is not JSON
+    wrong: str          # why `check_report` refused the report, or None
+
+
+def replay(workloads, name: str, seed: int):
+    """Run one workload's queries through `cli.main` in this process.
+
+    Builds the workload's query list for the seed, writing its problem
+    files into a temporary directory that lives as long as the generator.
+    Runs each query once with stdout and stderr captured, checks its report
+    with `workloads.check_report`, and yields a `Run`.  A script that looks
+    inside the runs wraps the real functions for the length of the pass,
+    and reads what they recorded at each yield.
+    """
+    pkg = types.SimpleNamespace(algebra=algebra, cli=cli, encodings=encodings,
+                                oracle=oracle)
+    with tempfile.TemporaryDirectory(prefix=f"replay-{name}-") as workdir:
+        for q in workloads.build(pkg, workdir, name, seed):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(list(q.argv))
+            text = out.getvalue()
+            report = wrong = None
+            try:
+                report = json.loads(text)
+                workloads.check_report(q, code, report, algebra.Mat2)
+            except (ValueError, KeyError, TypeError, workloads.WrongVerdict) as exc:
+                wrong = f"{q.label}: {type(exc).__name__}: {exc}"
+            yield Run(q, code, text, report, wrong)
+
+
+@contextlib.contextmanager
+def saturations():
+    """Wrap `automata.saturate` for the block, and yield the list of the
+    (automaton, relation) of each call, which the caller clears after
+    each run."""
+    calls = []
+    saturate = automata.saturate
+
+    def recorded(auto, goal=None):
+        sat = saturate(auto, goal)
+        calls.append((auto, sat))
+        return sat
+
+    with mock.patch.object(automata, "saturate", recorded):
+        yield calls
 
 
 def digest_files(workdir: str) -> str:
@@ -62,27 +112,17 @@ def digest_files(workdir: str) -> str:
 
 
 def digest_workload(workloads, name: str, seed: int) -> tuple:
-    """(query count, report digest, problem-file digest, wrong-verdict
-    messages) of one workload."""
-    pkg = types.SimpleNamespace(algebra=algebra, cli=cli, encodings=encodings,
-                                oracle=oracle)
+    """(digest line, wrong-verdict messages) of one workload."""
     digest = hashlib.sha256()
-    wrong = []
-    with tempfile.TemporaryDirectory(prefix="report-digest-") as workdir:
-        queries = workloads.build(pkg, workdir, name, seed)
-        problems = digest_files(workdir)
-        for q in queries:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(list(q.argv))
-            text = out.getvalue()
-            digest.update(json.dumps([q.label, code, text]).encode())
-            try:
-                workloads.check_report(q, code, json.loads(text), algebra.Mat2)
-            except (ValueError, KeyError, TypeError, workloads.WrongVerdict) as exc:
-                wrong.append(f"{name}: {q.label}: {type(exc).__name__}: {exc}")
-    return len(queries), digest.hexdigest(), problems, wrong
+    count, problems, wrong = 0, None, []
+    for count, run in enumerate(replay(workloads, name, seed), 1):
+        if problems is None:
+            # every problem file is written before the first run, and none after
+            problems = digest_files(os.path.dirname(run.query.argv[1]))
+        digest.update(json.dumps([run.query.label, run.code, run.stdout]).encode())
+        if run.wrong:
+            wrong.append(f"{name}: {run.wrong}")
+    return f"{name:16s} {count:4d} {digest.hexdigest()} {problems}", wrong
 
 
 def main(argv=None) -> int:
@@ -94,10 +134,10 @@ def main(argv=None) -> int:
     names = workloads.WORKLOADS if args.workload == "all" else (args.workload,)
     failed = False
     for name in names:
-        count, reports, problems, wrong = digest_workload(workloads, name, args.seed)
-        print(f"{name:16s} {count:4d} {reports} {problems}", flush=True)
-        for line in wrong:
-            print(f"  wrong: {line}", file=sys.stderr)
+        line, wrong = digest_workload(workloads, name, args.seed)
+        print(line, flush=True)
+        for message in wrong:
+            print(f"  wrong: {message}", file=sys.stderr)
         failed = failed or bool(wrong)
     return 1 if failed else 0
 

@@ -557,14 +557,21 @@ class GeneratorSet:
         return GeneratorSet._of_checked(map(Generator, matrices, conjugates[:len(self)])), word
 
     def product(self, sequence) -> Mat2:
-        """Product of the 1-based index sequence; rejects the empty sequence."""
+        """Product of the 1-based index sequence; rejects the empty sequence.
+
+        The entries are multiplied as plain integers, left to right, and one
+        `Mat2` is built at the end, so the determinant is checked once.
+        """
         seq = list(sequence)
         if not seq:
             raise AlgebraError("empty index sequence has no product")
-        m = self._entries[seq[0] - 1].matrix
-        for i in seq[1:]:
-            m = m * self._entries[i - 1].matrix
-        return m
+        entries = self._entries
+        a, b, c, d = 1, 0, 0, 1
+        for i in seq:
+            m = entries[i - 1].matrix
+            a, b, c, d = (a * m.a + b * m.c, a * m.b + b * m.d,
+                          c * m.a + d * m.c, c * m.b + d * m.d)
+        return Mat2(a, b, c, d)
 
     def __repr__(self):
         return f"GeneratorSet({[g.word for g in self._entries]})"

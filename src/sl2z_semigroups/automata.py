@@ -564,11 +564,12 @@ def derivation_grammar(auto: CancellationAutomaton, sat: SaturationRelation,
                        root: tuple = None) -> Grammar:
     """Grammar of every edge path that realizes the root triple.
 
-    Nonterminals are the triples reachable from the root and terminals are
-    edge ids.  A triple's productions are the bodies of every instance of
-    a `saturate` rule that yields it, so each triple (q, p, sigma) derives
-    exactly the nonempty paths q -> p of value sigma * I.  One forward pass
-    lists them: the epsilon edges, then at each state q that some triple
+    Nonterminals are the triples of the relation, also those the root does
+    not reach, and terminals are edge ids.  A triple's productions are the
+    bodies of every instance of a `saturate` rule that yields it, so each
+    triple (q, p, sigma) derives exactly the nonempty paths q -> p of value
+    sigma * I.  One forward pass lists them, and the grammar takes the
+    listing as it is, each triple's bodies in listing order: the epsilon edges, then at each state q that some triple
     leaves, the instances leaving q, `s gap s`, `r gap r gap r`, then the
     compositions of each triple leaving q with the triples leaving its
     end.  A gap is the empty path or a triple, read from `gaps_from` after
@@ -576,9 +577,8 @@ def derivation_grammar(auto: CancellationAutomaton, sat: SaturationRelation,
     instance yields one of its triples.  There are no epsilon or unit
     productions, and every triple of the relation derives a path, so the
     grammar is proper in the sense of `grammars.find_growth_cycle`.  A root
-    outside the relation gives the empty grammar.  Without a root, every
-    triple of the relation is a nonterminal, in the order they became
-    final, and the grammar has no start.  The relation must be complete: a
+    outside the relation gives the empty grammar.  Without a root the
+    grammar has no start.  The relation must be complete: a
     goal-stopped one lacks rule instances, so it raises.
     """
     if not sat.complete:
@@ -619,18 +619,8 @@ def derivation_grammar(auto: CancellationAutomaton, sat: SaturationRelation,
             _, y, sg1 = t1
             for t2 in gaps_from[y]:
                 bodies[q, t2[1], sg1 * t2[2]].append((t1, t2))
-    stack = [root] if root is not None else list(reversed(triples))
-    prods = []
-    seen = set(stack)
-    while stack:
-        t = stack.pop()
-        for body in bodies[t]:
-            prods.append((t, body))
-            for x in body:
-                if isinstance(x, tuple) and x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-    return Grammar(seen, terminals, prods, root)
+    prods = [(t, body) for t, listed in bodies.items() for body in listed]
+    return Grammar(set(bodies), terminals, prods, root)
 
 
 def extract_path(auto: CancellationAutomaton, sat: SaturationRelation,

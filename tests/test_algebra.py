@@ -6,6 +6,7 @@ checks confluence rather than assuming it.
 """
 
 import random
+import time
 from collections import deque
 
 import pytest
@@ -420,6 +421,20 @@ class TestGeneratorSet:
         g = GeneratorSet.from_matrices([S])
         with pytest.raises(AlgebraError):
             g.product([])
+
+    def test_long_product_is_fast_and_equals_the_joined_words(self):
+        # a Mat2 per step re-checks the determinant on ever longer entries,
+        # which took seconds here; plain integers take well under a second
+        g = GeneratorSet.from_matrices([Mat2(2, 1, 1, 1), Mat2(1, 1, 0, 1)])
+        seq = [1, 2] * 10_000
+        start = time.perf_counter()
+        got = g.product(seq)
+        assert time.perf_counter() - start < 1.0
+        words = [g.word(i) for i in seq]
+        sign = 1
+        for w in words:
+            sign *= w.sign
+        assert got == evaluate(SignedWord(sign, "".join(w.word for w in words)))
 
 
 def random_word_of(rng, n, reduced) -> str:
