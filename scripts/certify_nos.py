@@ -10,8 +10,10 @@ records them.  A NO of identity, membership, counting or recurrence and a
 free set rest on a triple missing from such a relation, and a
 finite-freeness UNKNOWN_UP_TO on its rule dependencies, so each one is
 checked by `tests/closure_referee.py`, which shares no code with the
-saturation: closed under every rule, and every derivation grounded in
-earlier triples and real edges.  Prints one
+saturation: closed under every rule, every derivation grounded in earlier
+triples and real edges, and every recorded weight the one its derivation
+spells and no heavier than any rule instance of its triple, so that every
+witness read from the relation is its triple's least path.  Prints one
 line per workload, and exits 1 if a relation fails, if a verdict is
 wrong, or if a query answered NO, other than a witnessed freeness or
 finite-freeness NO, without a complete saturation to certify.

@@ -108,19 +108,19 @@ MUTANTS = (
             "test_saturation_derivations_match_reference_on_marked_random_automata",)),
     Mutant("saturate without rule (i)",
            "src/sl2z_semigroups/automata.py",
-           """offer(t3, head + marks[e2], ("ss", e1, t, e2))""",
+           """offer(t3, ("ss", e1, t, e2, head + marks[e2]))""",
            "pass",
            ("tests/test_randomized.py::test_closure_referee_certifies_random_saturations",
             "tests/test_randomized.py::test_closure_referee_certifies_ladder_saturations")),
     Mutant("saturate without rule (ii) around a final second gap",
            "src/sl2z_semigroups/automata.py",
-           """offer(t3, marks[e1] + m1, ("rrr", e1, t1, e2, t, e3))""",
+           """offer(t3, ("rrr", e1, t1, e2, t, e3, marks[e1] + m1))""",
            "pass",
            ("tests/test_randomized.py::test_closure_referee_certifies_random_saturations",
             "tests/test_randomized.py::test_closure_referee_certifies_ladder_saturations")),
     Mutant("saturate composes a popped triple only as the left part",
            "src/sl2z_semigroups/automata.py",
-           """offer(t3, final[t0] + gm, ("compose", t0, t))""",
+           """offer(t3, ("compose", t0, t, parents[t0][-1] + gm))""",
            "pass",
            ("tests/test_randomized.py::test_closure_referee_certifies_random_saturations",
             "tests/test_randomized.py::test_closure_referee_certifies_ladder_saturations")),
@@ -356,6 +356,29 @@ MUTANTS = (
            ("tests/test_algebra.py::TestGeneratorSet::test_from_matrices_round_trip",
             "tests/test_algebra.py::TestGeneratorSet::"
             "test_long_product_is_fast_and_equals_the_joined_words")),
+    Mutant("path_sequence accepts a path that does not start at the hub",
+           "src/sl2z_semigroups/automata.py",
+           "path and edges[path[0]][0] == auto.initial",
+           "path",
+           ("tests/test_automata.py::TestWitnessDecodingRejects::test_path_starting_mid_chain",)),
+    Mutant("decode_pattern_witness accepts a path that does not start at an initial tap",
+           "src/sl2z_semigroups/automata.py",
+           "path and path[0] in auto.heads and path[-1] in auto.tails",
+           "path and path[-1] in auto.tails",
+           ("tests/test_automata.py::TestWitnessDecodingRejects::"
+            "test_pattern_path_from_the_loops_at_a",)),
+    Mutant("decode_pattern_witness accepts a path that does not end at a final tap",
+           "src/sl2z_semigroups/automata.py",
+           "path and path[0] in auto.heads and path[-1] in auto.tails",
+           "path and path[0] in auto.heads",
+           ("tests/test_automata.py::TestWitnessDecodingRejects::"
+            "test_pattern_path_not_from_entry_to_exit",)),
+    Mutant("saturate's rule (i) records its weight without the closing edge's mark",
+           "src/sl2z_semigroups/automata.py",
+           """("ss", e1, t, e2, head + marks[e2])""",
+           """("ss", e1, t, e2, head)""",
+           ("tests/test_randomized.py::test_closure_referee_certifies_random_saturations",
+            "tests/test_randomized.py::test_closure_referee_certifies_ladder_saturations")),
 )
 
 

@@ -296,14 +296,15 @@ class SaturationRelation:
     `parents` is the relation itself: it maps each triple, in the order the
     triples became final, to its lightest derivation, which witness
     extraction expands:
-      ("eps", edge)                           base epsilon edge
-      ("ss", e1, gap, e2)                     s (gap) s cancellation
-      ("rrr", e1, gap1, e2, gap2, e3)         r (gap1) r (gap2) r
-      ("compose", t1, t2)                     transitive composition
-    where a gap is a triple, or None for the empty path.  A triple weighs
-    (number of marks, the marks in path order) of the path its derivation
-    expands into, a mark being the generator an edge names in `opens`,
-    `heads`, `closes` or `tails`; no path of the triple weighs less.  On a
+      ("eps", edge, marks)                        base epsilon edge
+      ("ss", e1, gap, e2, marks)                  s (gap) s cancellation
+      ("rrr", e1, gap1, e2, gap2, e3, marks)      r (gap1) r (gap2) r
+      ("compose", t1, t2, marks)                  transitive composition
+    where a gap is a triple, or None for the empty path, and `marks`, last,
+    is the triple's weight.  A triple weighs (number of marks, the marks in
+    path order) of the path its derivation expands into, a mark being the
+    generator an edge names in `opens`, `heads`, `closes` or `tails`; no
+    path of the triple weighs less.  On a
     loop or membership automaton the marks are the path's index sequence,
     so the witness of a triple is its least factorization in (length,
     lexicographic) order.  `triples` is the key view, and `gaps_from[q]`
@@ -362,16 +363,16 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
     order), as from a heap of (length, marks, counter, triple), and an
     offer of the weight being taken joins the end of its list.  The marks
     fix the weight, so the lists are keyed by the marks, and a weight goes
-    on the heap only when its list is made; a pending offer is held as one
-    (marks, derivation) pair, with no weight pair of its own.  An
-    offer replaces a triple's pending one only when it is strictly
-    lighter; the superseded entry comes up after the triple became final
-    and is skipped.  A popped triple is final with its least weight and
-    its first derivation of that weight.  Rules pair it only with final
-    triples, through each state's lists of the final triples leaving /
-    entering it, made at the first such triple (`SaturationRelation`), so
-    each instance fires once its last gap is final; an instance whose
-    conclusion is final offers nothing.
+    on the heap only when its list is made; a pending offer is its
+    derivation, whose last element is its marks, and a final triple keeps
+    the same tuple in `parents`.  An offer replaces a triple's pending one
+    only when it is strictly lighter; the superseded entry comes up after
+    the triple became final and is skipped.  A popped triple is final with
+    its least weight and its first derivation of that weight.  Rules pair
+    it only with final triples, through each state's lists of the final
+    triples leaving / entering it, made at the first such triple
+    (`SaturationRelation`), so each instance fires once its last gap is
+    final; an instance whose conclusion is final offers nothing.
 
     Every gap is optional.  The empty gap (x, x, +) of each state with an s
     edge in and an s edge out, or an r edge in and an r edge out, fires its
@@ -409,12 +410,10 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
     rel = SaturationRelation(n)
     parents = rel.parents
     # the final triples leaving / entering each state, in the order they
-    # became final, and the marks of each final triple
+    # became final
     gaps_from = rel.gaps_from
     gaps_to = [()] * n
-    final = {}
-    # triple -> the marks and the derivation of its lightest offer
-    best = {}
+    best = {}       # triple -> its lightest offer, a derivation ending in its marks
     weights = []    # heap of the weights offered and not yet popped
     buckets = {}    # marks -> the triples offered at them, in offer order
     bound = None    # the weight of the goal's lightest offer
@@ -425,18 +424,19 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
         q_lead = lead[t[0]]
         return (len(q_lead) + w[0], q_lead + w[1]) >= bound
 
-    def offer(t, ms, parent):
+    def offer(t, parent):
         """Queue a derivation of a triple not yet final, if it is the
         lightest offer yet and not `past_goal`."""
         nonlocal bound
+        ms = parent[-1]
         old = best.get(t)
         if old is not None:
-            om = old[0]
+            om = old[-1]
             if len(ms) > len(om) or len(ms) == len(om) and ms >= om:
                 return
         if bound is not None and past_goal(t, (len(ms), ms)):
             return
-        best[t] = ms, parent
+        best[t] = parent
         queue = buckets.get(ms)
         if queue is None:
             buckets[ms] = queue = []
@@ -457,7 +457,7 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
                 _, p, _, w2 = edges[e2]
                 t3 = (q, p, base * w2)
                 if t3 not in parents:
-                    offer(t3, head + marks[e2], ("ss", e1, t, e2))
+                    offer(t3, ("ss", e1, t, e2, head + marks[e2]))
         # rule (ii): the first gap of r (gap) r (gap) r
         for e1 in r_in[x]:
             q, _, _, w1 = edges[e1]
@@ -471,19 +471,19 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
                     _, p, _, w3 = edges[e3]
                     t3 = (q, p, base * w3)
                     if t3 not in parents:
-                        offer(t3, mid + marks[e3], ("rrr", e1, t, e2, None, e3))
+                        offer(t3, ("rrr", e1, t, e2, None, e3, mid + marks[e3]))
                 for t2 in gaps_from[z]:
-                    m2 = mid + final[t2]
+                    m2 = mid + parents[t2][-1]
                     _, u, sg2 = t2
                     for e3 in r_out[u]:
                         _, p, _, w3 = edges[e3]
                         t3 = (q, p, base * sg2 * w3)
                         if t3 not in parents:
-                            offer(t3, m2 + marks[e3], ("rrr", e1, t, e2, t2, e3))
+                            offer(t3, ("rrr", e1, t, e2, t2, e3, m2 + marks[e3]))
 
     for e in auto.eps_edges:
         src, dst, _, weight = edges[e]
-        offer((src, dst, weight), marks[e], ("eps", e))
+        offer((src, dst, weight), ("eps", e, marks[e]))
     # only a state with an s edge in and out, or an r edge in and out, has a
     # rule instance around its empty gap
     for x in range(n):
@@ -504,8 +504,7 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
                 # lead (), a triple pops before the goal only if it was
                 # offered before it at no more than its weight, and stays
                 continue
-            parents[t] = entry[1]
-            final[t] = gm
+            parents[t] = entry
             x, y, sg = t
             # a state's gap list is made at its first triple
             if gaps_from[x]:
@@ -533,25 +532,25 @@ def saturate(auto: CancellationAutomaton, goal: tuple = None) -> SaturationRelat
                         q, _, _, w1 = edges[e1]
                         t3 = (q, p, base * w1)
                         if t3 not in parents:
-                            offer(t3, marks[e1] + mid, ("rrr", e1, None, e2, t, e3))
+                            offer(t3, ("rrr", e1, None, e2, t, e3, marks[e1] + mid))
                     for t1 in gaps_to[y1]:
-                        m1 = final[t1] + mid
+                        m1 = parents[t1][-1] + mid
                         q1, _, sg1 = t1
                         for e1 in r_in[q1]:
                             q, _, _, w1 = edges[e1]
                             t3 = (q, p, base * sg1 * w1)
                             if t3 not in parents:
-                                offer(t3, marks[e1] + m1, ("rrr", e1, t1, e2, t, e3))
+                                offer(t3, ("rrr", e1, t1, e2, t, e3, marks[e1] + m1))
 
             # rule (iii): transitive composition with the final triples
             for t2 in gaps_from[y]:
                 t3 = (x, t2[1], sg * t2[2])
                 if t3 not in parents:
-                    offer(t3, gm + final[t2], ("compose", t, t2))
+                    offer(t3, ("compose", t, t2, gm + parents[t2][-1]))
             for t0 in gaps_to[x]:
                 t3 = (t0[0], y, t0[2] * sg)
                 if t3 not in parents:
-                    offer(t3, final[t0] + gm, ("compose", t0, t))
+                    offer(t3, ("compose", t0, t, parents[t0][-1] + gm))
         del buckets[gm]
 
     # the goal's turn is the last one: once it is final the run stops, and
@@ -644,8 +643,9 @@ def extract_path(auto: CancellationAutomaton, sat: SaturationRelation,
             path.append(item)
             continue
         parent = parents[item]
-        # push the parts right to left so they pop in path order
-        stack.extend(reversed(parent[1:]))
+        # push the parts, without the marks, right to left so they pop in
+        # path order
+        stack.extend(reversed(parent[1:-1]))
     value = auto.path_value(path)
     if value != SignedWord(sigma, ""):
         raise WitnessError(f"extracted path value {value} disagrees with sign {sigma}")

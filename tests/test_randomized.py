@@ -7,7 +7,8 @@ loop, each witness path against the lightest path of its triple, a run
 stopped at a goal triple against that loop stopped at the goal and against
 the full run (a prefix of it where no state has a `lead`), each `lead`
 against the least path into its state, and every complete relation
-against the closure referee (`closure_referee`).  The
+against the closure referee (`closure_referee`), which also certifies
+its least weights.  The
 shared freeness automaton, and the pattern automata built the same way,
 run against the chain-based pattern automaton of each pair
 (`pattern_referee`); identity, membership and counting on the loop and
@@ -108,7 +109,8 @@ def test_saturation_on_random_automata():
 
 def reference_saturate(auto, goal=None):
     """Derivations of `saturate` by a plain lightest-first loop: {triple:
-    parent}, in the order the triples became final.
+    parent}, in the order the triples became final, each parent ending in
+    its marks as `saturate` records them.
 
     Every rule instance is offered: its conclusion goes on the heap with
     the marks of its edges and gaps in path order, and the first pop of a
@@ -142,8 +144,9 @@ def reference_saturate(auto, goal=None):
     counter = itertools.count()
     bound = None    # the weight of the goal's least offer so far
 
-    def offer(q, p, sigma, ms, parent):
+    def offer(q, p, sigma, parent):
         nonlocal bound
+        ms = parent[-1]
         if (q, p, sigma) == goal and (bound is None or (len(ms), ms) < bound):
             bound = (len(ms), ms)
         heapq.heappush(heap, (len(ms), ms, next(counter), (q, p, sigma), parent))
@@ -152,15 +155,15 @@ def reference_saturate(auto, goal=None):
         for e1 in s_in[x]:
             for e2 in s_out[y]:
                 offer(edges[e1][0], edges[e2][1], -sg * edges[e1][3] * edges[e2][3],
-                      marks[e1] + gm + marks[e2], ("ss", e1, t, e2))
+                      ("ss", e1, t, e2, marks[e1] + gm + marks[e2]))
         for e1 in r_in[x]:
             for e2 in r_out[y]:
                 for (u, sg2, t2, m2) in gaps_from[edges[e2][1]]:
                     for e3 in r_out[u]:
                         offer(edges[e1][0], edges[e3][1],
                               -sg * sg2 * edges[e1][3] * edges[e2][3] * edges[e3][3],
-                              marks[e1] + gm + marks[e2] + m2 + marks[e3],
-                              ("rrr", e1, t, e2, t2, e3))
+                              ("rrr", e1, t, e2, t2, e3,
+                               marks[e1] + gm + marks[e2] + m2 + marks[e3]))
         if t is None:
             return
         for e3 in r_out[y]:
@@ -169,16 +172,16 @@ def reference_saturate(auto, goal=None):
                     for e1 in r_in[q1]:
                         offer(edges[e1][0], edges[e3][1],
                               -sg * sg1 * edges[e1][3] * edges[e2][3] * edges[e3][3],
-                              marks[e1] + m1 + marks[e2] + gm + marks[e3],
-                              ("rrr", e1, t1, e2, t, e3))
+                              ("rrr", e1, t1, e2, t, e3,
+                               marks[e1] + m1 + marks[e2] + gm + marks[e3]))
         for (u, sg2, t2, m2) in gaps_from[y][1:]:
-            offer(x, u, sg * sg2, gm + m2, ("compose", t, t2))
+            offer(x, u, sg * sg2, ("compose", t, t2, gm + m2))
         for (q0, sg0, t0, m0) in gaps_to[x][1:]:
-            offer(q0, y, sg0 * sg, m0 + gm, ("compose", t0, t))
+            offer(q0, y, sg0 * sg, ("compose", t0, t, m0 + gm))
 
     for e in eps_edges:
         src, dst, _, weight = edges[e]
-        offer(src, dst, weight, marks[e], ("eps", e))
+        offer(src, dst, weight, ("eps", e, marks[e]))
     for x in range(auto.n_states):
         fire(x, x, 1, None, ())
     while heap:
@@ -209,6 +212,7 @@ def assert_same_derivations(auto):
     sat = saturate(auto)
     assert list(sat.parents.items()) == list(reference_saturate(auto).items())
     assert_gaps_from_in_order(sat, auto.n_states)
+    derivation_marks(auto, sat.parents)
 
 
 def test_saturation_derivations_match_reference_on_random_automata():
@@ -317,6 +321,70 @@ def test_closure_referee_refuses_a_stopped_relation():
     assert not sat.complete
     assert certify(auto, sat)[0] == "the relation is not complete"
     assert closure_faults(auto, sat)
+
+
+def reweighed(sat, t, ms):
+    """The relation with t's recorded marks replaced by ms."""
+    parents = dict(sat.parents)
+    parents[t] = parents[t][:-1] + (ms,)
+    return Relation(parents)
+
+
+def test_closure_referee_refuses_a_lighter_or_a_heavier_recorded_weight():
+    """In a complete saturation of a marked random automaton, one triple's
+    recorded marks lose their last mark, or gain one: a lighter weight is
+    not what its parts spell, and a heavier one is also heavier than the
+    triple's own derivation over the relation."""
+    rng = random.Random(1357)
+    lighter = heavier = 0
+    for _ in range(100):
+        auto = mark_randomly(rng, random_automaton(rng, max_edges=rng.choice((10, 20))))
+        sat = saturate(auto)
+        for t, parent in sat.parents.items():
+            ms = parent[-1]
+            if ms:
+                assert grounding_faults(auto, reweighed(sat, t, ms[:-1]))
+                lighter += 1
+            heavy = reweighed(sat, t, ms + (1,))
+            assert grounding_faults(auto, heavy)
+            assert "lighter than its recorded" in closure_faults(auto, heavy)[0]
+            heavier += 1
+    assert lighter >= 100 and heavier >= 100
+
+
+def test_closure_referee_refuses_a_grounded_heavier_derivation():
+    """A relation whose derivations are grounded and spell their recorded
+    marks, but in which one triple records a composition of earlier triples
+    heavier than its lightest derivation, fails the least-weight check of
+    `closure_faults` alone."""
+    def weight(ms):
+        return len(ms), ms
+
+    rng = random.Random(8080)
+    swapped = 0
+    for _ in range(200):
+        auto = mark_randomly(rng, random_automaton(rng, max_edges=rng.choice((10, 20))))
+        parents = saturate(auto).parents
+        order = list(parents)
+        swap = None
+        for k, t in enumerate(order):
+            least = weight(parents[t][-1])
+            swap = next(((t, t1, t2) for t1 in order[:k] if t1[0] == t[0]
+                         for t2 in order[:k]
+                         if (t2[0], t2[1], t1[2] * t2[2]) == (t1[1], t[1], t[2])
+                         and weight(parents[t1][-1] + parents[t2][-1]) > least), None)
+            if swap is not None:
+                break
+        if swap is None:
+            continue
+        t, t1, t2 = swap
+        moved = dict(parents)
+        moved[t] = ("compose", t1, t2, ())
+        moved = Relation(rebuilt_marks(auto, moved))
+        assert grounding_faults(auto, moved) == []
+        assert "lighter than its recorded" in closure_faults(auto, moved)[0]
+        swapped += 1
+    assert swapped >= 30
 
 
 def goal_stopped_lengths(auto, goals):
@@ -429,15 +497,25 @@ def test_goal_stop_is_a_prefix_on_membership_automata():
     assert stopped >= 1
 
 
-def derivation_marks(auto, parents):
-    """The marks of each triple's derivation, in path order, read from
-    the derivations alone."""
-    marks = {}
+def rebuilt_marks(auto, parents):
+    """The derivations with their marks rebuilt, in order, from their edges
+    and the rebuilt marks of their gaps."""
+    rebuilt = {}
     for t, parent in parents.items():
-        marks[t] = tuple(itertools.chain.from_iterable(
-            () if x is None else auto.marks[x] if isinstance(x, int) else marks[x]
-            for x in parent[1:]))
-    return marks
+        ms = tuple(itertools.chain.from_iterable(
+            () if x is None else auto.marks[x] if isinstance(x, int) else rebuilt[x][-1]
+            for x in parent[1:-1]))
+        rebuilt[t] = parent[:-1] + (ms,)
+    return rebuilt
+
+
+def derivation_marks(auto, parents):
+    """The marks of each triple's derivation, in path order, rebuilt from
+    the derivations alone; each must equal the marks the derivation
+    records."""
+    rebuilt = rebuilt_marks(auto, parents)
+    assert list(rebuilt.items()) == list(parents.items())
+    return {t: parent[-1] for t, parent in rebuilt.items()}
 
 
 def goal_stop_drops(auto, goals):
